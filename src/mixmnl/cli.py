@@ -80,7 +80,12 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--r", "n_components", type=int, required=True)
 @click.option("--t1", type=int, default=None, help="Completion iterations.")
-@click.option("--t2", type=int, default=None, help="Stationary iterations.")
+@click.option(
+    "--t2",
+    type=int,
+    default=None,
+    help="Cap on stationary iterations; stops earlier at convergence.",
+)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--exact-moments", is_flag=True, help="Debug: use population moments.")
 @click.option(

@@ -38,6 +38,10 @@ class LearnConfig:
 
     ``backend`` pins the moment-kernel implementation ("numpy"/"numba");
     leave it None to use whatever the environment selects.
+    ``centrality_iterations`` caps each component's Rank Centrality power
+    iteration, which stops earlier once its iterates converge; None caps
+    it at the spectral-gap bound of
+    ``rankcentrality.default_iteration_count``.
     """
 
     n_components: int

@@ -7,8 +7,9 @@ the win rate of the far endpoint, scaled by 1/(2 d_max), with the residual
 mass on the self-loop.  For exact inputs the chain is reversible with
 stationary distribution exactly equal to the item weights; for noisy
 inputs the stationary distribution is the weight estimate.  The power
-iteration runs a fixed number of steps from the uniform vector so results
-are deterministic.
+iteration starts from the uniform vector, so results are deterministic, and
+stops once successive iterates agree to roundoff; the worst-case spectral
+bound of ``default_iteration_count`` only caps the number of steps.
 """
 
 import math
@@ -23,6 +24,11 @@ from .errors import NumericalError, ValidationError
 
 _DENSE_SOLVE_LIMIT = 2000
 _CONVERGENCE_EPS = 1e-8
+# Power iteration stops once the L1 change between iterates is at most this.
+# The change settles at a roundoff floor of about 2e-16 or less on the chains
+# the pipeline builds, so the stop is reached once the iterate has converged;
+# a chain whose floor lies above it runs to its cap.
+_STOP_CHANGE = 1e-15
 # Iteration budgets grow with the square of the dynamic-range estimate, so
 # wild estimates from noisy inputs are capped before entering the formula.
 _RANGE_CAP = 16.0
@@ -44,6 +50,7 @@ class TransitionMatrix:
 class PowerIterationResult(NamedTuple):
     distribution: np.ndarray
     last_change: float  # L1 distance between the final two iterates
+    iterations: int  # steps actually run, at most the cap
 
 
 def project_outcomes(values):
@@ -84,7 +91,11 @@ def build_transition(graph, outcomes):
 
 
 def power_stationary(transition, n_iterations, init=None):
-    """Left power iteration for ``n_iterations`` steps with renormalization."""
+    """Left power iteration with renormalization, stopped at convergence.
+
+    Stops after the first step whose L1 change is at most 1e-15, or after
+    ``n_iterations`` steps, whichever comes first.
+    """
     n = transition.n_items
     n_iterations = int(n_iterations)
     if n_iterations < 1:
@@ -97,13 +108,14 @@ def power_stationary(transition, n_iterations, init=None):
             raise ValidationError("init must be a non-negative vector with positive mass")
         pi /= pi.sum()
     transposed = transition.matrix.T.tocsr()
-    last_change = np.inf
-    for _ in range(n_iterations):
+    for step in range(1, n_iterations + 1):
         nxt = transposed @ pi
         nxt /= nxt.sum()
         last_change = float(np.abs(nxt - pi).sum())
         pi = nxt
-    return PowerIterationResult(distribution=pi, last_change=last_change)
+        if last_change <= _STOP_CHANGE:
+            break
+    return PowerIterationResult(distribution=pi, last_change=last_change, iterations=step)
 
 
 def exact_stationary(transition):
@@ -159,10 +171,12 @@ def estimate_dynamic_range(graph, outcomes, cap=_RANGE_CAP):
 
 
 def default_iteration_count(graph, outcomes, eps=_CONVERGENCE_EPS):
-    """Iteration budget b^2 d_max (log n + log 1/eps) / (xi d_min).
+    """Iteration cap b^2 d_max (log n + log 1/eps) / (xi d_min).
 
-    Unit constant; ``eps`` defaults to 1e-8.  Needs a connected
-    non-bipartite graph (positive spectral gap).
+    The Rank Centrality worst-case bound, with unit constant and ``eps``
+    defaulting to 1e-8.  ``rank_centrality`` uses it as the cap on
+    ``power_stationary``, which usually stops far earlier.  Needs a
+    connected non-bipartite graph (positive spectral gap).
     """
     diag = graph.diagnostics()
     if not diag.connected or diag.spectral_gap <= 0.0:
@@ -183,8 +197,9 @@ def rank_centrality(graph, outcomes, n_iterations=None):
     """Item weights from per-pair outcome means.
 
     Clips the outcomes into [-1, 1], builds the comparison chain, and
-    power-iterates from uniform.  ``n_iterations`` defaults to the
-    spectral-gap budget of ``default_iteration_count``.
+    power-iterates from uniform until the iterates stop changing.
+    ``n_iterations`` caps the steps and defaults to the spectral-gap bound
+    of ``default_iteration_count``.
     """
     projected = project_outcomes(outcomes)
     if n_iterations is None:

@@ -105,6 +105,36 @@ class TestStationary:
         result = power_stationary(t, 500)
         assert result.last_change <= 1e-12
 
+    def test_stops_at_convergence_below_cap(self):
+        rng = np.random.default_rng(5)
+        g = erdos_renyi(40, 6.0, rng)
+        w = rng.uniform(1.0, 2.0, 40)
+        outcomes = ideal_outcomes(g, w)
+        cap = default_iteration_count(g, outcomes)
+        result = power_stationary(build_transition(g, outcomes), cap)
+        assert result.iterations < cap
+        assert result.last_change <= 1e-15
+
+    def test_early_stop_matches_dense_solve_on_noisy_chain(self):
+        # Noisy outcomes break reversibility, so the stationary distribution
+        # is no longer the weights; the stop must still land on it.
+        rng = np.random.default_rng(6)
+        g = erdos_renyi(60, 7.0, rng)
+        w = rng.uniform(1.0, 2.0, 60)
+        noisy = np.clip(ideal_outcomes(g, w) + rng.uniform(-0.3, 0.3, g.n_pairs), -1, 1)
+        t = build_transition(g, noisy)
+        result = power_stationary(t, default_iteration_count(g, noisy))
+        exact = exact_stationary(t)
+        assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
+
+    def test_explicit_cap_runs_exactly(self):
+        rng = np.random.default_rng(1)
+        g = erdos_renyi(30, 5.0, rng)
+        w = rng.uniform(1.0, 2.0, 30)
+        result = power_stationary(build_transition(g, ideal_outcomes(g, w)), 25)
+        assert result.iterations == 25
+        assert result.last_change > 1e-15
+
     def test_reducible_chain_rejected(self):
         # Two cliques joined by nothing: the dense solve must refuse.
         edges = [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]
