@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .graphs import ComparisonGraph, GraphDiagnostics, erdos_renyi
-from .kernels import active_backend, available_backends
 from .model import (
     MixedMNLModel,
     Observation,
@@ -102,10 +101,8 @@ __all__ = [
     "TransitionMatrix",
     "ValidationError",
     "WhiteningBasis",
-    "active_backend",
     "altmin_complete",
     "apply_tensor",
-    "available_backends",
     "build_transition",
     "check_conditions",
     "components_from_exact_moments",

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import RankDeficiencyError, ValidationError
+from .errors import NumericalError, RankDeficiencyError, ValidationError
 
 _RIDGE = 1e-12
 _TARGET = 1e-8
@@ -76,10 +77,37 @@ def default_iteration_count(offdiag):
     return max(1, math.ceil(math.log2(2.0 * norm / _TARGET)))
 
 
-def _masked_objective(offdiag, product):
-    err = offdiag - product
-    np.fill_diagonal(err, 0.0)
-    return float((err * err).sum())
+def _masked_objective(offdiag, solution, basis, out):
+    """Off-diagonal squared error of solution @ basis.T, using ``out`` as scratch."""
+    np.matmul(solution, basis.T, out=out)
+    np.subtract(offdiag, out, out=out)
+    np.fill_diagonal(out, 0.0)
+    flat = out.ravel()
+    return float(flat @ flat)
+
+
+def _top_eigenpairs(sym, rank, which):
+    """The ``rank`` eigenpairs of a symmetric matrix that ``which`` ranks first.
+
+    ``which`` is "LM" (largest magnitude) or "LA" (algebraically largest);
+    pairs come back in that order, descending.  ARPACK starts from a fixed
+    seeded vector, so repeated calls are bit-identical.  Dense ``eigh`` runs
+    only for rank >= N - 1, where ARPACK's Krylov space would be the whole
+    space (and scipy refuses rank N).  Solver failures raise
+    ``NumericalError``.
+    """
+    n = sym.shape[0]
+    if rank >= n - 1:
+        values, vectors = np.linalg.eigh(sym)
+    else:
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+        try:
+            values, vectors = eigsh(sym, k=rank, which=which, v0=start)
+        except ArpackError as err:
+            raise NumericalError(f"eigensolver failed: {err}") from err
+    key = np.abs(values) if which == "LM" else values
+    order = np.argsort(-key, kind="stable")[:rank]
+    return values[order], vectors[:, order]
 
 
 def altmin_complete(offdiag, rank, n_iterations=None):
@@ -92,7 +120,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     Singular row systems fall back to a ridge of 1e-12 and are flagged in
     the result's ``ridge_steps``.
     """
-    a = np.array(offdiag, dtype=np.float64)
+    a = np.array(offdiag, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("offdiag must be square")
     if not np.isfinite(a).all():
@@ -111,14 +139,13 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     if n_iterations < 1:
         raise ValidationError("n_iterations must be at least 1")
 
-    values, vectors = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(values))
-    basis = vectors[:, order[:rank]]
+    _, basis = _top_eigenpairs(a, rank, "LM")
 
     result = AltMinResult(matrix=None)
     solution = None
     previous = None
     eye = np.eye(rank)
+    scratch = np.empty_like(a)
     for step in range(n_iterations):
         gram = basis.T @ basis
         rhs = a @ basis  # diagonal of a is zero, so row sums need no correction
@@ -131,7 +158,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
             ]
             result.ridge_steps.append(step)
         previous = basis
-        result.objectives.append(_masked_objective(a, solution @ previous.T))
+        result.objectives.append(_masked_objective(a, solution, previous, scratch))
         basis, _ = np.linalg.qr(solution)
     result.matrix = solution @ previous.T
     return result
@@ -142,7 +169,7 @@ def symmetrize_and_eig(matrix, rank):
 
     Takes the ``rank`` algebraically largest eigenvalues; raises
     ``RankDeficiencyError`` (carrying the full descending spectrum) unless
-    all of them are strictly positive.
+    all of them exceed the numerical-rank floor N * eps * max(lambda_max, 0).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -151,14 +178,12 @@ def symmetrize_and_eig(matrix, rank):
     if not 1 <= rank <= m.shape[0]:
         raise ValidationError("rank must be in [1, N]")
     sym = 0.5 * (m + m.T)
-    values, vectors = np.linalg.eigh(sym)
-    values = values[::-1]
-    vectors = vectors[:, ::-1]
-    top = values[:rank]
-    if top[-1] <= 0.0:
+    values, vectors = _top_eigenpairs(sym, rank, "LA")
+    floor = sym.shape[0] * np.finfo(float).eps * max(values[0], 0.0)
+    if values[-1] <= floor:
         raise RankDeficiencyError(
-            f"only {int((top > 0).sum())} of the requested {rank} eigenvalues "
-            "are positive",
-            spectrum=values.copy(),
+            f"only {int((values > floor).sum())} of the requested {rank} eigenvalues "
+            "are numerically positive",
+            spectrum=np.linalg.eigvalsh(sym)[::-1],
         )
-    return WhiteningBasis(vectors=np.ascontiguousarray(vectors[:, :rank]), values=top.copy())
+    return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values)

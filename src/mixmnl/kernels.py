@@ -1,201 +1,62 @@
 """Accumulation kernels for streaming moment estimation.
 
-The two inner loops that dominate runtime on large observation sets live
-here: the pairwise sign-product accumulator behind the second-moment
-estimator, and the per-observation projected third-moment statistic.  Both
-have a compiled numba implementation and a chunked pure-numpy twin.
-
-Backend selection: set ``MIXMNL_BACKEND=numpy`` or ``MIXMNL_BACKEND=numba``
-in the environment before import, or pass ``backend=`` explicitly.  The
-default (``auto``) compiles with numba when it is importable and falls back
-to numpy otherwise.  Random sampling never happens here, so observation
-data is identical regardless of backend; only floating-point summation
-order differs between the two third-moment paths.
+Both moment accumulators are products of one sparse matrix: the
+(count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
+at its pair indices, ``ell`` entries per row.  The second-moment sums are
+X^T X; the projected third-moment sums expand into products of X, its
+sparsity pattern |X| and its column sums with the basis, so no
+per-observation loop, chunking or cubic intermediate is needed.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+from scipy import sparse
 
 
-# Rows per chunk are sized so dense scratch blocks stay around 32 MB.
-_CHUNK_FLOATS = 4 << 20
-
-
-def _chunk_rows(width):
-    return max(1, _CHUNK_FLOATS // max(int(width), 1))
-
-
-def _sign_outer_numpy(pair_indices, signs, n_pairs):
+def _sign_matrix(pair_indices, values, n_pairs):
     count, ell = pair_indices.shape
-    out = np.zeros((n_pairs, n_pairs))
-    step = _chunk_rows(n_pairs)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        block = np.zeros((hi - lo, n_pairs))
-        rows = np.repeat(np.arange(hi - lo), ell)
-        block[rows, pair_indices[lo:hi].ravel()] = signs[lo:hi].ravel()
-        out += block.T @ block
-    return out
+    indptr = np.arange(0, count * ell + 1, ell, dtype=np.int64)
+    return sparse.csr_matrix(
+        (np.asarray(values, dtype=np.float64).ravel(), pair_indices.ravel(), indptr),
+        shape=(count, int(n_pairs)),
+    )
 
 
-@njit(cache=True)
-def _sign_outer_numba(pair_indices, signs, n_pairs):  # pragma: no cover - compiled
-    count, ell = pair_indices.shape
-    out = np.zeros((n_pairs, n_pairs))
-    for t in range(count):
-        for a in range(ell):
-            ka = pair_indices[t, a]
-            sa = signs[t, a]
-            out[ka, ka] += 1.0
-            for b in range(a + 1, ell):
-                kb = pair_indices[t, b]
-                v = sa * signs[t, b]
-                out[ka, kb] += v
-                out[kb, ka] += v
-    return out
-
-
-def _projected_third_numpy(pair_indices, signs, basis):
-    count, ell = pair_indices.shape
-    r = basis.shape[1]
-    out = np.zeros((r, r, r))
-    step = _chunk_rows(ell * max(r, 1))
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        idx = pair_indices[lo:hi]
-        s = signs[lo:hi]
-        rows = basis[idx]  # (t, ell, r)
-        y = np.einsum("tl,tla->ta", s, rows)
-        c2 = np.einsum("tla,tlb->tab", rows, rows)
-        out += np.einsum("ta,tb,tc->abc", y, y, y, optimize=True)
-        out -= np.einsum("ta,tbc->abc", y, c2, optimize=True)
-        out -= np.einsum("tb,tac->abc", y, c2, optimize=True)
-        out -= np.einsum("tc,tab->abc", y, c2, optimize=True)
-        out += 2.0 * np.einsum("tl,tla,tlb,tlc->abc", s, rows, rows, rows, optimize=True)
-    return out
-
-
-@njit(cache=True)
-def _projected_third_numba(pair_indices, signs, basis):  # pragma: no cover - compiled
-    count, ell = pair_indices.shape
-    r = basis.shape[1]
-    out = np.zeros((r, r, r))
-    y = np.zeros(r)
-    c2 = np.zeros((r, r))
-    c3 = np.zeros((r, r, r))
-    for t in range(count):
-        y[:] = 0.0
-        c2[:, :] = 0.0
-        c3[:, :, :] = 0.0
-        for p in range(ell):
-            k = pair_indices[t, p]
-            s = signs[t, p]
-            for a in range(r):
-                wa = basis[k, a]
-                y[a] += s * wa
-                for b in range(r):
-                    wab = wa * basis[k, b]
-                    c2[a, b] += wab
-                    for c in range(r):
-                        c3[a, b, c] += s * wab * basis[k, c]
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    out[a, b, c] += (
-                        y[a] * y[b] * y[c]
-                        - y[a] * c2[b, c]
-                        - y[b] * c2[a, c]
-                        - y[c] * c2[a, b]
-                        + 2.0 * c3[a, b, c]
-                    )
-    return out
-
-
-_IMPLEMENTATIONS = {
-    "numpy": (_sign_outer_numpy, _projected_third_numpy),
-    "numba": (_sign_outer_numba, _projected_third_numba),
-}
-
-
-def _default_backend():
-    choice = os.environ.get("MIXMNL_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in _IMPLEMENTATIONS:
-        raise ValueError(f"unknown MIXMNL_BACKEND value: {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("MIXMNL_BACKEND=numba but numba is not importable")
-    return choice
-
-
-_ACTIVE = _default_backend()
-
-
-def active_backend():
-    """Name of the backend used when ``backend`` is not passed explicitly."""
-    return _ACTIVE
-
-
-def available_backends():
-    names = ["numpy"]
-    if HAVE_NUMBA:
-        names.append("numba")
-    return names
-
-
-def _resolve(backend):
-    name = _ACTIVE if backend is None else backend
-    if name not in _IMPLEMENTATIONS:
-        raise ValueError(f"unknown backend: {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-def sign_outer_products(pair_indices, signs, n_pairs, backend=None):
+def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
-    ``pair_indices`` is (count, ell) int64 and ``signs`` the matching sign
-    (or weight) array.  Returns the dense (n_pairs, n_pairs) sum of
-    ``x_t x_t^T`` where ``x_t`` is the dense vector with ``signs[t]``
-    scattered into ``pair_indices[t]``.  Diagonal entries count touches.
-    All entries are exact integer sums for sign inputs, so both backends
-    return bit-identical results.
+    ``pair_indices`` is (count, ell) int64 with distinct entries per row and
+    ``signs`` the matching sign (or weight) array.  Returns the dense
+    (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t`` is the dense
+    vector with ``signs[t]`` scattered into ``pair_indices[t]``, i.e. X^T X.
+    Diagonal entries count touches.  For integer inputs every entry is an
+    exact integer sum, so the result does not depend on summation order.
     """
-    name = _resolve(backend)
-    idx = np.ascontiguousarray(pair_indices, dtype=np.int64)
-    sgn = np.ascontiguousarray(signs, dtype=np.float64)
-    return _IMPLEMENTATIONS[name][0](idx, sgn, int(n_pairs))
+    x = _sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, n_pairs)
+    # A CSR product densifies in C order, which the completion's in-place
+    # updates rely on; X^T in CSC would give a Fortran-ordered result.
+    return (x.T.tocsr() @ x).toarray()
 
 
-def projected_third_moment_sums(pair_indices, signs, basis, backend=None):
+def projected_third_moment_sums(pair_indices, signs, basis):
     """Sum over observations of the projected third-moment statistic.
 
     For each observation with dense sign vector ``x`` and projection
-    ``basis`` (n_pairs, r) this accumulates the contraction of the
+    ``basis`` W (n_pairs, r) this accumulates the contraction of the
     off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
-    ``basis``, computed in O(ell * r^3) per observation without forming
-    any cubic-size intermediate.  Requires ``signs`` in {-1, +1}: the
-    expansion substitutes ``x^2 = 1`` and ``x^3 = x`` on observed pairs.
+    W.  Per observation that is y^{x3} - 3 sym(y \\otimes c2) + 2 c3 with
+    y = W^T x, c2 = W^T diag(|x|) W and c3 = sum_k x_k W_k^{x3}; summed over
+    observations with Y = X W these become Y^{x3} summed over rows,
+    (|X|^T Y) contracted with W twice, and the column sums of X contracted
+    with W three times.  Requires ``signs`` in {-1, +1}: the expansion
+    substitutes ``x^2 = 1`` and ``x^3 = x`` on observed pairs.
     """
-    name = _resolve(backend)
-    idx = np.ascontiguousarray(pair_indices, dtype=np.int64)
-    sgn = np.ascontiguousarray(signs, dtype=np.float64)
     w = np.ascontiguousarray(basis, dtype=np.float64)
-    return _IMPLEMENTATIONS[name][1](idx, sgn, w)
+    x = _sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, w.shape[0])
+    y = x @ w
+    touched = abs(x).T @ y  # (n_pairs, r): sum of y over observations touching each pair
+    column_sums = np.asarray(x.sum(axis=0)).ravel()
+    cross = np.einsum("ka,kb,kc->abc", touched, w, w, optimize=True)
+    out = np.einsum("ta,tb,tc->abc", y, y, y, optimize=True)
+    out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
+    out += 2.0 * np.einsum("k,ka,kb,kc->abc", column_sums, w, w, w, optimize=True)
+    return out

@@ -85,7 +85,7 @@ def second_moment_spectrum(model, graph, rank=None):
     return (s**2)[:rank], u[:, :rank]
 
 
-def empirical_second_moment(batch, start=0, stop=None, backend=None):
+def empirical_second_moment(batch, start=0, stop=None):
     """Unbiased off-diagonal second-moment estimate from an observation range.
 
     Averages the sign outer products, rescales off-diagonal entries by
@@ -99,7 +99,7 @@ def empirical_second_moment(batch, start=0, stop=None, backend=None):
         raise ValidationError("second-moment estimation needs ell >= 2")
     n = batch.graph.n_pairs
     sums = kernels.sign_outer_products(
-        batch.pair_indices[start:stop], batch.signs[start:stop], n, backend=backend
+        batch.pair_indices[start:stop], batch.signs[start:stop], n
     )
     scale = (n * (n - 1)) / (ell * (ell - 1)) / (stop - start)
     matrix = sums * scale
@@ -107,7 +107,7 @@ def empirical_second_moment(batch, start=0, stop=None, backend=None):
     return SecondMomentEstimate(matrix=matrix, sample_count=stop - start)
 
 
-def projected_third_moment(batch, basis, start=0, stop=None, backend=None):
+def projected_third_moment(batch, basis, start=0, stop=None):
     """Streaming estimate of the whitened off-diagonal third moment.
 
     ``basis`` is an (n_pairs, r) projection applied to all three tensor
@@ -125,7 +125,7 @@ def projected_third_moment(batch, basis, start=0, stop=None, backend=None):
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValidationError("basis must be (n_pairs, r)")
     sums = kernels.projected_third_moment_sums(
-        batch.pair_indices[start:stop], batch.signs[start:stop], basis, backend=backend
+        batch.pair_indices[start:stop], batch.signs[start:stop], basis
     )
     scale = (n * (n - 1) * (n - 2)) / (ell * (ell - 1) * (ell - 2)) / (stop - start)
     return sums * scale

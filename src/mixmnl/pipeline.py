@@ -36,12 +36,11 @@ _EXACT_TENSOR_LIMIT = 300
 class LearnConfig:
     """Knobs of the full learner; None picks the documented defaults.
 
-    ``backend`` pins the moment-kernel implementation ("numpy"/"numba");
-    leave it None to use whatever the environment selects.
     ``centrality_iterations`` caps each component's Rank Centrality power
     iteration, which stops earlier once its iterates converge; None caps
     it at the spectral-gap bound of
-    ``rankcentrality.default_iteration_count``.
+    ``rankcentrality.default_iteration_count``.  ``seed`` seeds only the
+    tensor power method's restarts; every other stage is deterministic.
     """
 
     n_components: int
@@ -49,7 +48,6 @@ class LearnConfig:
     centrality_iterations: int = None
     seed: int = 0
     exact_moments: bool = False
-    backend: str = None
 
 
 @dataclass
@@ -111,7 +109,6 @@ def learn_mixed_mnl(batch, config, model=None):
             config.n_components,
             completion_iterations=config.completion_iterations,
             rng=rng,
-            backend=config.backend,
         )
     weights = np.empty((estimate.n_components, graph.n_items))
     for a in range(estimate.n_components):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig
-from .errors import NumericalError, RankDeficiencyError, ValidationError
+from .errors import NumericalError, ValidationError
 from .moments import empirical_second_moment, incoherence_from_basis, split_ranges
 from .tensors import (
     tensor_power_decomposition,
@@ -79,7 +79,6 @@ def estimate_components(
     restarts=None,
     power_iterations=50,
     rng=None,
-    backend=None,
 ):
     """Moment-phase estimate from an observation batch.
 
@@ -97,14 +96,12 @@ def estimate_components(
     if completion_iterations is None:
         completion_iterations = max(1, math.ceil(math.log(n_pairs * count)))
 
-    second = empirical_second_moment(batch, lo2, hi2, backend=backend)
+    second = empirical_second_moment(batch, lo2, hi2)
     completion = _staged(
         "completion", altmin_complete, second.matrix, n_components, completion_iterations
     )
     basis = _staged("whitening", symmetrize_and_eig, completion.matrix, n_components)
-    ls_result = _staged(
-        "tensor", whitened_third_moment_ls, batch, basis, lo3, hi3, backend=backend
-    )
+    ls_result = _staged("tensor", whitened_third_moment_ls, batch, basis, lo3, hi3)
     eigenpairs = _staged(
         "decomposition",
         tensor_power_decomposition,
@@ -136,19 +133,7 @@ def components_from_exact_moments(
     n_components = int(n_components)
     if n_components < 1:
         raise ValidationError("need at least one component")
-    m2 = np.asarray(second_moment, dtype=np.float64)
-    if m2.ndim != 2 or m2.shape[0] != m2.shape[1]:
-        raise ValidationError("second moment must be square")
-    values = np.linalg.eigvalsh(m2)[::-1]
-    floor = m2.shape[0] * np.finfo(float).eps * max(values[0], 0.0)
-    if values[n_components - 1] <= floor:
-        err = RankDeficiencyError(
-            f"second moment has numerical rank below {n_components}",
-            spectrum=values.copy(),
-        )
-        err.stage = "whitening"
-        raise err
-    basis = _staged("whitening", symmetrize_and_eig, m2, n_components)
+    basis = _staged("whitening", symmetrize_and_eig, second_moment, n_components)
     ls_result = _staged(
         "tensor", whitened_third_moment_ls_exact, third_moment, basis
     )

@@ -107,7 +107,7 @@ def _solve_whitened(operator, rhs):
     return TensorLSResult(tensor=tensor, condition_number=cond, used_pinv=used_pinv)
 
 
-def whitened_third_moment_ls(batch, basis, start=0, stop=None, backend=None):
+def whitened_third_moment_ls(batch, basis, start=0, stop=None):
     """Estimate the whitened third moment from an observation range.
 
     Builds the masking operator for ``basis``, evaluates the streaming
@@ -115,7 +115,7 @@ def whitened_third_moment_ls(batch, basis, start=0, stop=None, backend=None):
     numbers beyond 1e12 switch to a pseudo-inverse with a warning, flagged
     in the result.
     """
-    rhs = projected_third_moment(batch, basis.whitening_map, start, stop, backend=backend)
+    rhs = projected_third_moment(batch, basis.whitening_map, start, stop)
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 
 

@@ -314,7 +314,6 @@ def test_criterion_7_error_decay_with_sample_size():
                 LearnConfig(
                     n_components=spec["n_components"],
                     seed=seed,
-                    backend=spec["backend"],
                 ),
             )
             matched = match_components(

@@ -1,13 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mixmnl import (
+    NumericalError,
     RankDeficiencyError,
     ValidationError,
     altmin_complete,
     symmetrize_and_eig,
 )
-from mixmnl.altmin import default_iteration_count
+from mixmnl import altmin
+from mixmnl.altmin import _top_eigenpairs, default_iteration_count
 
 
 def low_rank_offdiag(n, rank, seed):
@@ -151,3 +156,65 @@ class TestSymmetrizeAndEig:
             symmetrize_and_eig(np.eye(3), 4)
         with pytest.raises(ValidationError):
             symmetrize_and_eig(np.eye(3), 0)
+
+
+def planted_spectrum(n, spectrum, seed):
+    """Symmetric n x n matrix with the given leading eigenvalues, rest small."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    values = np.concatenate([spectrum, rng.uniform(-1.0, 1.0, n - len(spectrum))])
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def sin_theta(u, v):
+    """Sine of the largest principal angle between two orthonormal bases."""
+    return float(np.linalg.norm(u - v @ (v.T @ u), 2))
+
+
+class TestTopEigenpairs:
+    # A dominant negative eigenvalue: "LM" must pick it, "LA" must not.
+    MATRIX = planted_spectrum(80, [-50.0, 20.0, 10.0, 6.0], 11)
+
+    @pytest.mark.parametrize("which", ["LM", "LA"])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_dense_eigh(self, which, rank):
+        values, vectors = _top_eigenpairs(self.MATRIX, rank, which)
+        dense_values, dense_vectors = np.linalg.eigh(self.MATRIX)
+        key = np.abs(dense_values) if which == "LM" else dense_values
+        order = np.argsort(-key)[:rank]
+        expected = dense_values[order]
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert sin_theta(vectors, dense_vectors[:, order]) <= 1e-10
+        if which == "LM":
+            assert values[0] == pytest.approx(-50.0)
+
+    def test_repeated_call_bit_identical(self):
+        a_values, a_vectors = _top_eigenpairs(self.MATRIX, 2, "LA")
+        b_values, b_vectors = _top_eigenpairs(self.MATRIX, 2, "LA")
+        assert np.array_equal(a_values, b_values)
+        assert np.array_equal(a_vectors, b_vectors)
+
+    @pytest.mark.parametrize("rank", [5, 6])
+    def test_full_and_near_full_rank_without_warning(self, rank):
+        m = planted_spectrum(6, [6.0, 5.0, 4.0, 3.0, 2.5, 2.0], 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = symmetrize_and_eig(m, rank)
+            altmin_complete(m, rank, n_iterations=2)
+        np.testing.assert_allclose(basis.values, [6.0, 5.0, 4.0, 3.0, 2.5, 2.0][:rank])
+
+    def test_zero_matrix_raises_numerical_error(self):
+        # ARPACK stops with error -9 (zero starting residual) on a zero matrix.
+        with pytest.raises(NumericalError):
+            altmin_complete(np.zeros((10, 10)), 2)
+        with pytest.raises(NumericalError):
+            symmetrize_and_eig(np.zeros((10, 10)), 2)
+
+    def test_no_convergence_raises_numerical_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(altmin, "eigsh", stalled)
+        with pytest.raises(NumericalError):
+            symmetrize_and_eig(self.MATRIX, 2)

@@ -4,6 +4,7 @@ import pytest
 from mixmnl import (
     MixedMNLModel,
     NumericalError,
+    ObservationBatch,
     RankDeficiencyError,
     ValidationError,
     components_from_exact_moments,
@@ -59,6 +60,13 @@ class TestExactMomentPath:
         m3 = exact_third_moment(model, graph)
         with pytest.raises(RankDeficiencyError) as info:
             components_from_exact_moments(m2, m3, 2)
+        assert info.value.stage == "whitening"
+
+    def test_zero_second_moment_fails_in_named_stage(self):
+        graph = complete_graph(5)
+        m3 = np.zeros((graph.n_pairs,) * 3)
+        with pytest.raises(NumericalError) as info:
+            components_from_exact_moments(np.zeros((graph.n_pairs, graph.n_pairs)), m3, 2)
         assert info.value.stage == "whitening"
 
     def test_diagnostics_fields(self):
@@ -122,3 +130,13 @@ class TestEmpiricalPath:
             assert err.stage in {"completion", "whitening", "tensor", "decomposition"}
         else:
             pytest.fail("expected a numerical failure")
+
+    def test_zero_second_moment_fails_in_named_stage(self):
+        # The four sign patterns on pairs 0-2 cancel every co-occurrence, so
+        # the first half's off-diagonal second moment is exactly zero.
+        graph = complete_graph(5)
+        signs = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]] * 2
+        batch = ObservationBatch(graph, [[0, 1, 2]] * 8, signs)
+        with pytest.raises(NumericalError) as info:
+            estimate_components(batch, 1, rng=np.random.default_rng(0))
+        assert info.value.stage == "completion"
