@@ -167,7 +167,8 @@ def altmin_complete(offdiag, rank, n_iterations=None):
 def symmetrize_and_eig(matrix, rank):
     """Whitening basis from the top-rank eigenpairs of (M + M^T) / 2.
 
-    Takes the ``rank`` algebraically largest eigenvalues; raises
+    Takes the ``rank`` algebraically largest eigenvalues, each vector signed
+    so that its largest-magnitude entry is positive; raises
     ``RankDeficiencyError`` (carrying the full descending spectrum) unless
     all of them exceed the numerical-rank floor N * eps * max(lambda_max, 0).
     """
@@ -186,4 +187,8 @@ def symmetrize_and_eig(matrix, rank):
             "are numerically positive",
             spectrum=np.linalg.eigvalsh(sym)[::-1],
         )
+    # Neither solver fixes an eigenvector's sign; make each largest-magnitude
+    # entry positive so the basis depends on the matrix alone.
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
+    vectors = vectors * np.where(peaks < 0, -1.0, 1.0)[None, :]
     return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values)

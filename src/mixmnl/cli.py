@@ -125,8 +125,7 @@ def evaluate_cmd(dataset_path, results_path, out_path):
     batch, model = serialize.load_dataset(dataset_path)
     if model is None:
         raise ValidationError("evaluation needs a dataset with ground truth")
-    with open(results_path) as fh:
-        results = json.load(fh)
+    results = serialize.load_json(results_path, "results")
     try:
         estimates = ComponentEstimates(
             mixture=np.asarray(results["q_hat"], dtype=np.float64),
@@ -134,7 +133,7 @@ def evaluate_cmd(dataset_path, results_path, out_path):
             outcome_matrix=np.asarray(results["p_hat"], dtype=np.float64),
             diagnostics=results.get("diagnostics", {}),
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ValidationError(f"malformed results file: {err}") from err
     report = evaluate(estimates, model, graph=batch.graph, ell=batch.ell)
     if out_path is None:

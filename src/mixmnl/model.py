@@ -22,6 +22,17 @@ from .graphs import ComparisonGraph
 _CHUNK_FLOATS = 4 << 20
 
 
+def _normalized(v):
+    """Rows of ``v`` over their sums.
+
+    Rows that already sum to 1 up to roundoff are kept as they are, so
+    normalizing twice (as saving and reloading a model does) changes no bit.
+    """
+    sums = v.sum(axis=-1, keepdims=True)
+    done = np.abs(sums - 1.0) <= v.shape[-1] * np.finfo(np.float64).eps
+    return np.where(done, v, v / sums)
+
+
 @dataclass(frozen=True)
 class Observation:
     """One multi-pair comparison: ``ell`` distinct pairs with outcomes."""
@@ -97,8 +108,8 @@ class MixedMNLModel:
             raise ValidationError("weights must be finite and strictly positive")
         if not np.isfinite(q).all() or (q <= 0).any():
             raise ValidationError("mixture probabilities must be strictly positive")
-        w = w / w.sum(axis=1, keepdims=True)
-        q = q / q.sum()
+        w = _normalized(w)
+        q = _normalized(q)
         w.setflags(write=False)
         q.setflags(write=False)
         self.weights = w

@@ -6,9 +6,16 @@ Datasets are JSON with fixed key order: ``n``, ``ell``, ``graph``
 (``q`` and ``weights``).  Serialization is canonical: loading a dataset
 and saving it again reproduces the bytes, which keeps seeded pipelines
 reproducible at the file level.
+
+Dataset files hold one small list per observation entry.  That tree has
+no cycles, so the cyclic collector is paused while it is built, encoded
+or decoded; otherwise it rescans the growing tree again and again.
 """
 
+import contextlib
+import gc
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -17,12 +24,21 @@ from .graphs import ComparisonGraph
 from .model import MixedMNLModel, ObservationBatch
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector; restore the caller's state on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def dataset_to_dict(batch, model=None):
     graph = batch.graph
-    observations = [
-        [[int(k), int(s)] for k, s in zip(row_idx, row_sgn)]
-        for row_idx, row_sgn in zip(batch.pair_indices, batch.signs)
-    ]
+    observations = np.stack([batch.pair_indices, batch.signs], axis=-1).tolist()
     out = {
         "n": graph.n_items,
         "ell": batch.ell,
@@ -52,13 +68,19 @@ def dataset_from_dict(data):
     if graph.n_items != n:
         raise ValidationError("dataset n and graph n disagree")
     try:
-        entries = np.asarray(observations, dtype=np.int64)
+        entries = np.asarray(observations)
     except ValueError as err:
         raise ValidationError(f"malformed observations: {err}") from err
     if entries.size == 0:
         entries = np.empty((0, ell, 2), dtype=np.int64)
     if entries.ndim != 3 or entries.shape[1:] != (ell, 2):
         raise ValidationError("every observation needs exactly ell [pair, sign] entries")
+    # numpy reads a float, a string or a lone bool as a non-integer dtype,
+    # but folds true/false among integers into 1/0, so bools are sought too.
+    if entries.dtype.kind not in "iu" or bool in map(
+        type, chain.from_iterable(chain.from_iterable(observations))
+    ):
+        raise ValidationError("observation entries must be integers")
     batch = ObservationBatch(graph, entries[:, :, 0], entries[:, :, 1])
     model = None
     if "ground_truth" in data:
@@ -71,14 +93,25 @@ def dataset_from_dict(data):
 
 
 def save_dataset(path, batch, model=None):
+    # json.dumps runs the C encoder; json.dump would iterate in Python.
+    with _collector_paused():
+        text = json.dumps(dataset_to_dict(batch, model), separators=(",", ":")) + "\n"
     with open(path, "w") as fh:
-        json.dump(dataset_to_dict(batch, model), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_dataset(path):
-    with open(path) as fh:
-        return dataset_from_dict(json.load(fh))
+    with _collector_paused():
+        return dataset_from_dict(load_json(path, "dataset"))
+
+
+def load_json(path, what):
+    """Parse a JSON file, raising ``ValidationError`` if it is not valid JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValidationError(f"{what} file {path} is not valid JSON: {err}") from err
 
 
 def results_to_dict(estimates):

@@ -151,6 +151,18 @@ class TestSymmetrizeAndEig:
         np.testing.assert_allclose(b.T @ w, np.eye(3), atol=1e-10)
         np.testing.assert_allclose(w.T @ m @ w, np.eye(3), atol=1e-8)
 
+    def test_sign_independent_of_solver(self):
+        # rank N runs dense eigh, rank N - 2 and below runs ARPACK; on this
+        # matrix the two solvers return all three leading vectors with
+        # opposite signs unless the sign is fixed.
+        m = planted_spectrum(12, np.linspace(12.0, 1.0, 12), 13)
+        dense = symmetrize_and_eig(m, 12)
+        arpack = symmetrize_and_eig(m, 3)
+        assert np.abs(dense.vectors[:, :3] - arpack.vectors).max() <= 1e-10
+        for vectors in (dense.vectors, arpack.vectors):
+            peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+            assert (peaks > 0).all()
+
     def test_rank_bounds_checked(self):
         with pytest.raises(ValidationError):
             symmetrize_and_eig(np.eye(3), 4)

@@ -188,6 +188,38 @@ class TestEvaluate:
         assert result.exit_code == 2
 
 
+class TestMalformedJson:
+    """A file that is not valid JSON is an invalid input: exit 2, no traceback."""
+
+    def assert_rejected(self, result):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
+    def test_truncated_dataset(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        data.write_text(data.read_text()[:-40])
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        self.assert_rejected(result)
+
+    def test_truncated_results(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        out.write_text(out.read_text()[:-40])
+        result = runner.invoke(
+            main, ["evaluate", "--dataset", str(data), "--results", str(out)]
+        )
+        self.assert_rejected(result)
+
+
 class TestSweep:
     def test_writes_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

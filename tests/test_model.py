@@ -40,6 +40,13 @@ class TestModelBasics:
         assert np.allclose(m.weights.sum(axis=1), 1.0)
         assert np.allclose(m.mixture, [0.25, 0.75])
 
+    def test_normalizing_twice_changes_no_bit(self):
+        # reloading a saved model normalizes its weights again
+        m = random_uniform_model(30, 3, np.random.default_rng(4))
+        again = MixedMNLModel(m.weights, m.mixture)
+        assert np.array_equal(again.weights, m.weights)
+        assert np.array_equal(again.mixture, m.mixture)
+
     def test_win_probability_two_items(self):
         m = MixedMNLModel([[1.0, 2.0]], [1.0])
         assert m.win_probability(0, 0, 1) == pytest.approx(1.0 / 3.0)

@@ -1,14 +1,19 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from mixmnl import (
+    ComparisonGraph,
+    MixedMNLModel,
+    ObservationBatch,
     ValidationError,
     load_dataset,
     random_uniform_model,
     save_dataset,
 )
+from mixmnl import serialize
 from mixmnl.serialize import dataset_from_dict, dataset_to_dict, jsonable
 
 from conftest import complete_graph
@@ -68,6 +73,80 @@ class TestRoundTrip:
         assert len(doc["ground_truth"]["weights"]) == 2
 
 
+class TestFormat:
+    def test_golden_bytes(self, tmp_path):
+        graph = ComparisonGraph(3, [[0, 1], [0, 2], [1, 2]])
+        batch = ObservationBatch(
+            graph, [[0, 2], [1, 2], [0, 1]], [[1, -1], [-1, -1], [1, 1]]
+        )
+        model = MixedMNLModel([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]], [0.75, 0.25])
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        assert path.read_text() == (
+            '{"n":3,"ell":2,"graph":{"n":3,"edges":[[0,1],[0,2],[1,2]]},'
+            '"observations":[[[0,1],[2,-1]],[[1,-1],[2,-1]],[[0,1],[1,1]]],'
+            '"ground_truth":{"q":[0.75,0.25],'
+            '"weights":[[0.5,0.25,0.25],[0.25,0.25,0.5]]}}\n'
+        )
+
+    def test_large_batch_bytes_stable(self, tmp_path):
+        graph = complete_graph(12)
+        model = random_uniform_model(12, 3, np.random.default_rng(2))
+        batch = model.sample_batch(graph, 5, 12000, np.random.default_rng(3))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_dataset(a, batch, model)
+        loaded_batch, loaded_model = load_dataset(a)
+        save_dataset(b, loaded_batch, loaded_model)
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestCollectorState:
+    """The cyclic collector is paused inside save and load, then restored."""
+
+    @pytest.fixture
+    def collector_seen(self, monkeypatch):
+        # record the collector state while the dataset tree is built and read
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args):
+                seen.append(gc.isenabled())
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(serialize, "dataset_to_dict", spy(dataset_to_dict))
+        monkeypatch.setattr(serialize, "dataset_from_dict", spy(dataset_from_dict))
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored(self, dataset, tmp_path, collector_seen, enabled):
+        _, model, batch = dataset
+        path = tmp_path / "d.json"
+        truncated = tmp_path / "t.json"
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            save_dataset(path, batch, model)
+            assert gc.isenabled() is enabled
+            load_dataset(path)
+            assert gc.isenabled() is enabled
+            truncated.write_text(path.read_text()[:100])
+            with pytest.raises(ValidationError):
+                load_dataset(truncated)
+            assert gc.isenabled() is enabled
+            doc = json.loads(path.read_text())
+            doc["observations"][0][0][1] = 0.5
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError):
+                load_dataset(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert collector_seen == [False, False, False]
+
+
 class TestValidation:
     def test_ragged_observations_rejected(self, dataset):
         _, model, batch = dataset
@@ -75,6 +154,38 @@ class TestValidation:
         doc["observations"][3] = doc["observations"][3][:2]
         with pytest.raises(ValidationError):
             dataset_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "position, value",
+        [
+            ((0, 1), 1.7),  # sign
+            ((0, 0), 0.9),  # pair index
+            ((0, 1), True),
+            ((0, 1), "1"),
+        ],
+        ids=["float-sign", "float-pair", "bool", "string"],
+    )
+    def test_non_integer_entry_rejected(self, dataset, position, value):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        entry, field = position
+        doc["observations"][5][entry][field] = value
+        with pytest.raises(ValidationError, match="integers"):
+            dataset_from_dict(doc)
+
+    def test_truncated_file_rejected(self, dataset, tmp_path):
+        _, model, batch = dataset
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            load_dataset(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes(b'{"n": \xff\xfe}')
+        with pytest.raises(ValidationError):
+            load_dataset(path)
 
     def test_missing_key_rejected(self, dataset):
         _, model, batch = dataset

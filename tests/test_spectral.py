@@ -8,10 +8,13 @@ from mixmnl import (
     RankDeficiencyError,
     ValidationError,
     components_from_exact_moments,
+    erdos_renyi,
     estimate_components,
     exact_second_moment,
     exact_third_moment,
+    match_components,
     random_uniform_model,
+    rank_centrality,
 )
 
 from conftest import best_permutation_errors, complete_graph
@@ -68,6 +71,25 @@ class TestExactMomentPath:
         with pytest.raises(NumericalError) as info:
             components_from_exact_moments(np.zeros((graph.n_pairs, graph.n_pairs)), m3, 2)
         assert info.value.stage == "whitening"
+
+    def test_readme_snippet(self):
+        # the README quickstart's instance, through its exact-moment snippet
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng, low=1.0, high=8.0)
+        exact = components_from_exact_moments(
+            exact_second_moment(model, graph),
+            exact_third_moment(model, graph, max_pairs=graph.n_pairs),
+            n_components=2,
+        )
+        weights = np.array(
+            [rank_centrality(graph, exact.outcome_matrix[:, a]) for a in range(2)]
+        )
+        match = match_components(exact.mixture, weights, model.mixture, model.weights)
+        np.testing.assert_allclose(exact.mixture, [0.5, 0.5], rtol=0, atol=1e-9)
+        assert match.max_mixture_error <= 1e-9
+        order = list(match.order)
+        np.testing.assert_allclose(weights[order], model.weights, rtol=0, atol=1e-9)
 
     def test_diagnostics_fields(self):
         graph = complete_graph(6)
