@@ -79,13 +79,6 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--r", "n_components", type=int, required=True)
-@click.option("--t1", type=int, default=None, help="Completion iterations.")
-@click.option(
-    "--t2",
-    type=int,
-    default=None,
-    help="Cap on stationary iterations; stops earlier at convergence.",
-)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--exact-moments", is_flag=True, help="Debug: use population moments.")
 @click.option(
@@ -94,19 +87,13 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
     help="Also write moment-phase intermediates next to the results.",
 )
 @_friendly_errors
-def learn(
-    dataset_path, out_path, n_components, t1, t2, seed, exact_moments, dump_intermediates
-):
+def learn(dataset_path, out_path, n_components, seed, exact_moments, dump_intermediates):
     """Estimate mixture, outcome means, and item weights from a dataset."""
     batch, model = serialize.load_dataset(dataset_path)
     if exact_moments and model is None:
         raise ValidationError("--exact-moments needs a dataset with ground truth")
     config = LearnConfig(
-        n_components=n_components,
-        completion_iterations=t1,
-        centrality_iterations=t2,
-        seed=seed,
-        exact_moments=exact_moments,
+        n_components=n_components, seed=seed, exact_moments=exact_moments
     )
     estimates = learn_mixed_mnl(batch, config, model=model)
     serialize.save_results(out_path, estimates)

@@ -7,6 +7,7 @@ downstream observation exactly.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,11 +47,20 @@ class ComparisonGraph:
         n_items = int(n_items)
         if n_items < 2:
             raise ValidationError("a comparison graph needs at least 2 items")
-        edges = np.asarray(edges, dtype=np.int64)
+        rows = edges
+        edges = np.asarray(edges)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValidationError("edges must be an (m, 2) array of endpoints")
         if edges.shape[0] == 0:
             raise ValidationError("a comparison graph needs at least one pair")
+        # numpy reads a float, a string or a lone bool as a non-integer dtype,
+        # but folds booleans among integers into 1/0, so bools are sought too.
+        if edges.dtype.kind not in "iu" or (
+            not isinstance(rows, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for v in chain.from_iterable(rows))
+        ):
+            raise ValidationError("edge endpoints must be integers")
+        edges = edges.astype(np.int64, copy=False)
         if edges.min() < 0 or edges.max() >= n_items:
             raise ValidationError("edge endpoint out of range")
         lo = edges.min(axis=1)

@@ -194,19 +194,16 @@ class MixedMNLModel:
         return f"MixedMNLModel(r={self.n_components}, n={self.n_items})"
 
 
-def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0, mixture=None):
+def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0):
     """Model with i.i.d. uniform [low, high] weights and uniform mixture.
 
     The standard synthetic instance: before normalization every weight is
-    an independent uniform draw, and components are equally likely unless
-    ``mixture`` is given.
+    an independent uniform draw, and components are equally likely.
     """
     if not 0 < low < high:
         raise ValidationError("need 0 < low < high")
     w = rng.uniform(low, high, size=(int(n_components), int(n_items)))
-    if mixture is None:
-        mixture = np.full(int(n_components), 1.0 / int(n_components))
-    return MixedMNLModel(w, mixture)
+    return MixedMNLModel(w, np.full(int(n_components), 1.0 / int(n_components)))
 
 
 def marginally_identical_mixtures():

@@ -70,19 +70,16 @@ def exact_third_moment(model, graph, max_pairs=60):
     return np.einsum("a,ka,ma,pa->kmp", model.mixture, p, p, p, optimize=True)
 
 
-def second_moment_spectrum(model, graph, rank=None):
-    """Top eigenvalues and eigenvectors of the exact second moment.
+def second_moment_spectrum(model, graph):
+    """Top r eigenvalues and eigenvectors of the exact second moment.
 
     Works on the (n_pairs, r) factor P diag(sqrt(q)), so it is exact and
     cheap even when n_pairs is too large for a dense eigensolve.  Returns
-    (values descending, vectors) with ``rank`` columns (default r).
+    (values descending, vectors) with r columns.
     """
-    rank = model.n_components if rank is None else int(rank)
-    if not 1 <= rank <= model.n_components:
-        raise ValidationError("rank must be in [1, r]")
     factor = model.expected_outcomes(graph) * np.sqrt(model.mixture)[None, :]
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
-    return (s**2)[:rank], u[:, :rank]
+    return s**2, u
 
 
 def empirical_second_moment(batch, start=0, stop=None):

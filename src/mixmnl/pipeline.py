@@ -8,7 +8,6 @@ true components.
 """
 
 import csv
-import itertools
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -28,24 +27,25 @@ from .moments import (
 from .rankcentrality import rank_centrality
 from .spectral import components_from_exact_moments, estimate_components
 
-_EXHAUSTIVE_MATCH_LIMIT = 8
 _EXACT_TENSOR_LIMIT = 300
+# Failure probability and target accuracy of the sample-size estimate.
+_DELTA = 0.1
+_EPS = 0.1
 
 
 @dataclass
 class LearnConfig:
-    """Knobs of the full learner; None picks the documented defaults.
+    """Settings of the full learner.
 
-    ``centrality_iterations`` caps each component's Rank Centrality power
-    iteration, which stops earlier once its iterates converge; None caps
-    it at the spectral-gap bound of
+    Every iteration count comes from the data: completion runs
+    ceil(log(n_pairs * count)) solves, the tensor power method
+    ``default_restarts(r)`` restarts per round, and each Rank Centrality
+    power iteration stops at convergence, capped by
     ``rankcentrality.default_iteration_count``.  ``seed`` seeds only the
     tensor power method's restarts; every other stage is deterministic.
     """
 
     n_components: int
-    completion_iterations: int = None
-    centrality_iterations: int = None
     seed: int = 0
     exact_moments: bool = False
 
@@ -104,17 +104,10 @@ def learn_mixed_mnl(batch, config, model=None):
             rng=rng,
         )
     else:
-        estimate = estimate_components(
-            batch,
-            config.n_components,
-            completion_iterations=config.completion_iterations,
-            rng=rng,
-        )
+        estimate = estimate_components(batch, config.n_components, rng=rng)
     weights = np.empty((estimate.n_components, graph.n_items))
     for a in range(estimate.n_components):
-        weights[a] = rank_centrality(
-            graph, estimate.outcome_matrix[:, a], config.centrality_iterations
-        )
+        weights[a] = rank_centrality(graph, estimate.outcome_matrix[:, a])
     return ComponentEstimates(
         mixture=estimate.mixture,
         weights=weights,
@@ -128,8 +121,8 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
 
     ``est_vectors`` and ``true_vectors`` hold one component per row (item
     weights or outcome-mean columns transposed).  The matching minimizes
-    the summed per-pair cost |q_hat - q| + relative vector error,
-    exhaustively up to 8 components and by the Hungarian algorithm above.
+    the summed per-pair cost |q_hat - q| + relative vector error by the
+    Hungarian algorithm.
     """
     est_mixture = np.asarray(est_mixture, dtype=np.float64)
     true_mixture = np.asarray(true_mixture, dtype=np.float64)
@@ -149,24 +142,12 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
     vector_cost = np.linalg.norm(diff, axis=2) / true_norms[None, :]
     cost = np.abs(est_mixture[:, None] - true_mixture[None, :]) + vector_cost
 
-    if r <= _EXHAUSTIVE_MATCH_LIMIT:
-        best_order = None
-        best_total = np.inf
-        for perm in itertools.permutations(range(r)):
-            total = cost[list(perm), range(r)].sum()
-            if total < best_total:
-                best_total = total
-                best_order = perm
-        order = best_order
-    else:
-        est_idx, true_idx = linear_sum_assignment(cost)
-        order = tuple(est_idx[np.argsort(true_idx)])
-
-    order_arr = np.array(order)
+    est_idx, true_idx = linear_sum_assignment(cost)
+    order = est_idx[np.argsort(true_idx)]
     return MatchResult(
         order=tuple(int(a) for a in order),
-        mixture_errors=np.abs(est_mixture[order_arr] - true_mixture),
-        vector_errors=vector_cost[order_arr, range(r)],
+        mixture_errors=np.abs(est_mixture[order] - true_mixture),
+        vector_errors=vector_cost[order, range(r)],
     )
 
 
@@ -192,7 +173,7 @@ def evaluate(estimates, model, graph=None, ell=None):
     return report
 
 
-def check_conditions(model, graph, ell=None, delta=0.1, eps=0.1):
+def check_conditions(model, graph, ell=None):
     """Diagnostics for whether moment-phase recovery is well posed.
 
     Reports the exact second moment's top spectrum and incoherence, the
@@ -202,9 +183,9 @@ def check_conditions(model, graph, ell=None, delta=0.1, eps=0.1):
         r N^4 log(N / delta) / (q_min sigma_1^2 eps^2)
           * (1 / ell^2 + sigma_1 / (ell N) + r^4 sigma_1^4 / sigma_r^5)
 
-    with all universal constants omitted, alongside the largest
-    recovery accuracy the theory tolerates.  Everything is reported, not
-    asserted.
+    at delta = eps = 0.1, with all universal constants omitted, alongside
+    the largest recovery accuracy the theory tolerates.  Everything is
+    reported, not asserted.
     """
     r = model.n_components
     n_pairs = graph.n_pairs
@@ -230,8 +211,8 @@ def check_conditions(model, graph, ell=None, delta=0.1, eps=0.1):
         "dynamic_range": b,
         "mixture_min": q_min,
         "mixture_max": q_max,
-        "delta": float(delta),
-        "eps": float(eps),
+        "delta": _DELTA,
+        "eps": _EPS,
         # Largest eps the recovery guarantee tolerates; reported, never asserted.
         "eps_admissible": float(
             math.sqrt(
@@ -251,8 +232,8 @@ def check_conditions(model, graph, ell=None, delta=0.1, eps=0.1):
         lead = (
             r
             * n_pairs**4
-            * math.log(n_pairs / delta)
-            / (q_min * sigma_1**2 * eps**2)
+            * math.log(n_pairs / _DELTA)
+            / (q_min * sigma_1**2 * _EPS**2)
         )
         bracket = (
             1.0 / ell**2

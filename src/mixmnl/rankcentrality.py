@@ -90,8 +90,8 @@ def build_transition(graph, outcomes):
     return TransitionMatrix(matrix=matrix, d_max=d_max)
 
 
-def power_stationary(transition, n_iterations, init=None):
-    """Left power iteration with renormalization, stopped at convergence.
+def power_stationary(transition, n_iterations):
+    """Left power iteration from uniform, renormalized, stopped at convergence.
 
     Stops after the first step whose L1 change is at most 1e-15, or after
     ``n_iterations`` steps, whichever comes first.
@@ -100,13 +100,7 @@ def power_stationary(transition, n_iterations, init=None):
     n_iterations = int(n_iterations)
     if n_iterations < 1:
         raise ValidationError("n_iterations must be at least 1")
-    if init is None:
-        pi = np.full(n, 1.0 / n)
-    else:
-        pi = np.asarray(init, dtype=np.float64).copy()
-        if pi.shape != (n,) or (pi < 0).any() or pi.sum() <= 0:
-            raise ValidationError("init must be a non-negative vector with positive mass")
-        pi /= pi.sum()
+    pi = np.full(n, 1.0 / n)
     transposed = transition.matrix.T.tocsr()
     for step in range(1, n_iterations + 1):
         nxt = transposed @ pi
@@ -140,14 +134,14 @@ def exact_stationary(transition):
     return pi / pi.sum()
 
 
-def estimate_dynamic_range(graph, outcomes, cap=_RANGE_CAP):
+def estimate_dynamic_range(graph, outcomes):
     """Weight-ratio estimate from log-ratios along a spanning tree.
 
     Each pair's mean outcome implies a weight ratio of its endpoints;
     propagating log-ratios over a spanning tree recovers the weights up to
     a constant, exactly so for consistent inputs.  The estimate is capped
-    (default 16) to keep downstream iteration budgets sane when noisy
-    outcomes suggest absurd ranges.
+    at 16 to keep downstream iteration budgets sane when noisy outcomes
+    suggest absurd ranges.
     """
     v = np.clip(np.asarray(outcomes, dtype=np.float64), -_RATIO_CLIP, _RATIO_CLIP)
     if v.shape != (graph.n_pairs,):
@@ -167,14 +161,14 @@ def estimate_dynamic_range(graph, outcomes, cap=_RANGE_CAP):
     if np.isnan(log_w).any():
         raise ValidationError("dynamic-range estimate needs a connected graph")
     spread = math.exp(log_w.max() - log_w.min())
-    return float(min(spread, cap))
+    return float(min(spread, _RANGE_CAP))
 
 
-def default_iteration_count(graph, outcomes, eps=_CONVERGENCE_EPS):
+def default_iteration_count(graph, outcomes):
     """Iteration cap b^2 d_max (log n + log 1/eps) / (xi d_min).
 
-    The Rank Centrality worst-case bound, with unit constant and ``eps``
-    defaulting to 1e-8.  ``rank_centrality`` uses it as the cap on
+    The Rank Centrality worst-case bound, with unit constant and
+    eps = 1e-8.  ``rank_centrality`` uses it as the cap on
     ``power_stationary``, which usually stops far earlier.  Needs a
     connected non-bipartite graph (positive spectral gap).
     """
@@ -187,7 +181,7 @@ def default_iteration_count(graph, outcomes, eps=_CONVERGENCE_EPS):
     count = (
         spread**2
         * diag.d_max
-        * (math.log(graph.n_items) + math.log(1.0 / eps))
+        * (math.log(graph.n_items) + math.log(1.0 / _CONVERGENCE_EPS))
         / (diag.spectral_gap * diag.d_min)
     )
     return max(1, math.ceil(count))

@@ -56,12 +56,20 @@ def dataset_to_dict(batch, model=None):
     return out
 
 
+def _header_int(value, name):
+    """A dataset header count; floats, bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"dataset {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def dataset_from_dict(data):
     """Rebuild (batch, model-or-None) from a parsed dataset dict."""
     try:
-        n = int(data["n"])
-        ell = int(data["ell"])
-        graph = ComparisonGraph(int(data["graph"]["n"]), data["graph"]["edges"])
+        n = _header_int(data["n"], "n")
+        ell = _header_int(data["ell"], "ell")
+        graph_n = _header_int(data["graph"]["n"], "graph n")
+        graph = ComparisonGraph(graph_n, data["graph"]["edges"])
         observations = data["observations"]
     except (KeyError, TypeError) as err:
         raise ValidationError(f"malformed dataset: {err}") from err
@@ -71,7 +79,7 @@ def dataset_from_dict(data):
         entries = np.asarray(observations)
     except ValueError as err:
         raise ValidationError(f"malformed observations: {err}") from err
-    if entries.size == 0:
+    if entries.shape[:1] == (0,):  # no observations; empty ones are rejected below
         entries = np.empty((0, ell, 2), dtype=np.int64)
     if entries.ndim != 3 or entries.shape[1:] != (ell, 2):
         raise ValidationError("every observation needs exactly ell [pair, sign] entries")

@@ -52,49 +52,48 @@ def _staged(stage, fn, *args, **kwargs):
         raise
 
 
-def _reconstruct(basis, eigenpairs):
+def _decompose(basis, ls_result, n_components, rng, **diagnostics):
+    """Shared tail of the moment phase: decompose, reconstruct, report.
+
+    Keyword arguments are appended to the diagnostics after the
+    decomposition's own entries.
+    """
+    eigenpairs = _staged(
+        "decomposition", tensor_power_decomposition, ls_result.tensor, n_components, rng=rng
+    )
     values = eigenpairs.values
     p_hat = (basis.coloring_map @ eigenpairs.vectors) * values[None, :]
     mixture = values**-2.0
-    return mixture, p_hat
-
-
-def _decomposition_diagnostics(basis, ls_result, eigenpairs, mixture):
     mixture_sum = float(mixture.sum())
-    return {
+    report = {
         "second_moment_values": [float(v) for v in basis.values],
         "incoherence": incoherence_from_basis(basis.vectors),
         "tensor_condition_number": ls_result.condition_number,
         "tensor_used_pinv": ls_result.used_pinv,
-        "decomposition_weights": [float(v) for v in eigenpairs.values],
+        "decomposition_weights": [float(v) for v in values],
         "mixture_sum": mixture_sum,
         "mixture_sum_suspect": bool(abs(mixture_sum - 1.0) > _MIXTURE_SUM_BAND),
+        **diagnostics,
     }
+    return MixtureMomentsEstimate(
+        mixture=mixture, outcome_matrix=p_hat, basis=basis, diagnostics=report
+    )
 
 
-def estimate_components(
-    batch,
-    n_components,
-    completion_iterations=None,
-    restarts=None,
-    power_iterations=50,
-    rng=None,
-):
+def estimate_components(batch, n_components, rng=None):
     """Moment-phase estimate from an observation batch.
 
     The batch is split in half (first half second moments, second half
-    third moments).  ``completion_iterations`` defaults to
-    ceil(log(n_pairs * count)).  ``rng`` seeds the power-iteration
-    restarts only; all estimation from the data is deterministic.
+    third moments).  Completion runs ceil(log(n_pairs * count)) solves.
+    ``rng`` seeds the power-iteration restarts only; all estimation from
+    the data is deterministic.
     """
     n_components = int(n_components)
     if n_components < 1:
         raise ValidationError("need at least one component")
     count = len(batch)
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
-    n_pairs = batch.graph.n_pairs
-    if completion_iterations is None:
-        completion_iterations = max(1, math.ceil(math.log(n_pairs * count)))
+    completion_iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * count)))
 
     second = empirical_second_moment(batch, lo2, hi2)
     completion = _staged(
@@ -102,27 +101,17 @@ def estimate_components(
     )
     basis = _staged("whitening", symmetrize_and_eig, completion.matrix, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls, batch, basis, lo3, hi3)
-    eigenpairs = _staged(
-        "decomposition",
-        tensor_power_decomposition,
-        ls_result.tensor,
+    return _decompose(
+        basis,
+        ls_result,
         n_components,
-        restarts=restarts,
-        n_iterations=power_iterations,
-        rng=rng,
-    )
-    mixture, p_hat = _reconstruct(basis, eigenpairs)
-    diagnostics = _decomposition_diagnostics(basis, ls_result, eigenpairs, mixture)
-    diagnostics["completion"] = completion.report()
-    diagnostics["split"] = {"second": [lo2, hi2], "third": [lo3, hi3]}
-    return MixtureMomentsEstimate(
-        mixture=mixture, outcome_matrix=p_hat, basis=basis, diagnostics=diagnostics
+        rng,
+        completion=completion.report(),
+        split={"second": [lo2, hi2], "third": [lo3, hi3]},
     )
 
 
-def components_from_exact_moments(
-    second_moment, third_moment, n_components, restarts=None, power_iterations=50, rng=None
-):
+def components_from_exact_moments(second_moment, third_moment, n_components, rng=None):
     """Moment-phase recovery from exact population moments.
 
     Bypasses estimation noise: eigendecomposes the second moment directly
@@ -134,20 +123,5 @@ def components_from_exact_moments(
     if n_components < 1:
         raise ValidationError("need at least one component")
     basis = _staged("whitening", symmetrize_and_eig, second_moment, n_components)
-    ls_result = _staged(
-        "tensor", whitened_third_moment_ls_exact, third_moment, basis
-    )
-    eigenpairs = _staged(
-        "decomposition",
-        tensor_power_decomposition,
-        ls_result.tensor,
-        n_components,
-        restarts=restarts,
-        n_iterations=power_iterations,
-        rng=rng,
-    )
-    mixture, p_hat = _reconstruct(basis, eigenpairs)
-    diagnostics = _decomposition_diagnostics(basis, ls_result, eigenpairs, mixture)
-    return MixtureMomentsEstimate(
-        mixture=mixture, outcome_matrix=p_hat, basis=basis, diagnostics=diagnostics
-    )
+    ls_result = _staged("tensor", whitened_third_moment_ls_exact, third_moment, basis)
+    return _decompose(basis, ls_result, n_components, rng)

@@ -131,15 +131,16 @@ def whitened_third_moment_ls_exact(third_moment, basis):
 
 
 def default_restarts(rank):
+    """Restarts per deflation round, 20 r log(r + 1) (robust tensor power method)."""
     return max(1, math.ceil(20.0 * rank * math.log(rank + 1)))
 
 
-def tensor_power_decomposition(tensor, rank, restarts=None, n_iterations=50, rng=None):
+def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     """Orthogonal decomposition by robust power iterations with deflation.
 
-    Each of ``rank`` rounds runs ``restarts`` random unit starts for
-    ``n_iterations`` power steps (early exit when the iterate moves less
-    than 1e-12), keeps the candidate with the largest weight
+    Each of ``rank`` rounds runs ``default_restarts(rank)`` random unit
+    starts for ``n_iterations`` power steps (early exit when the iterate
+    moves less than 1e-12), keeps the candidate with the largest weight
     T(u, u, u) after orienting it positive, and deflates.  Raises
     ``DegenerateTensorError`` when no candidate carries weight above
     1e-12.  Pairs are returned sorted by descending weight.
@@ -151,10 +152,8 @@ def tensor_power_decomposition(tensor, rank, restarts=None, n_iterations=50, rng
     rank = int(rank)
     if not 1 <= rank <= r:
         raise ValidationError("rank must be in [1, r]")
-    if restarts is None:
-        restarts = default_restarts(rank)
-    if restarts < 1 or n_iterations < 1:
-        raise ValidationError("restarts and n_iterations must be positive")
+    if n_iterations < 1:
+        raise ValidationError("n_iterations must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -163,7 +162,7 @@ def tensor_power_decomposition(tensor, rank, restarts=None, n_iterations=50, rng
     for round_ in range(rank):
         best_weight = -np.inf
         best_vector = None
-        for _ in range(restarts):
+        for _ in range(default_restarts(rank)):
             u = rng.standard_normal(r)
             norm = np.linalg.norm(u)
             if norm == 0.0:

@@ -220,6 +220,21 @@ class TestMalformedJson:
         self.assert_rejected(result)
 
 
+class TestNonIntegerDataset:
+    def test_float_edge_endpoint_exits_2(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        doc = json.loads(data.read_text())
+        doc["graph"]["edges"][0][0] = 0.5
+        data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "integers" in result.stderr
+
+
 class TestSweep:
     def test_writes_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -28,6 +28,20 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ComparisonGraph(3, np.empty((0, 2), dtype=int))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [[0.5, 1], [True, 2]],
+            [[0, 1], [True, 2]],
+            [["0", 1], [1, 2]],
+            [[False, True]],
+        ],
+        ids=["float", "bool-among-ints", "string", "bool"],
+    )
+    def test_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(ValidationError, match="integers"):
+            ComparisonGraph(3, edges)
+
     def test_edges_immutable(self):
         g = ComparisonGraph(3, [(0, 1)])
         with pytest.raises(ValueError):

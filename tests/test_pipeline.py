@@ -19,7 +19,7 @@ from conftest import best_permutation_errors, complete_graph
 
 
 class TestMatching:
-    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 8])
     def test_agrees_with_exhaustive_oracle(self, rank):
         rng = np.random.default_rng(rank)
         true_mix = rng.dirichlet(np.ones(rank))
@@ -36,8 +36,9 @@ class TestMatching:
         assert result.max_vector_error == pytest.approx(o_vec)
 
     def test_large_rank_uses_assignment_solver(self):
-        # Past the exhaustive cutoff the Hungarian path must still find
-        # the planted permutation.
+        # Rank 9 has 362,880 permutations, more than the brute-force oracle
+        # enumerates in test time; the assignment solver must still find the
+        # planted permutation.
         rng = np.random.default_rng(0)
         rank = 9
         true_mix = rng.dirichlet(np.ones(rank) * 5)

@@ -173,6 +173,49 @@ class TestValidation:
         with pytest.raises(ValidationError, match="integers"):
             dataset_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("n",), 3.7),
+            (("ell",), 1.2),
+            (("n",), "3"),
+            (("ell",), True),
+            (("graph", "n"), 5.0),
+            (("graph", "edges", 0, 0), 0.5),
+            (("graph", "edges", 0, 0), False),
+        ],
+        ids=["float-n", "float-ell", "string-n", "bool-ell", "float-graph-n", "float-edge",
+             "bool-edge"],
+    )
+    def test_non_integer_header_rejected(self, dataset, keys, value):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        with pytest.raises(ValidationError, match="integer"):
+            dataset_from_dict(doc)
+
+    def test_empty_observation_rows_rejected(self, dataset):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        doc["observations"] = [[], []]
+        with pytest.raises(ValidationError, match="ell"):
+            dataset_from_dict(doc)
+
+    def test_no_observations_round_trip(self, dataset, tmp_path):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        doc["observations"] = []
+        empty, loaded_model = dataset_from_dict(doc)
+        assert len(empty) == 0 and empty.ell == batch.ell
+        path = tmp_path / "d.json"
+        save_dataset(path, empty, loaded_model)
+        again, _ = load_dataset(path)
+        assert len(again) == 0 and again.ell == batch.ell
+        assert dataset_to_dict(again, loaded_model) == doc
+
     def test_truncated_file_rejected(self, dataset, tmp_path):
         _, model, batch = dataset
         path = tmp_path / "d.json"
