@@ -48,7 +48,10 @@ class ComparisonGraph:
         if n_items < 2:
             raise ValidationError("a comparison graph needs at least 2 items")
         rows = edges
-        edges = np.asarray(edges)
+        try:
+            edges = np.asarray(edges)
+        except ValueError as err:  # ragged rows, e.g. [[0, 1], [0]]
+            raise ValidationError(f"edges must be an (m, 2) array of endpoints: {err}") from err
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValidationError("edges must be an (m, 2) array of endpoints")
         if edges.shape[0] == 0:

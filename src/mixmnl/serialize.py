@@ -94,10 +94,25 @@ def dataset_from_dict(data):
     if "ground_truth" in data:
         truth = data["ground_truth"]
         try:
-            model = MixedMNLModel(truth["weights"], truth["q"])
+            model = MixedMNLModel(
+                _numeric(truth["weights"], "weights"), _numeric(truth["q"], "q")
+            )
         except (KeyError, TypeError) as err:
             raise ValidationError(f"malformed ground truth: {err}") from err
     return batch, model
+
+
+def _numeric(values, name):
+    """A ground-truth array of JSON numbers; strings, bools and ragged rows are rejected."""
+    try:
+        array = np.asarray(values)
+    except ValueError as err:
+        raise ValidationError(f"malformed ground truth {name}: {err}") from err
+    # As for observations, numpy folds true/false among numbers into 1/0.
+    flat = chain.from_iterable(values) if array.ndim == 2 else values
+    if array.dtype.kind not in "iuf" or bool in map(type, flat):
+        raise ValidationError(f"ground truth {name} must be numbers")
+    return array
 
 
 def save_dataset(path, batch, model=None):

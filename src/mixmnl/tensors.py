@@ -13,10 +13,14 @@ map and W the whitening map (B^T W = I), the map is
 where each pair-diagonal term contracts Z with
 C[ab, a'b'] = sum_i B_ia B_ib W_ia' W_ib' on two modes and the identity on
 the third, and the triple-diagonal term contracts with
-D[abc, a'b'c'] = sum_i B_ia B_ib B_ic W_ia' W_ib' W_ic'.  The solution,
+D[abc, a'b'c'] = sum_i B_ia B_ib B_ic W_ia' W_ib' W_ic'.  Both are GEMMs
+over the pair axis of row-wise (Khatri-Rao) products: C = B2^T W2 and
+D = B3^T W3, with B_k and W_k of shape (N, r^k).  The solution,
 symmetrized over all 6 mode permutations, estimates the whitened full
 third moment, whose exact version admits an orthogonal rank-r
-decomposition with weights 1/sqrt(q_a).
+decomposition with weights 1/sqrt(q_a).  The robust power method finds
+it; each deflation round iterates all of its restarts together as the
+columns of one (r, restarts) matrix.
 """
 
 import itertools
@@ -68,13 +72,35 @@ def project_pair_diagonals(tensor):
     return t
 
 
+def _row_products(m, order):
+    """Row-wise ``order``-fold Kronecker (Khatri-Rao) power: (N, r) -> (N, r**order).
+
+    Column (a, b, ...) of the result, in C order, holds m[:, a] * m[:, b] * ...
+    """
+    n, r = m.shape
+    out = m
+    for _ in range(order - 1):
+        out = (out[:, :, None] * m[:, None, :]).reshape(n, -1)
+    return out
+
+
+def _apply_columns(tensor, columns):
+    """T(I, u, u) for every column u of an (r, R) matrix, as one GEMM."""
+    r = tensor.shape[0]
+    return tensor.reshape(r, r * r) @ _row_products(columns.T, 2).T
+
+
 def whitened_ls_operator(basis):
-    """Materialize the whitened masking map as an (r^3, r^3) matrix."""
+    """Materialize the whitened masking map as an (r^3, r^3) matrix.
+
+    The pair-diagonal kernel C and the triple-diagonal kernel D are two
+    GEMMs over the pair axis, B2^T W2 and W3^T B3, where B_k and W_k are
+    the row-wise k-fold products of the coloring and whitening maps.
+    """
     b = basis.coloring_map
     w = basis.whitening_map
     r = basis.rank
-    c4 = np.einsum("ia,ib,iA,iB->abAB", b, b, w, w, optimize=True)
-    d6 = np.einsum("ia,ib,ic,iA,iB,iC->abcABC", b, b, b, w, w, w, optimize=True)
+    c4 = (_row_products(b, 2).T @ _row_products(w, 2)).reshape(r, r, r, r)
     eye = np.eye(r)
     six = (
         np.einsum("abAB,cC->ABCabc", c4, eye)
@@ -85,7 +111,7 @@ def whitened_ls_operator(basis):
     return (
         np.eye(r3)
         - six.reshape(r3, r3)
-        + 2.0 * d6.transpose(3, 4, 5, 0, 1, 2).reshape(r3, r3)
+        + 2.0 * (_row_products(w, 3).T @ _row_products(b, 3))
     )
 
 
@@ -120,13 +146,39 @@ def whitened_third_moment_ls(batch, basis, start=0, stop=None):
 
 
 def whitened_third_moment_ls_exact(third_moment, basis):
-    """Same solve with the right-hand side from a materialized exact tensor."""
+    """Same solve with the right-hand side from a materialized exact tensor.
+
+    The whitened off-diagonal contraction is taken by inclusion-exclusion:
+    the full contraction of ``third_moment``, minus the three pair-diagonal
+    planes (i=j, j=k, i=k), plus twice the triple diagonal they share.  The
+    planes are read as diagonal views, so no copy of the N^3 tensor is made
+    and the argument is left unchanged; the tensor need not be symmetric.
+    """
     t = np.asarray(third_moment, dtype=np.float64)
     n = basis.vectors.shape[0]
     if t.shape != (n, n, n):
         raise ValidationError("third moment shape does not match the basis")
     w = basis.whitening_map
-    rhs = np.einsum("ijk,ia,jb,kc->abc", project_pair_diagonals(t), w, w, w, optimize=True)
+    r = basis.rank
+    w2 = _row_products(w, 2)
+    # The full contraction is the same map on every mode, so it runs on the
+    # axes in memory order (a view, C-contiguous for any transposed layout)
+    # and the result is transposed back.
+    order = np.argsort(t.strides)[::-1]
+    full = (t.transpose(order).reshape(n * n, n) @ w).reshape(n, n, r)  # [i, j, c]
+    full = (w.T @ (w.T @ full).reshape(n, r * r)).reshape(r, r, r)  # [a, b, c]
+    full = full.transpose(np.argsort(order))
+    ij = w2.T @ (np.einsum("iik->ik", t) @ w)  # [(a, b), c]
+    jk = w.T @ (np.einsum("ijj->ij", t) @ w2)  # [a, (b, c)]
+    ik = w2.T @ (np.einsum("iji->ij", t) @ w)  # [(a, c), b]
+    iii = _row_products(w, 3).T @ np.einsum("iii->i", t)  # [(a, b, c)]
+    rhs = (
+        full
+        - ij.reshape(r, r, r)
+        - jk.reshape(r, r, r)
+        - ik.reshape(r, r, r).transpose(0, 2, 1)
+        + 2.0 * iii.reshape(r, r, r)
+    )
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 
 
@@ -139,9 +191,11 @@ def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     """Orthogonal decomposition by robust power iterations with deflation.
 
     Each of ``rank`` rounds runs ``default_restarts(rank)`` random unit
-    starts for ``n_iterations`` power steps (early exit when the iterate
-    moves less than 1e-12), keeps the candidate with the largest weight
-    T(u, u, u) after orienting it positive, and deflates.  Raises
+    starts for ``n_iterations`` power steps, keeps the candidate with the
+    largest weight T(u, u, u) after orienting it positive (the first one on
+    ties), and deflates.  A round iterates all of its starts together as
+    the columns of one (r, restarts) matrix, one GEMM per step; a column
+    stops once it moves less than 1e-12 or its image is zero.  Raises
     ``DegenerateTensorError`` when no candidate carries weight above
     1e-12.  Pairs are returned sorted by descending weight.
     """
@@ -157,39 +211,40 @@ def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     if rng is None:
         rng = np.random.default_rng(0)
 
+    restarts = default_restarts(rank)
     values = np.empty(rank)
     vectors = np.empty((r, rank))
     for round_ in range(rank):
-        best_weight = -np.inf
-        best_vector = None
-        for _ in range(default_restarts(rank)):
-            u = rng.standard_normal(r)
-            norm = np.linalg.norm(u)
-            if norm == 0.0:
-                continue
-            u /= norm
-            for _ in range(n_iterations):
-                v = apply_tensor(t, u)
-                norm = np.linalg.norm(v)
-                if norm == 0.0:
-                    break
-                v /= norm
-                moved = np.linalg.norm(v - u)
-                u = v
-                if moved < _POWER_TOL:
-                    break
-            weight = float(np.einsum("abc,a,b,c->", t, u, u, u))
-            if weight < 0.0:
-                weight = -weight
-                u = -u
-            if weight > best_weight:
-                best_weight = weight
-                best_vector = u
-        if best_vector is None or best_weight < _WEIGHT_FLOOR:
+        # One column per start, drawn in the order of ``restarts`` draws of r.
+        u = rng.standard_normal((restarts, r)).T
+        norms = np.linalg.norm(u, axis=0)
+        started = norms != 0.0
+        u[:, started] /= norms[started]
+        active = np.flatnonzero(started)
+        for _ in range(n_iterations):
+            if active.size == 0:
+                break
+            ua = u[:, active]
+            v = _apply_columns(t, ua)
+            norms = np.linalg.norm(v, axis=0)
+            moving = norms != 0.0  # a zero image freezes the column as it is
+            v = v[:, moving] / norms[moving]
+            moved = np.linalg.norm(v - ua[:, moving], axis=0)
+            active = active[moving]
+            u[:, active] = v
+            active = active[~(moved < _POWER_TOL)]
+        weights = np.einsum("aR,aR->R", u, _apply_columns(t, u))
+        u[:, weights < 0.0] *= -1.0
+        weights = np.abs(weights)
+        weights[~started | np.isnan(weights)] = -np.inf
+        best = int(np.argmax(weights))
+        best_weight = float(weights[best])
+        if best_weight < _WEIGHT_FLOOR:
             raise DegenerateTensorError(
                 f"deflation round {round_}: no direction with weight above "
                 f"{_WEIGHT_FLOOR:g} (best {best_weight:.3e})"
             )
+        best_vector = u[:, best]
         values[round_] = best_weight
         vectors[:, round_] = best_vector
         t -= best_weight * np.einsum("a,b,c->abc", best_vector, best_vector, best_vector)

@@ -43,20 +43,23 @@ def best_permutation_errors(est_mixture, est_vectors, true_mixture, true_vectors
     (order[b] = estimated index paired with true component b).
     """
     r = len(true_mixture)
-    best = None
-    for perm in itertools.permutations(range(r)):
-        mix_errs = []
-        vec_errs = []
-        for b, a in enumerate(perm):
-            mix_errs.append(abs(est_mixture[a] - true_mixture[b]))
-            vec_errs.append(
-                np.linalg.norm(est_vectors[a] - true_vectors[b])
-                / np.linalg.norm(true_vectors[b])
-            )
-        total = sum(mix_errs) + sum(vec_errs)
-        if best is None or total < best[0]:
-            best = (total, max(mix_errs), max(vec_errs), perm)
-    return best[1], best[2], best[3]
+    est_vectors = np.asarray(est_vectors)
+    true_vectors = np.asarray(true_vectors)
+    # cost[a, b]: errors of pairing estimated a with true b.
+    mix_cost = np.abs(np.asarray(est_mixture)[:, None] - np.asarray(true_mixture)[None, :])
+    vec_cost = np.linalg.norm(
+        est_vectors[:, None, :] - true_vectors[None, :, :], axis=2
+    ) / np.linalg.norm(true_vectors, axis=1)[None, :]
+    perms = np.array(list(itertools.permutations(range(r))))
+    cols = np.arange(r)
+    totals = (mix_cost[perms, cols] + vec_cost[perms, cols]).sum(axis=1)
+    best = int(np.argmin(totals))  # first minimum, as a strict < scan finds
+    perm = perms[best]
+    return (
+        mix_cost[perm, cols].max(),
+        vec_cost[perm, cols].max(),
+        tuple(int(a) for a in perm),
+    )
 
 
 @pytest.fixture

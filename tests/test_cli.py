@@ -234,6 +234,19 @@ class TestNonIntegerDataset:
         assert result.stderr.startswith("error: ")
         assert "integers" in result.stderr
 
+    def test_ragged_edges_exit_2(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        doc = json.loads(data.read_text())
+        doc["graph"]["edges"][1] = doc["graph"]["edges"][1][:1]
+        data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestSweep:
     def test_writes_csv(self, runner, tmp_path):

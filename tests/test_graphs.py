@@ -42,6 +42,10 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="integers"):
             ComparisonGraph(3, edges)
 
+    def test_rejects_ragged_edges(self):
+        with pytest.raises(ValidationError, match="edges"):
+            ComparisonGraph(3, [[0, 1], [0], [1, 2]])
+
     def test_edges_immutable(self):
         g = ComparisonGraph(3, [(0, 1)])
         with pytest.raises(ValueError):

@@ -197,6 +197,33 @@ class TestValidation:
         with pytest.raises(ValidationError, match="integer"):
             dataset_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, index, value",
+        [
+            ("q", (0,), "0.5"),
+            ("q", (0,), True),
+            ("weights", (1, 2), "0.2"),
+            ("weights", (0, 0), False),
+        ],
+        ids=["string-q", "bool-q", "string-weight", "bool-weight"],
+    )
+    def test_non_numeric_ground_truth_rejected(self, dataset, key, index, value):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        parent = doc["ground_truth"][key]
+        for i in index[:-1]:
+            parent = parent[i]
+        parent[index[-1]] = value
+        with pytest.raises(ValidationError, match="numbers"):
+            dataset_from_dict(doc)
+
+    def test_ragged_ground_truth_weights_rejected(self, dataset):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        doc["ground_truth"]["weights"][1] = doc["ground_truth"]["weights"][1][:3]
+        with pytest.raises(ValidationError, match="weights"):
+            dataset_from_dict(doc)
+
     def test_empty_observation_rows_rejected(self, dataset):
         _, model, batch = dataset
         doc = dataset_to_dict(batch, model)

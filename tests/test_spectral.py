@@ -40,6 +40,21 @@ class TestExactMomentPath:
         assert mix_err <= 1e-6
         assert vec_err <= 1e-6
 
+    @pytest.mark.parametrize("rank", [8, 10])
+    def test_recovers_many_components(self, rank):
+        # 276 pairs; matched by the assignment solver, since 10! permutations
+        # are too many for the exhaustive oracle.
+        graph = complete_graph(24)
+        model = random_uniform_model(24, rank, np.random.default_rng(rank), low=1.0, high=8.0)
+        m2 = exact_second_moment(model, graph)
+        m3 = exact_third_moment(model, graph, max_pairs=graph.n_pairs)
+        est = components_from_exact_moments(m2, m3, rank)
+        match = match_components(
+            est.mixture, est.outcome_matrix.T, model.mixture, model.expected_outcomes(graph).T
+        )
+        assert match.max_mixture_error <= 1e-9
+        assert match.max_vector_error <= 1e-9
+
     def test_mixture_near_simplex(self):
         graph = complete_graph(7)
         model = random_uniform_model(7, 2, np.random.default_rng(3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mixmnl import (
     tensor_power_decomposition,
     whitened_third_moment_ls_exact,
 )
+from mixmnl import tensors
 from mixmnl.tensors import (
     apply_tensor,
     default_restarts,
@@ -48,7 +51,79 @@ def whitening_from_model(model, graph):
     return symmetrize_and_eig(m2, model.n_components)
 
 
+def loop_power_decomposition(tensor, rank, n_iterations=50, rng=None):
+    """One restart at a time, one power step at a time: the reference.
+
+    Returns values and vectors in deflation-round order.
+    """
+    t = np.array(tensor, dtype=np.float64)
+    r = t.shape[0]
+    values = np.empty(rank)
+    vectors = np.empty((r, rank))
+    for round_ in range(rank):
+        best_weight = -np.inf
+        best_vector = None
+        for _ in range(default_restarts(rank)):
+            u = rng.standard_normal(r)
+            norm = np.linalg.norm(u)
+            if norm == 0.0:
+                continue
+            u /= norm
+            for _ in range(n_iterations):
+                v = apply_tensor(t, u)
+                norm = np.linalg.norm(v)
+                if norm == 0.0:
+                    break
+                v /= norm
+                moved = np.linalg.norm(v - u)
+                u = v
+                if moved < 1e-12:
+                    break
+            weight = float(np.einsum("abc,a,b,c->", t, u, u, u))
+            if weight < 0.0:
+                weight = -weight
+                u = -u
+            if weight > best_weight:
+                best_weight = weight
+                best_vector = u
+        values[round_] = best_weight
+        vectors[:, round_] = best_vector
+        t -= best_weight * np.einsum("a,b,c->abc", best_vector, best_vector, best_vector)
+    return values, vectors
+
+
+class ScriptedRng:
+    """Serves ``standard_normal`` draws from a fixed buffer, in order."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64).ravel()
+        self.used = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.draws[self.used : self.used + count].reshape(size)
+        self.used += count
+        return out.copy()
+
+
+def reference_rhs(third_moment, basis):
+    w = basis.whitening_map
+    projected = project_pair_diagonals(third_moment)
+    return np.einsum("ijk,ia,jb,kc->abc", projected, w, w, w, optimize=True)
+
+
 class TestOperator:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5])
+    def test_gemm_operator_matches_entrywise(self, rank):
+        graph = complete_graph(5)  # 10 pairs keep the entrywise build quick at r = 5
+        rng = np.random.default_rng(20 + rank)
+        model = MixedMNLModel(rng.uniform(1, 2, (rank, 5)), rng.dirichlet(np.ones(rank)))
+        basis = whitening_from_model(model, graph)
+        want = brute_force_operator(basis)
+        got = whitened_ls_operator(basis)
+        assert got.shape == (rank**3, rank**3)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_matches_entrywise_construction(self):
         graph = complete_graph(5)
         model = MixedMNLModel(
@@ -110,6 +185,52 @@ class TestExactSolve:
 
         with pytest.raises(ValidationError):
             whitened_third_moment_ls_exact(np.zeros((3, 3, 3)), basis)
+
+
+class TestCopyFreeRightHandSide:
+    @staticmethod
+    def captured_rhs(monkeypatch, cube, basis):
+        seen = []
+        monkeypatch.setattr(tensors, "_solve_whitened", lambda op, rhs: seen.append(rhs))
+        whitened_third_moment_ls_exact(cube, basis)
+        return seen[0]
+
+    @pytest.mark.parametrize("layout", ["c-order", "transposed"])
+    def test_matches_projected_contraction(self, monkeypatch, layout):
+        graph = complete_graph(7)
+        model = MixedMNLModel(
+            np.random.default_rng(30).uniform(1, 2, (3, 7)), [0.2, 0.3, 0.5]
+        )
+        basis = whitening_from_model(model, graph)
+        n = graph.n_pairs
+        for seed in range(3):
+            cube = np.random.default_rng(seed).standard_normal((n, n, n))
+            if layout == "transposed":
+                cube = cube.transpose(2, 0, 1)
+            before = cube.copy()
+            got = self.captured_rhs(monkeypatch, cube, basis)
+            want = reference_rhs(cube, basis)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            np.testing.assert_array_equal(cube, before)
+
+    @pytest.mark.parametrize("layout", ["c-order", "transposed"])
+    def test_makes_no_cube_sized_copy(self, layout):
+        graph = complete_graph(16)  # 120 pairs
+        model = MixedMNLModel(
+            np.random.default_rng(31).uniform(1, 2, (3, 16)), [0.2, 0.3, 0.5]
+        )
+        basis = whitening_from_model(model, graph)
+        n = graph.n_pairs
+        cube = np.random.default_rng(32).standard_normal((n, n, n))
+        if layout == "transposed":
+            cube = cube.transpose(2, 0, 1)  # the layout exact_third_moment returns
+        tracemalloc.start()
+        try:
+            whitened_third_moment_ls_exact(cube, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cube.nbytes / 4
 
 
 class TestEmpiricalSolve:
@@ -231,3 +352,65 @@ class TestPowerDecomposition:
         b = tensor_power_decomposition(t, 3, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
+
+
+class TestBatchedPowerMethod:
+    @pytest.mark.parametrize("rank", [2, 4, 8, 10])
+    def test_matches_loop_reference(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        q, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+        values = rng.uniform(0.5, 2.0, rank)
+        noise = symmetrize(rng.standard_normal((rank, rank, rank)))
+        t = np.einsum("a,ia,ja,ka->ijk", values, q, q, q) + 1e-3 * noise
+        want_values, want_vectors = loop_power_decomposition(
+            t, rank, rng=np.random.default_rng(7)
+        )
+        got = tensor_power_decomposition(t, rank, rng=np.random.default_rng(7))
+        # the per-round winners are distinct, so the sort pairs them up
+        order = np.argsort(-want_values)
+        scale = want_values.max()
+        assert np.abs(got.values - want_values[order]).max() <= 1e-12 * scale
+        np.testing.assert_allclose(got.vectors, want_vectors[:, order], atol=1e-10)
+
+    def test_negative_weight_candidate_is_flipped(self):
+        # One step takes every start e0 to e1, where T(e1, e1, e1) = -3, so
+        # the winner is -e1 with weight 3.
+        t = np.zeros((2, 2, 2))
+        t[1, 0, 0] = t[0, 1, 0] = t[0, 0, 1] = 1.0
+        t[1, 1, 1] = -3.0
+        draws = np.tile([1.0, 0.0], (default_restarts(1), 1))
+        want_values, want_vectors = loop_power_decomposition(
+            t, 1, n_iterations=1, rng=ScriptedRng(draws)
+        )
+        got = tensor_power_decomposition(t, 1, n_iterations=1, rng=ScriptedRng(draws))
+        np.testing.assert_allclose(want_values, [3.0])
+        np.testing.assert_allclose(want_vectors[:, 0], [0.0, -1.0])
+        np.testing.assert_allclose(got.values, want_values, rtol=1e-12)
+        np.testing.assert_allclose(got.vectors, want_vectors, atol=1e-12)
+
+    def test_zero_starts_and_zero_images(self):
+        # Zero draws are skipped as starts; a start whose image is zero
+        # keeps its iterate and weight 0.  Both must match the loop.
+        t = 2.0 * np.einsum("i,j,k->ijk", *[np.array([1.0, 0.0])] * 3)
+        restarts = default_restarts(1)
+        draws = np.random.default_rng(0).standard_normal((restarts, 2))
+        draws[: restarts // 2] = 0.0
+        draws[restarts // 2] = [0.0, 1.0]  # T(I, e1, e1) = 0
+        draws[restarts // 2 + 1] = [-1.0, 0.0]  # converges to -e0, weight -2
+        want_values, want_vectors = loop_power_decomposition(t, 1, rng=ScriptedRng(draws))
+        got = tensor_power_decomposition(t, 1, rng=ScriptedRng(draws))
+        np.testing.assert_allclose(got.values, want_values, rtol=1e-12)
+        np.testing.assert_allclose(got.vectors, want_vectors, atol=1e-12)
+        np.testing.assert_allclose(got.vectors[:, 0], [1.0, 0.0], atol=1e-12)
+
+    def test_all_zero_starts_degenerate(self):
+        t = np.einsum("i,j,k->ijk", *[np.array([1.0, 0.0])] * 3)
+        draws = np.zeros((default_restarts(1), 2))
+        with pytest.raises(DegenerateTensorError, match="best -inf"):
+            tensor_power_decomposition(t, 1, rng=ScriptedRng(draws))
+
+    def test_draws_one_block_per_round(self):
+        t = np.einsum("a,ia,ja,ka->ijk", np.array([2.0, 1.0, 0.5]), *[np.eye(3)] * 3)
+        rng = ScriptedRng(np.random.default_rng(1).standard_normal(3 * default_restarts(3) * 3))
+        tensor_power_decomposition(t, 3, rng=rng)
+        assert rng.used == 3 * default_restarts(3) * 3
