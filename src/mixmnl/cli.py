@@ -4,8 +4,8 @@ One verb per artifact: ``generate`` a synthetic dataset, ``learn`` from a
 dataset, ``evaluate`` results against ground truth, ``sweep`` error decay
 over sample sizes, ``check`` model/graph conditioning, and ``ambiguity``
 for the worked example of two mixtures that pairwise data cannot tell
-apart.  Exit codes: 0 on success, 2 on validation problems, 3 when a
-numerical stage fails.
+apart.  Exit codes: 0 on success, 2 on validation problems and
+filesystem errors, 3 when a numerical stage fails.
 """
 
 import functools
@@ -29,12 +29,15 @@ from .pipeline import (
 )
 
 
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+
 def _friendly_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ValidationError as err:
+        except (ValidationError, OSError) as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(2)
         except NumericalError as err:
@@ -76,7 +79,7 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
 
 
 @main.command()
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
+@click.option("--dataset", "dataset_path", type=_INPUT_FILE, required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--r", "n_components", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -103,8 +106,8 @@ def learn(dataset_path, out_path, n_components, seed, exact_moments, dump_interm
 
 
 @main.command(name="evaluate")
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
-@click.option("--results", "results_path", type=click.Path(exists=True), required=True)
+@click.option("--dataset", "dataset_path", type=_INPUT_FILE, required=True)
+@click.option("--results", "results_path", type=_INPUT_FILE, required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_friendly_errors
 def evaluate_cmd(dataset_path, results_path, out_path):
@@ -150,7 +153,7 @@ def sweep(n_items, n_components, dbar, ell, samples, seeds, out_path):
 
 
 @main.command()
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
+@click.option("--dataset", "dataset_path", type=_INPUT_FILE, required=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_friendly_errors
 def check(dataset_path, out_path):

@@ -7,9 +7,15 @@ Datasets are JSON with fixed key order: ``n``, ``ell``, ``graph``
 and saving it again reproduces the bytes, which keeps seeded pipelines
 reproducible at the file level.
 
-Dataset files hold one small list per observation entry.  That tree has
-no cycles, so the cyclic collector is paused while it is built, encoded
-or decoded; otherwise it rescans the growing tree again and again.
+A dataset file holds one small list per observation entry, and no
+Python code runs per entry.  ``save_dataset`` encodes the observations
+with one ``%``-format call over a flat list of ints; its bytes equal
+``json.dumps`` of ``dataset_to_dict``, the container reference.
+``dataset_from_dict`` checks the decoded tree with C-level passes
+(``map``, ``set``, ``itertools.chain``) and converts one flat list.  The
+tree that ``json.load`` builds has no cycles, so the cyclic collector is
+paused while a dataset is decoded; otherwise it rescans the growing tree
+again and again.
 """
 
 import contextlib
@@ -36,24 +42,40 @@ def _collector_paused():
             gc.enable()
 
 
-def dataset_to_dict(batch, model=None):
+def _header_dict(batch):
     graph = batch.graph
-    observations = np.stack([batch.pair_indices, batch.signs], axis=-1).tolist()
-    out = {
+    return {
         "n": graph.n_items,
         "ell": batch.ell,
         "graph": {
             "n": graph.n_items,
             "edges": [[int(i), int(j)] for i, j in graph.edges],
         },
-        "observations": observations,
     }
+
+
+def _ground_truth_dict(model):
+    return {
+        "q": [float(v) for v in model.mixture],
+        "weights": [[float(v) for v in row] for row in model.weights],
+    }
+
+
+def dataset_to_dict(batch, model=None):
+    """The dataset as JSON containers; ``save_dataset`` writes the same bytes."""
+    out = _header_dict(batch)
+    out["observations"] = np.stack([batch.pair_indices, batch.signs], axis=-1).tolist()
     if model is not None:
-        out["ground_truth"] = {
-            "q": [float(v) for v in model.mixture],
-            "weights": [[float(v) for v in row] for row in model.weights],
-        }
+        out["ground_truth"] = _ground_truth_dict(model)
     return out
+
+
+def _observations_json(batch):
+    """The ``observations`` block as compact JSON, from one format call."""
+    count, ell = batch.pair_indices.shape
+    flat = np.stack([batch.pair_indices, batch.signs], axis=-1).ravel().tolist()
+    row = "[" + ",".join(["[%d,%d]"] * ell) + "]"
+    return "[" + ",".join([row] * count) % tuple(flat) + "]"
 
 
 def _header_int(value, name):
@@ -75,20 +97,7 @@ def dataset_from_dict(data):
         raise ValidationError(f"malformed dataset: {err}") from err
     if graph.n_items != n:
         raise ValidationError("dataset n and graph n disagree")
-    try:
-        entries = np.asarray(observations)
-    except ValueError as err:
-        raise ValidationError(f"malformed observations: {err}") from err
-    if entries.shape[:1] == (0,):  # no observations; empty ones are rejected below
-        entries = np.empty((0, ell, 2), dtype=np.int64)
-    if entries.ndim != 3 or entries.shape[1:] != (ell, 2):
-        raise ValidationError("every observation needs exactly ell [pair, sign] entries")
-    # numpy reads a float, a string or a lone bool as a non-integer dtype,
-    # but folds true/false among integers into 1/0, so bools are sought too.
-    if entries.dtype.kind not in "iu" or bool in map(
-        type, chain.from_iterable(chain.from_iterable(observations))
-    ):
-        raise ValidationError("observation entries must be integers")
+    entries = _observation_entries(observations, ell)
     batch = ObservationBatch(graph, entries[:, :, 0], entries[:, :, 1])
     model = None
     if "ground_truth" in data:
@@ -100,6 +109,28 @@ def dataset_from_dict(data):
         except (KeyError, TypeError) as err:
             raise ValidationError(f"malformed ground truth: {err}") from err
     return batch, model
+
+
+def _observation_entries(observations, ell):
+    """The (count, ell, 2) int64 array of decoded observations; ``[]`` is empty."""
+    if type(observations) is not list:
+        raise ValidationError("dataset observations must be a list")
+    count = len(observations)
+    if count == 0:
+        return np.empty((0, ell, 2), dtype=np.int64)
+    if set(map(type, observations)) != {list} or set(map(len, observations)) != {ell}:
+        raise ValidationError("every observation needs exactly ell [pair, sign] entries")
+    entries = list(chain.from_iterable(observations))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        raise ValidationError("every observation entry must be a [pair, sign] list")
+    flat = list(chain.from_iterable(entries))
+    # exact type: bool is a subclass of int, and floats, strings and null are not ints
+    if set(map(type, flat)) != {int}:
+        raise ValidationError("observation entries must be integers")
+    try:
+        return np.array(flat, dtype=np.int64).reshape(count, ell, 2)
+    except OverflowError as err:
+        raise ValidationError(f"observation entry out of range: {err}") from err
 
 
 def _numeric(values, name):
@@ -116,11 +147,14 @@ def _numeric(values, name):
 
 
 def save_dataset(path, batch, model=None):
-    # json.dumps runs the C encoder; json.dump would iterate in Python.
-    with _collector_paused():
-        text = json.dumps(dataset_to_dict(batch, model), separators=(",", ":")) + "\n"
+    header = json.dumps(_header_dict(batch), separators=(",", ":"))
+    parts = [header[:-1], ',"observations":', _observations_json(batch)]
+    if model is not None:
+        truth = json.dumps(_ground_truth_dict(model), separators=(",", ":"))
+        parts += [',"ground_truth":', truth]
+    parts.append("}\n")
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write("".join(parts))
 
 
 def load_dataset(path):

@@ -248,6 +248,32 @@ class TestNonIntegerDataset:
         assert "Traceback" not in result.stderr
 
 
+class TestFilesystemErrors:
+    """A path the command cannot read or write is an invalid input: exit 2, no traceback."""
+
+    def test_dataset_is_a_directory(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(tmp_path), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert "directory" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("verb", ["generate", "learn"])
+    def test_out_in_missing_directory(self, runner, tmp_path, verb):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        out = str(tmp_path / "missing" / "x.json")
+        args = {
+            "generate": ["generate", "--n", "8", "--ell", "3", "--samples", "40", "--out", out],
+            "learn": ["learn", "--dataset", str(data), "--out", out, "--r", "2"],
+        }[verb]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
+
 class TestSweep:
     def test_writes_csv(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"

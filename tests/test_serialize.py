@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixmnl import (
     ComparisonGraph,
@@ -101,8 +103,52 @@ class TestFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
+@st.composite
+def batches(draw):
+    """Random batches over 10-28 pairs, so pair indices run past one digit."""
+    n = draw(st.integers(5, 8))
+    graph = complete_graph(n)
+    ell = draw(st.integers(1, min(5, graph.n_pairs)))
+    count = draw(st.integers(0, 50))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(0, graph.n_pairs - 1), min_size=ell, max_size=ell),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    signs = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 1]), min_size=ell, max_size=ell),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    pair_indices = np.array([sorted(row) for row in rows], dtype=np.int64).reshape(count, ell)
+    batch = ObservationBatch(graph, pair_indices, np.array(signs).reshape(count, ell))
+    model = None
+    if draw(st.booleans()):
+        model = random_uniform_model(n, 2, np.random.default_rng(draw(st.integers(0, 99))))
+    return batch, model
+
+
+class TestEncoder:
+    @settings(max_examples=60, deadline=None)
+    @given(batches())
+    def test_bytes_match_container_reference(self, tmp_path_factory, batch_and_model):
+        batch, model = batch_and_model
+        path = tmp_path_factory.mktemp("enc") / "d.json"
+        save_dataset(path, batch, model)
+        reference = json.dumps(dataset_to_dict(batch, model), separators=(",", ":")) + "\n"
+        assert path.read_text() == reference
+        loaded_batch, loaded_model = load_dataset(path)
+        again = path.with_name("again.json")
+        save_dataset(again, loaded_batch, loaded_model)
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestCollectorState:
-    """The cyclic collector is paused inside save and load, then restored."""
+    """The cyclic collector is paused inside load, and its state survives save and load."""
 
     @pytest.fixture
     def collector_seen(self, monkeypatch):
@@ -144,7 +190,7 @@ class TestCollectorState:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
-        assert collector_seen == [False, False, False]
+        assert collector_seen == [False, False]
 
 
 class TestValidation:
@@ -215,6 +261,36 @@ class TestValidation:
             parent = parent[i]
         parent[index[-1]] = value
         with pytest.raises(ValidationError, match="numbers"):
+            dataset_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "position, value",
+        [
+            ((0, 0, 1), True),
+            ((0, 0, 1), 1.0),
+            ((0, 0, 0), "3"),
+            ((0, 0, 1), None),
+            ((0, 0), {"pair": 0, "sign": 1}),
+            ((0, 0), [0]),
+            ((0, 0), [0, 1, 1]),
+            ((0, 0), [[0], [1]]),
+            ((0, 0, 0), 2**63),
+            ((), {}),
+            ((), "x"),
+            ((), None),
+        ],
+        ids=["bool", "float", "string", "null", "dict-entry", "short-entry", "long-entry",
+             "nested-entry", "int64-overflow", "dict-observations", "string-observations",
+             "null-observations"],
+    )
+    def test_malformed_observations_rejected(self, dataset, position, value):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        parent, key = doc, "observations"
+        for index in position:
+            parent, key = parent[key], index
+        parent[key] = value
+        with pytest.raises(ValidationError):
             dataset_from_dict(doc)
 
     def test_ragged_ground_truth_weights_rejected(self, dataset):
