@@ -11,6 +11,17 @@ Because the mask and the input are symmetric, the objective is
 non-increasing across iterations.  The returned matrix is the last
 unorthonormalized solution times the basis it was regressed against, which
 keeps the final product an exact minimizer over its row space.
+
+The objective recorded after each solve is expanded so that no N x N
+product is formed: with S the solution, V the basis it was regressed
+against, and A V and V^T V already computed for the solve,
+
+    J = ||A||^2 - 2 <S, A V> + <S^T S, V^T V> - sum_i (s_i . v_i)^2,
+
+clamped at zero, where ||A||^2 is taken once and the last term removes
+the diagonal of S V^T.  The terms cancel as the fit converges, so J bottoms
+out at a roundoff floor of a few ulps of ||A||^2 (about 1e-16 ||A||^2)
+instead of reaching zero.
 """
 
 import math
@@ -77,15 +88,6 @@ def default_iteration_count(offdiag):
     return max(1, math.ceil(math.log2(2.0 * norm / _TARGET)))
 
 
-def _masked_objective(offdiag, solution, basis, out):
-    """Off-diagonal squared error of solution @ basis.T, using ``out`` as scratch."""
-    np.matmul(solution, basis.T, out=out)
-    np.subtract(offdiag, out, out=out)
-    np.fill_diagonal(out, 0.0)
-    flat = out.ravel()
-    return float(flat @ flat)
-
-
 def _top_eigenpairs(sym, rank, which):
     """The ``rank`` eigenpairs of a symmetric matrix that ``which`` ranks first.
 
@@ -141,11 +143,11 @@ def altmin_complete(offdiag, rank, n_iterations=None):
 
     _, basis = _top_eigenpairs(a, rank, "LM")
 
+    norm_sq = float(np.vdot(a, a))
     result = AltMinResult(matrix=None)
     solution = None
     previous = None
     eye = np.eye(rank)
-    scratch = np.empty_like(a)
     for step in range(n_iterations):
         gram = basis.T @ basis
         rhs = a @ basis  # diagonal of a is zero, so row sums need no correction
@@ -158,7 +160,11 @@ def altmin_complete(offdiag, rank, n_iterations=None):
             ]
             result.ridge_steps.append(step)
         previous = basis
-        result.objectives.append(_masked_objective(a, solution, previous, scratch))
+        fit = float(np.vdot(solution, rhs))
+        norm_fit = float(np.vdot(solution.T @ solution, gram))
+        diag_fit = np.einsum("ij,ij->i", solution, basis)
+        objective = norm_sq - 2.0 * fit + norm_fit - float(diag_fit @ diag_fit)
+        result.objectives.append(max(objective, 0.0))
         basis, _ = np.linalg.qr(solution)
     result.matrix = solution @ previous.T
     return result

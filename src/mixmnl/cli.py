@@ -49,6 +49,19 @@ def _friendly_errors(fn):
     return wrapper
 
 
+def _count_list(text, option):
+    """Comma-separated non-negative integers, such as "2000,20000"; at least one."""
+    try:
+        values = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values or min(values) < 0:
+        raise ValidationError(
+            f"{option} needs a comma-separated list of non-negative integers, got {text!r}"
+        )
+    return values
+
+
 @click.group()
 def main():
     """Learn mixtures of MNL models from sparse pairwise comparisons."""
@@ -146,8 +159,8 @@ def sweep(n_items, n_components, dbar, ell, samples, seeds, out_path):
     """Run the error-decay sweep and write a CSV of per-run and median errors."""
     if dbar is None:
         dbar = float(np.ceil(np.log(n_items)))
-    sizes = [int(v) for v in str(samples).split(",") if v]
-    seed_list = [int(v) for v in str(seeds).split(",") if v]
+    sizes = _count_list(samples, "--samples")
+    seed_list = _count_list(seeds, "--seeds")
     rows = run_sweep(n_items, n_components, dbar, ell, sizes, seed_list, out_path)
     click.echo(f"wrote {out_path} ({len(rows)} rows)")
 

@@ -202,6 +202,8 @@ def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0):
     """
     if not 0 < low < high:
         raise ValidationError("need 0 < low < high")
+    if int(n_components) < 1:
+        raise ValidationError("need at least one component")
     w = rng.uniform(low, high, size=(int(n_components), int(n_items)))
     return MixedMNLModel(w, np.full(int(n_components), 1.0 / int(n_components)))
 

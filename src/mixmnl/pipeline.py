@@ -1,10 +1,10 @@
 """End-to-end learning, evaluation against ground truth, and sweeps.
 
 The full learner chains the moment phase (mixture proportions and per-pair
-outcome means) with one stationary-distribution solve per component to
-produce item weights.  Estimated components come back in an arbitrary
-order, so evaluation first finds the error-minimizing assignment to the
-true components.
+outcome means) with one stationary-distribution solve per component, all
+components iterated together, to produce item weights.  Estimated
+components come back in an arbitrary order, so evaluation first finds the
+error-minimizing assignment to the true components.
 """
 
 import csv
@@ -105,12 +105,9 @@ def learn_mixed_mnl(batch, config, model=None):
         )
     else:
         estimate = estimate_components(batch, config.n_components, rng=rng)
-    weights = np.empty((estimate.n_components, graph.n_items))
-    for a in range(estimate.n_components):
-        weights[a] = rank_centrality(graph, estimate.outcome_matrix[:, a])
     return ComponentEstimates(
         mixture=estimate.mixture,
-        weights=weights,
+        weights=rank_centrality(graph, estimate.outcome_matrix),
         outcome_matrix=estimate.outcome_matrix,
         diagnostics=dict(estimate.diagnostics),
     )
@@ -262,8 +259,11 @@ def run_sweep(
     size generates observations, learns, and records matched errors.
     Failures become rows with a non-ok status instead of aborting the
     sweep.  Median rows per sample size are appended.  Returns the rows;
-    writes CSV when ``out_path`` is given.
+    writes CSV when ``out_path`` is given.  A component count below one
+    is a configuration error and raises instead of failing every row.
     """
+    if int(n_components) < 1:
+        raise ValidationError("need at least one component")
     rows = []
     for samples in sample_sizes:
         per_size = []

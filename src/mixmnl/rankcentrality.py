@@ -10,6 +10,13 @@ inputs the stationary distribution is the weight estimate.  The power
 iteration starts from the uniform vector, so results are deterministic, and
 stops once successive iterates agree to roundoff; the worst-case spectral
 bound of ``default_iteration_count`` only caps the number of steps.
+
+The r components of a mixture are ranked in one block iteration: their
+transposed chains form one block-diagonal sparse matrix, applied to an
+(r, n_items) iterate whose rows are the components' distributions.  Each
+row keeps its own stop rule and cap and is frozen once it stops, so every
+chain takes exactly the steps, and returns exactly the bits, it would on
+its own; a single chain is the one-row case of the same loop.
 """
 
 import math
@@ -96,20 +103,47 @@ def power_stationary(transition, n_iterations):
     Stops after the first step whose L1 change is at most 1e-15, or after
     ``n_iterations`` steps, whichever comes first.
     """
-    n = transition.n_items
-    n_iterations = int(n_iterations)
-    if n_iterations < 1:
+    return _block_power([transition], [n_iterations])[0]
+
+
+def _block_power(transitions, caps):
+    """``power_stationary`` of several chains over the same items at once.
+
+    Row a of the iterate belongs to ``transitions[a]``, capped at
+    ``caps[a]`` steps.  The rows still running are stepped together by one
+    block-diagonal product; a row that stops leaves the block, keeping its
+    last iterate.  Returns one ``PowerIterationResult`` per chain.
+    """
+    caps = np.array([int(c) for c in caps])
+    if caps.min() < 1:
         raise ValidationError("n_iterations must be at least 1")
-    pi = np.full(n, 1.0 / n)
-    transposed = transition.matrix.T.tocsr()
-    for step in range(1, n_iterations + 1):
-        nxt = transposed @ pi
-        nxt /= nxt.sum()
-        last_change = float(np.abs(nxt - pi).sum())
+    n = transitions[0].n_items
+    chains = [t.matrix.T.tocsr() for t in transitions]
+    results = [None] * len(chains)
+    running = np.arange(len(chains))
+    pi = np.full((len(chains), n), 1.0 / n)
+    block = None
+    step = 0
+    while running.size:
+        if block is None:
+            block = sp.block_diag([chains[a] for a in running], format="csr")
+            next_cap = caps[running].min()
+        step += 1
+        nxt = (block @ pi.ravel()).reshape(pi.shape)
+        nxt /= nxt.sum(axis=1, keepdims=True)
+        changes = np.abs(nxt - pi).sum(axis=1)
         pi = nxt
-        if last_change <= _STOP_CHANGE:
-            break
-    return PowerIterationResult(distribution=pi, last_change=last_change, iterations=step)
+        if min(changes.tolist()) > _STOP_CHANGE and step < next_cap:
+            continue
+        stopped = (changes <= _STOP_CHANGE) | (caps[running] == step)
+        for row in np.flatnonzero(stopped):
+            results[running[row]] = PowerIterationResult(
+                distribution=pi[row], last_change=float(changes[row]), iterations=step
+            )
+        running = running[~stopped]
+        pi = pi[~stopped]
+        block = None
+    return results
 
 
 def exact_stationary(transition):
@@ -190,13 +224,22 @@ def default_iteration_count(graph, outcomes):
 def rank_centrality(graph, outcomes, n_iterations=None):
     """Item weights from per-pair outcome means.
 
-    Clips the outcomes into [-1, 1], builds the comparison chain, and
-    power-iterates from uniform until the iterates stop changing.
-    ``n_iterations`` caps the steps and defaults to the spectral-gap bound
-    of ``default_iteration_count``.
+    ``outcomes`` is one mean per graph pair, shape (n_pairs,), or one
+    column of means per component, shape (n_pairs, r); the weights come
+    back as (n_items,) or (r, n_items) to match.  Each column is clipped
+    into [-1, 1] and turned into its comparison chain, and the chains are
+    power-iterated together from uniform until each one's iterates stop
+    changing.  ``n_iterations`` caps the steps of every chain and defaults
+    to each chain's spectral-gap bound from ``default_iteration_count``.
     """
     projected = project_outcomes(outcomes)
+    columns = np.atleast_2d(projected.T)
+    if projected.ndim not in (1, 2) or columns.shape[0] == 0 or columns.shape[1] != graph.n_pairs:
+        raise ValidationError("need outcomes of shape (n_pairs,) or (n_pairs, r), r >= 1")
     if n_iterations is None:
-        n_iterations = default_iteration_count(graph, projected)
-    transition = build_transition(graph, projected)
-    return power_stationary(transition, n_iterations).distribution
+        caps = [default_iteration_count(graph, column) for column in columns]
+    else:
+        caps = [n_iterations] * len(columns)
+    transitions = [build_transition(graph, column) for column in columns]
+    weights = np.stack([res.distribution for res in _block_power(transitions, caps)])
+    return weights[0] if projected.ndim == 1 else weights

@@ -106,6 +106,45 @@ class TestCompletion:
         assert np.abs(result.matrix - full)[off].max() <= 1e-6
 
 
+def noisy_symmetric(n, rank, seed):
+    """Rank-r PSD matrix plus symmetric noise, diagonal removed."""
+    rng = np.random.default_rng(seed)
+    factors = rng.standard_normal((n, rank))
+    noise = rng.standard_normal((n, n))
+    m = factors @ factors.T + 0.3 * (noise + noise.T)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def dense_objective(offdiag, product):
+    """Reference masked objective ||offdiag(A - S V^T)||^2, formed densely."""
+    residual = offdiag - product
+    np.fill_diagonal(residual, 0.0)
+    return float((residual**2).sum())
+
+
+class TestObjective:
+    @pytest.mark.parametrize("n, rank, seed, n_iterations", [(40, 2, 20, 12), (300, 3, 21, 6)])
+    def test_matches_dense_formula(self, n, rank, seed, n_iterations):
+        # The solves are deterministic, so a run cut after t solves ends on
+        # the t-th solution times its basis: its matrix is S V^T of solve t.
+        hollow = noisy_symmetric(n, rank, seed)
+        objectives = altmin_complete(hollow, rank, n_iterations=n_iterations).objectives
+        assert len(objectives) == n_iterations
+        for t, objective in enumerate(objectives, start=1):
+            product = altmin_complete(hollow, rank, n_iterations=t).matrix
+            reference = dense_objective(hollow, product)
+            assert abs(objective - reference) <= 1e-12 * objectives[0]
+            assert objective >= 0.0
+
+    def test_converged_noiseless_objective_at_floor(self):
+        # The expansion cancels to roundoff of ||A||^2, clamped at zero.
+        hollow, _ = low_rank_offdiag(40, 2, 0)
+        objectives = altmin_complete(hollow, 2, n_iterations=30).objectives
+        assert min(objectives) >= 0.0
+        assert objectives[-1] <= 1e-14 * float((hollow**2).sum())
+
+
 class TestDefaultIterationCount:
     def test_grows_with_norm(self):
         small = np.ones((4, 4)) - np.eye(4)

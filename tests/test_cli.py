@@ -294,6 +294,46 @@ class TestSweep:
         assert len(lines) == 1 + 6
 
 
+class TestSweepListOptions:
+    """A malformed --samples or --seeds list is an invalid input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--samples", "100,x"), ("--samples", "-5"), ("--seeds", "")],
+        ids=["non-integer-entry", "negative-entry", "empty-list"],
+    )
+    def test_bad_list_exits_2(self, runner, tmp_path, option, value):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--n", "8", "--ell", "3", "--samples", "100", "--seeds", "0"]
+        args[args.index(option) + 1] = value
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert option in result.stderr
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
+class TestComponentCount:
+    """Fewer than one component is an invalid input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    @pytest.mark.parametrize("verb", ["generate", "sweep"])
+    def test_exits_2(self, runner, tmp_path, verb, r):
+        args = {
+            "generate": ["generate", "--samples", "40"],
+            "sweep": ["sweep", "--samples", "100", "--seeds", "0"],
+        }[verb]
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, args + ["--n", "8", "--ell", "3", "--r", r, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestCheck:
     def test_reports_conditions(self, runner, tmp_path):
         data = generate_dataset(runner, tmp_path / "d.json")

@@ -223,3 +223,103 @@ class TestRankCentrality:
         w = np.array([1.0, 1.5, 1.2, 2.0])
         pi = rank_centrality(g, ideal_outcomes(g, w), n_iterations=2000)
         np.testing.assert_allclose(pi, w / w.sum(), atol=1e-10)
+
+
+def component_outcomes(graph, n_components, seed):
+    """(n_pairs, r) noisy outcome means; the components' chains mix at different rates."""
+    rng = np.random.default_rng(seed)
+    spreads = np.linspace(1.5, 4.0, n_components)
+    columns = []
+    for spread in spreads:
+        w = rng.uniform(1.0, spread, graph.n_items)
+        noise = rng.uniform(-0.2, 0.2, graph.n_pairs)
+        columns.append(np.clip(ideal_outcomes(graph, w) + noise, -1.0, 1.0))
+    return np.stack(columns, axis=1)
+
+
+def loop_power(transition, cap):
+    """Reference: the one-chain power iteration as a plain loop."""
+    n = transition.n_items
+    pi = np.full(n, 1.0 / n)
+    transposed = transition.matrix.T.tocsr()
+    for _ in range(cap):
+        nxt = transposed @ pi
+        nxt /= nxt.sum()
+        change = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if change <= 1e-15:
+            break
+    return pi
+
+
+class TestBlockIteration:
+    GRAPH = erdos_renyi(60, 6.0, np.random.default_rng(30))
+    OUTCOMES = component_outcomes(GRAPH, 4, 31)
+
+    def loop_reference(self, caps):
+        return np.stack(
+            [
+                loop_power(build_transition(self.GRAPH, column), cap)
+                for column, cap in zip(self.OUTCOMES.T, caps)
+            ]
+        )
+
+    def stop_steps(self, cap):
+        return [
+            power_stationary(build_transition(self.GRAPH, column), cap).iterations
+            for column in self.OUTCOMES.T
+        ]
+
+    def test_matches_per_column_calls(self):
+        # The components stop at different steps, so rows leave the block
+        # one by one; each must still end on its own chain's bits.
+        caps = [default_iteration_count(self.GRAPH, column) for column in self.OUTCOMES.T]
+        steps = self.stop_steps(max(caps))
+        assert len(set(steps)) == len(steps)
+        assert all(step < cap for step, cap in zip(steps, caps))
+        block = rank_centrality(self.GRAPH, self.OUTCOMES)
+        columns = [rank_centrality(self.GRAPH, column) for column in self.OUTCOMES.T]
+        assert block.shape == (4, self.GRAPH.n_items)
+        assert np.array_equal(block, np.stack(columns))
+        assert np.array_equal(block, self.loop_reference(caps))
+
+    def test_explicit_cap_hit_by_some_components(self):
+        steps = sorted(self.stop_steps(10**6))
+        cap = (steps[1] + steps[2]) // 2
+        assert steps[1] < cap < steps[2]  # two components stop, two hit the cap
+        block = rank_centrality(self.GRAPH, self.OUTCOMES, n_iterations=cap)
+        columns = [
+            rank_centrality(self.GRAPH, column, n_iterations=cap) for column in self.OUTCOMES.T
+        ]
+        assert np.array_equal(block, np.stack(columns))
+        assert np.array_equal(block, self.loop_reference([cap] * 4))
+
+    def test_one_dimensional_input_keeps_its_shape(self):
+        pi = rank_centrality(self.GRAPH, self.OUTCOMES[:, 0])
+        assert pi.shape == (self.GRAPH.n_items,)
+        single = rank_centrality(self.GRAPH, self.OUTCOMES[:, :1])
+        assert single.shape == (1, self.GRAPH.n_items)
+        assert np.array_equal(single[0], pi)
+
+    @pytest.mark.parametrize(
+        "extra_pairs, columns",
+        [(-1, ()), (1, (2,)), (0, (0,)), (0, (2, 1))],
+        ids=["short", "long", "no-columns", "3d"],
+    )
+    def test_wrong_shape_rejected(self, extra_pairs, columns):
+        outcomes = np.zeros((self.GRAPH.n_pairs + extra_pairs,) + columns)
+        with pytest.raises(ValidationError):
+            rank_centrality(self.GRAPH, outcomes)
+
+    def test_scalar_rejected_on_one_pair_graph(self):
+        with pytest.raises(ValidationError):
+            rank_centrality(ComparisonGraph(2, [[0, 1]]), np.float64(0.5), n_iterations=10)
+
+    def test_power_stationary_is_the_one_row_case(self):
+        t = build_transition(self.GRAPH, self.OUTCOMES[:, 1])
+        result = power_stationary(t, 10**6)
+        assert result.distribution.shape == (self.GRAPH.n_items,)
+        assert result.last_change <= 1e-15
+        exact = exact_stationary(t)
+        assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
+
