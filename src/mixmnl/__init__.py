@@ -29,7 +29,6 @@ from .moments import (
     empirical_second_moment,
     exact_second_moment,
     exact_third_moment,
-    incoherence,
     incoherence_from_basis,
     projected_third_moment,
     second_moment_spectrum,
@@ -49,7 +48,6 @@ from .rankcentrality import (
     PowerIterationResult,
     TransitionMatrix,
     build_transition,
-    exact_stationary,
     power_stationary,
     project_outcomes,
     rank_centrality,
@@ -70,7 +68,6 @@ from .spectral import (
 from .tensors import (
     TensorEigenpairs,
     TensorLSResult,
-    apply_tensor,
     tensor_power_decomposition,
     whitened_third_moment_ls,
     whitened_third_moment_ls_exact,
@@ -102,7 +99,6 @@ __all__ = [
     "ValidationError",
     "WhiteningBasis",
     "altmin_complete",
-    "apply_tensor",
     "build_transition",
     "check_conditions",
     "components_from_exact_moments",
@@ -113,9 +109,7 @@ __all__ = [
     "estimate_components",
     "evaluate",
     "exact_second_moment",
-    "exact_stationary",
     "exact_third_moment",
-    "incoherence",
     "incoherence_from_basis",
     "learn_mixed_mnl",
     "load_dataset",

@@ -97,13 +97,8 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
 @click.option("--r", "n_components", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--exact-moments", is_flag=True, help="Debug: use population moments.")
-@click.option(
-    "--dump-intermediates",
-    is_flag=True,
-    help="Also write moment-phase intermediates next to the results.",
-)
 @_friendly_errors
-def learn(dataset_path, out_path, n_components, seed, exact_moments, dump_intermediates):
+def learn(dataset_path, out_path, n_components, seed, exact_moments):
     """Estimate mixture, outcome means, and item weights from a dataset."""
     batch, model = serialize.load_dataset(dataset_path)
     if exact_moments and model is None:
@@ -113,8 +108,6 @@ def learn(dataset_path, out_path, n_components, seed, exact_moments, dump_interm
     )
     estimates = learn_mixed_mnl(batch, config, model=model)
     serialize.save_results(out_path, estimates)
-    if dump_intermediates:
-        serialize.save_json(f"{out_path}.intermediates.json", estimates.diagnostics)
     click.echo(f"wrote {out_path}")
 
 

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import GraphGenerationError, ValidationError
 
+# Graphs ``erdos_renyi`` draws before giving up on a connected non-bipartite one.
+_GRAPH_DRAWS = 50
+
 
 @dataclass(frozen=True)
 class GraphDiagnostics:
@@ -162,12 +165,12 @@ def _diagnose(graph):
     return GraphDiagnostics(connected, bipartite, gap, d_min, d_max)
 
 
-def erdos_renyi(n_items, mean_degree, rng, max_retries=50):
+def erdos_renyi(n_items, mean_degree, rng):
     """Sample G(n, mean_degree / n), retrying until connected and non-bipartite.
 
     Each unordered pair is included independently; a fixed seed gives a
     bit-identical edge list.  Raises ``GraphGenerationError`` carrying the
-    last candidate's diagnostics when ``max_retries`` draws all fail.
+    last candidate's diagnostics when all 50 draws fail.
     """
     n_items = int(n_items)
     if n_items < 2:
@@ -175,12 +178,10 @@ def erdos_renyi(n_items, mean_degree, rng, max_retries=50):
     mean_degree = float(mean_degree)
     if not 0.0 < mean_degree <= n_items:
         raise ValidationError("mean_degree must be in (0, n_items]")
-    if max_retries < 1:
-        raise ValidationError("max_retries must be at least 1")
     p = mean_degree / n_items
     iu, ju = np.triu_indices(n_items, k=1)
     last = None
-    for _ in range(max_retries):
+    for _ in range(_GRAPH_DRAWS):
         mask = rng.random(iu.shape[0]) < p
         if not mask.any():
             last = None
@@ -191,7 +192,7 @@ def erdos_renyi(n_items, mean_degree, rng, max_retries=50):
             return graph
         last = diag
     raise GraphGenerationError(
-        f"no connected non-bipartite graph in {max_retries} draws "
+        f"no connected non-bipartite graph in {_GRAPH_DRAWS} draws "
         f"(n={n_items}, mean_degree={mean_degree})",
         last_diagnostics=last,
     )

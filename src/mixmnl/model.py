@@ -128,15 +128,6 @@ class MixedMNLModel:
         """Largest within-component weight ratio max_i w_i / min_i w_i."""
         return float((self.weights.max(axis=1) / self.weights.min(axis=1)).max())
 
-    @property
-    def mixture_ratio(self):
-        return float(self.mixture.max() / self.mixture.min())
-
-    def win_probability(self, component, i, j):
-        """P(item i preferred over item j | component)."""
-        w = self.weights[component]
-        return float(w[i] / (w[i] + w[j]))
-
     def expected_outcomes(self, graph, component=None):
         """Conditional mean sign per pair: (w_j - w_i) / (w_i + w_j).
 
@@ -185,10 +176,6 @@ class MixedMNLModel:
             thresholds = win[chosen, components[lo:hi, None]]
             sgn[lo:hi] = np.where(u < thresholds, 1, -1)
         return ObservationBatch(graph, idx, sgn)
-
-    def sample_observation(self, graph, ell, rng):
-        batch = self.sample_batch(graph, ell, 1, rng)
-        return batch[0]
 
     def __repr__(self):
         return f"MixedMNLModel(r={self.n_components}, n={self.n_items})"

@@ -10,7 +10,6 @@ carry no mixture information (signs square to 1) and are dropped.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,33 +125,6 @@ def projected_third_moment(batch, basis, start=0, stop=None):
     )
     scale = (n * (n - 1) * (n - 2)) / (ell * (ell - 1) * (ell - 2)) / (stop - start)
     return sums * scale
-
-
-def incoherence(matrix, rank):
-    """Incoherence sqrt(N / rank) * max row norm of the top-rank eigenbasis.
-
-    Eigenvectors are ranked by eigenvalue magnitude.  Requesting a rank
-    beyond the numerical rank only warns; the value is still computed.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError("incoherence needs a square matrix")
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
-        raise ValidationError("incoherence needs a symmetric matrix")
-    n = m.shape[0]
-    rank = int(rank)
-    if not 1 <= rank <= n:
-        raise ValidationError("rank must be in [1, N]")
-    values, vectors = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(values))
-    values = values[order]
-    if np.abs(values[rank - 1]) <= n * np.finfo(float).eps * np.abs(values[0]):
-        warnings.warn(
-            f"requested rank {rank} exceeds the numerical rank", RuntimeWarning
-        )
-    basis = vectors[:, order[:rank]]
-    return incoherence_from_basis(basis)
 
 
 def incoherence_from_basis(basis):

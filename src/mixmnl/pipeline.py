@@ -130,6 +130,8 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
         raise ValidationError("estimate and truth must have matching shapes")
     if est_vectors.shape[0] != r:
         raise ValidationError("need one vector per component")
+    if not (np.isfinite(est_mixture).all() and np.isfinite(est_vectors).all()):
+        raise ValidationError("estimated mixture and vectors must be finite")
 
     true_norms = np.linalg.norm(true_vectors, axis=1)
     if (true_norms == 0).any():
@@ -226,20 +228,24 @@ def check_conditions(model, graph, ell=None):
         ell = int(ell)
         if not 1 <= ell <= n_pairs:
             raise ValidationError("ell must be in [1, n_pairs]")
-        lead = (
-            r
-            * n_pairs**4
-            * math.log(n_pairs / _DELTA)
-            / (q_min * sigma_1**2 * _EPS**2)
-        )
-        bracket = (
-            1.0 / ell**2
-            + sigma_1 / (ell * n_pairs)
-            + r**4 * sigma_1**4 / sigma_r**5
-        )
         out["ell"] = ell
-        # Order of magnitude only; universal constants are omitted.
-        out["sample_size_estimate"] = float(lead * bracket)
+        # Order of magnitude only; universal constants are omitted.  A
+        # vanishing sigma_r (its fifth power underflowing included) makes the
+        # estimate unbounded, as it makes the condition ratio.
+        out["sample_size_estimate"] = float("inf")
+        if sigma_r**5 > 0:
+            lead = (
+                r
+                * n_pairs**4
+                * math.log(n_pairs / _DELTA)
+                / (q_min * sigma_1**2 * _EPS**2)
+            )
+            bracket = (
+                1.0 / ell**2
+                + sigma_1 / (ell * n_pairs)
+                + r**4 * sigma_1**4 / sigma_r**5
+            )
+            out["sample_size_estimate"] = float(lead * bracket)
     return out
 
 

@@ -25,11 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
-_DENSE_SOLVE_LIMIT = 2000
 _CONVERGENCE_EPS = 1e-8
 # Power iteration stops once the L1 change between iterates is at most this.
 # The change settles at a roundoff floor of about 2e-16 or less on the chains
@@ -44,10 +42,9 @@ _RATIO_CLIP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic sparse chain over items plus the scale it was built at."""
+    """Row-stochastic sparse chain over items."""
 
     matrix: sp.csr_matrix  # (n, n)
-    d_max: int
 
     @property
     def n_items(self):
@@ -94,7 +91,7 @@ def build_transition(graph, outcomes):
     hold = np.maximum(hold, 0.0)  # guard float residue when rates fill a row
     matrix = (off + sp.diags(hold)).tocsr()
     matrix.eliminate_zeros()  # zero-rate edges are not edges for reachability checks
-    return TransitionMatrix(matrix=matrix, d_max=d_max)
+    return TransitionMatrix(matrix=matrix)
 
 
 def power_stationary(transition, n_iterations):
@@ -144,28 +141,6 @@ def _block_power(transitions, caps):
         pi = pi[~stopped]
         block = None
     return results
-
-
-def exact_stationary(transition):
-    """Stationary distribution by a dense linear solve (oracle path).
-
-    Only for modest sizes (n <= 2000); raises on reducible chains.
-    """
-    n = transition.n_items
-    if n > _DENSE_SOLVE_LIMIT:
-        raise ValidationError(
-            f"dense stationary solve is limited to n <= {_DENSE_SOLVE_LIMIT}"
-        )
-    n_comp, _ = connected_components(transition.matrix, directed=True, connection="strong")
-    if n_comp != 1:
-        raise NumericalError("chain is reducible; stationary distribution is not unique")
-    dense = transition.matrix.toarray()
-    system = dense.T - np.eye(n)
-    system[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    return pi / pi.sum()
 
 
 def estimate_dynamic_range(graph, outcomes):

@@ -49,27 +49,12 @@ class TensorEigenpairs(NamedTuple):
     vectors: np.ndarray  # (r, rank), unit columns
 
 
-def apply_tensor(tensor, vector):
-    """Contraction T(I, u, u) of a cubic tensor with a vector twice."""
-    return np.einsum("abc,b,c->a", tensor, vector, vector)
-
-
 def symmetrize(tensor):
     """Average over all 6 mode permutations."""
     out = np.zeros_like(tensor)
     for perm in itertools.permutations(range(3)):
         out += tensor.transpose(perm)
     return out / 6.0
-
-
-def project_pair_diagonals(tensor):
-    """Zero every entry with a repeated index (copy)."""
-    t = np.array(tensor, dtype=np.float64)
-    idx = np.arange(t.shape[0])
-    t[idx, idx, :] = 0.0
-    t[:, idx, idx] = 0.0
-    t[idx, :, idx] = 0.0
-    return t
 
 
 def _row_products(m, order):

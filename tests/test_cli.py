@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mixmnl import MixedMNLModel, erdos_renyi
 from mixmnl.cli import main
+from mixmnl.serialize import save_dataset
 
 
 @pytest.fixture
@@ -130,7 +132,7 @@ class TestLearn:
         assert result.exit_code == 3
         assert "numerical failure" in result.output
 
-    def test_dump_intermediates(self, runner, tmp_path):
+    def test_results_hold_diagnostics(self, runner, tmp_path):
         data = generate_dataset(runner, tmp_path / "d.json")
         out = tmp_path / "r.json"
         result = runner.invoke(
@@ -140,12 +142,10 @@ class TestLearn:
                 "--dataset", str(data),
                 "--out", str(out),
                 "--r", "2",
-                "--dump-intermediates",
             ],
         )
         assert result.exit_code == 0, result.output
-        extra = json.loads((tmp_path / "r.json.intermediates.json").read_text())
-        assert "split" in extra
+        assert "split" in json.loads(out.read_text())["diagnostics"]
 
 
 class TestEvaluate:
@@ -186,6 +186,24 @@ class TestEvaluate:
             main, ["evaluate", "--dataset", str(data), "--results", str(bad)]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinity"])
+    def test_non_finite_estimate_exits_2(self, runner, tmp_path, value):
+        # Python's json writes and reads NaN and Infinity tokens.
+        data = generate_dataset(runner, tmp_path / "d.json", samples=2000)
+        out = tmp_path / "r.json"
+        runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "2"]
+        )
+        doc = json.loads(out.read_text())
+        doc["q_hat"][0] = value
+        out.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["evaluate", "--dataset", str(data), "--results", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
 
 
 class TestMalformedJson:
@@ -342,6 +360,31 @@ class TestCheck:
         report = json.loads(result.output)
         assert report["n_items"] == 8
         assert "sample_size_estimate" in report
+
+    def test_flat_weights_exit_0(self, runner, tmp_path):
+        # Equal weights make every outcome mean, and so the exact second
+        # moment, vanish.
+        graph = erdos_renyi(8, 4.0, np.random.default_rng(0))
+        model = MixedMNLModel(np.ones((2, 8)), [0.5, 0.5])
+        data = tmp_path / "flat.json"
+        save_dataset(data, model.sample_batch(graph, 3, 20, np.random.default_rng(1)), model)
+        result = runner.invoke(main, ["check", "--dataset", str(data)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["sample_size_estimate"] == float("inf")
+        assert report["condition_ratio"] == float("inf")
+
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({
+            "q_hat": model.mixture.tolist(),
+            "w_hat": model.weights.tolist(),
+            "p_hat": model.expected_outcomes(graph).tolist(),
+        }))
+        result = runner.invoke(
+            main, ["evaluate", "--dataset", str(data), "--results", str(truth)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["max_weight_error"] == 0.0
 
 
 class TestAmbiguity:

@@ -108,7 +108,7 @@ class TestErdosRenyi:
         # The only possible graph on 2 items is a single edge, so every
         # retry fails and the error carries the last diagnostics.
         with pytest.raises(GraphGenerationError) as excinfo:
-            erdos_renyi(2, 2.0, np.random.default_rng(0), max_retries=10)
+            erdos_renyi(2, 2.0, np.random.default_rng(0))
         diag = excinfo.value.last_diagnostics
         assert diag is not None and diag.bipartite
 

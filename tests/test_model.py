@@ -47,11 +47,6 @@ class TestModelBasics:
         assert np.array_equal(again.weights, m.weights)
         assert np.array_equal(again.mixture, m.mixture)
 
-    def test_win_probability_two_items(self):
-        m = MixedMNLModel([[1.0, 2.0]], [1.0])
-        assert m.win_probability(0, 0, 1) == pytest.approx(1.0 / 3.0)
-        assert m.win_probability(0, 1, 0) == pytest.approx(2.0 / 3.0)
-
     def test_expected_outcome_sign_convention(self):
         # Pair 0 is (0, 1); +1 means the larger-index item won, so the
         # mean outcome is positive when item 1 is heavier.
@@ -68,7 +63,6 @@ class TestModelBasics:
     def test_dynamic_range(self):
         m = MixedMNLModel([[1.0, 2.0], [1.0, 1.5]], [0.5, 0.5])
         assert m.dynamic_range == pytest.approx(2.0)
-        assert m.mixture_ratio == pytest.approx(1.0)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValidationError):
@@ -133,7 +127,7 @@ class TestSampling:
             small_model.sample_batch(small_graph, 0, 10, np.random.default_rng(0))
 
     def test_single_observation(self, small_model, small_graph):
-        obs = small_model.sample_observation(small_graph, 5, np.random.default_rng(2))
+        obs = small_model.sample_batch(small_graph, 5, 1, np.random.default_rng(2))[0]
         assert obs.pair_indices.shape == (5,)
         assert (np.diff(obs.pair_indices) > 0).all()
         x = obs.dense(small_graph.n_pairs)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mixmnl import (
+    ComponentEstimates,
     LearnConfig,
+    MixedMNLModel,
     ValidationError,
     check_conditions,
     erdos_renyi,
@@ -14,6 +16,8 @@ from mixmnl import (
     random_uniform_model,
     run_sweep,
 )
+
+from mixmnl import pipeline
 
 from conftest import best_permutation_errors, complete_graph
 
@@ -64,6 +68,16 @@ class TestMatching:
                 np.array([1.0]),
                 np.zeros((1, 3)),
             )
+
+    @pytest.mark.parametrize("where", ["mixture", "vectors"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_estimates_rejected(self, where, value):
+        mix = np.array([0.4, 0.6])
+        vec = np.array([[1.0, 0.0], [0.0, 1.0]])
+        est_mix, est_vec = mix.copy(), vec.copy()
+        (est_mix if where == "mixture" else est_vec)[0] = value
+        with pytest.raises(ValidationError):
+            match_components(est_mix, est_vec, mix, vec)
 
 
 class TestLearn:
@@ -173,11 +187,17 @@ class TestConditions:
         # exception: this path only diagnoses.
         graph = complete_graph(6)
         w = np.vstack([np.linspace(1, 2, 6), np.linspace(1, 2, 6) + 1e-9])
-        from mixmnl import MixedMNLModel
-
         model = MixedMNLModel(w, [0.5, 0.5])
         report = check_conditions(model, graph, ell=3)
         assert report["condition_ratio"] > 1e6
+
+    def test_vanishing_second_moment_reports_infinity(self):
+        # Equal weights give all-zero outcome means: sigma_1 = sigma_r = 0.
+        model = MixedMNLModel(np.ones((2, 8)), [0.5, 0.5])
+        report = check_conditions(model, complete_graph(8), ell=3)
+        assert report["sigma_1"] == 0.0
+        assert report["sample_size_estimate"] == float("inf")
+        assert report["condition_ratio"] == float("inf")
 
 
 class TestSweep:
@@ -216,3 +236,18 @@ class TestSweep:
         for row in rows:
             if str(row["status"]).startswith("error:"):
                 assert row["max_mixture_error"] == ""
+
+    def test_non_finite_estimate_becomes_error_row(self, monkeypatch):
+        def nan_learner(batch, config):
+            r = config.n_components
+            return ComponentEstimates(
+                mixture=np.full(r, np.nan),
+                weights=np.full((r, batch.graph.n_items), np.nan),
+                outcome_matrix=np.full((batch.graph.n_pairs, r), np.nan),
+            )
+
+        monkeypatch.setattr(pipeline, "learn_mixed_mnl", nan_learner)
+        rows = run_sweep(
+            n_items=8, n_components=2, mean_degree=4.0, ell=3, sample_sizes=[50], seeds=[0]
+        )
+        assert [r["status"] for r in rows] == ["error:ValidationError"]

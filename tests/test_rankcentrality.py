@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from mixmnl import (
     ComparisonGraph,
@@ -13,12 +14,30 @@ from mixmnl.rankcentrality import (
     build_transition,
     default_iteration_count,
     estimate_dynamic_range,
-    exact_stationary,
     power_stationary,
     project_outcomes,
 )
 
 from conftest import complete_graph
+
+
+def exact_stationary(transition):
+    """Stationary distribution by a dense linear solve: the reference.
+
+    Raises ``NumericalError`` on a chain that is not strongly connected,
+    whose stationary distribution is not unique.
+    """
+    n = transition.n_items
+    n_comp, _ = connected_components(transition.matrix, directed=True, connection="strong")
+    if n_comp != 1:
+        raise NumericalError("chain is reducible; stationary distribution is not unique")
+    dense = transition.matrix.toarray()
+    system = dense.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    return pi / pi.sum()
 
 
 def ideal_outcomes(graph, weights):

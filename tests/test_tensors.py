@@ -13,9 +13,7 @@ from mixmnl import (
 )
 from mixmnl import tensors
 from mixmnl.tensors import (
-    apply_tensor,
     default_restarts,
-    project_pair_diagonals,
     symmetrize,
     whitened_ls_operator,
     whitened_third_moment_ls,
@@ -23,6 +21,16 @@ from mixmnl.tensors import (
 
 from conftest import complete_graph
 from mixmnl import MixedMNLModel
+
+
+def project_pair_diagonals(tensor):
+    """Zero every entry with a repeated index (copy)."""
+    t = np.array(tensor, dtype=np.float64)
+    idx = np.arange(t.shape[0])
+    t[idx, idx, :] = 0.0
+    t[:, idx, idx] = 0.0
+    t[idx, :, idx] = 0.0
+    return t
 
 
 def brute_force_operator(basis):
@@ -70,7 +78,7 @@ def loop_power_decomposition(tensor, rank, n_iterations=50, rng=None):
                 continue
             u /= norm
             for _ in range(n_iterations):
-                v = apply_tensor(t, u)
+                v = np.einsum("abc,b,c->a", t, u, u)
                 norm = np.linalg.norm(v)
                 if norm == 0.0:
                     break
@@ -288,17 +296,6 @@ class TestHelpers:
         assert p[0, 1, 2] == 1.0
         # input untouched
         assert t[0, 0, 0] == 1.0
-
-    def test_apply_tensor_matches_loop(self):
-        rng = np.random.default_rng(11)
-        t = rng.standard_normal((4, 4, 4))
-        v = rng.standard_normal(4)
-        want = np.zeros(4)
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    want[a] += t[a, b, c] * v[b] * v[c]
-        np.testing.assert_allclose(apply_tensor(t, v), want, atol=1e-12)
 
     def test_default_restarts_grows(self):
         assert default_restarts(1) >= 1
