@@ -63,6 +63,7 @@ from .serialize import (
 from .spectral import (
     MixtureMomentsEstimate,
     components_from_exact_moments,
+    components_from_factors,
     estimate_components,
 )
 from .tensors import (
@@ -102,6 +103,7 @@ __all__ = [
     "build_transition",
     "check_conditions",
     "components_from_exact_moments",
+    "components_from_factors",
     "dataset_from_dict",
     "dataset_to_dict",
     "empirical_second_moment",

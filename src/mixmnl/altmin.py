@@ -34,6 +34,7 @@ from .errors import NumericalError, RankDeficiencyError, ValidationError
 
 _RIDGE = 1e-12
 _TARGET = 1e-8
+_SYMMETRY_BLOCK = 128
 
 
 @dataclass
@@ -112,6 +113,22 @@ def _top_eigenpairs(sym, rank, which):
     return values[order], vectors[:, order]
 
 
+def _max_asymmetry(a):
+    """max |a - a^T|, one block of rows against its columns at a time.
+
+    The differences go through one (block, N) buffer, so no N x N
+    temporary is allocated.
+    """
+    n = a.shape[0]
+    buffer = np.empty((min(_SYMMETRY_BLOCK, n), n))
+    worst = 0.0
+    for lo in range(0, n, _SYMMETRY_BLOCK):
+        hi = min(lo + _SYMMETRY_BLOCK, n)
+        diff = np.subtract(a[lo:hi], a[:, lo:hi].T, out=buffer[: hi - lo])
+        worst = max(worst, np.abs(diff, out=diff).max())
+    return worst
+
+
 def altmin_complete(offdiag, rank, n_iterations=None):
     """Alternating least-squares completion of a symmetric off-diagonal matrix.
 
@@ -131,8 +148,8 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     rank = int(rank)
     if not 1 <= rank <= n:
         raise ValidationError("rank must be in [1, N]")
-    scale = np.abs(a).max()
-    if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
+    scale = max(a.max(), -a.min())
+    if scale > 0 and _max_asymmetry(a) > 1e-8 * scale:
         raise ValidationError("offdiag must be symmetric")
     np.fill_diagonal(a, 0.0)
     if n_iterations is None:
@@ -170,13 +187,41 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     return result
 
 
+def whitening_basis(values, vectors, rank, spectrum):
+    """Whitening basis from candidate eigenpairs of a symmetric N x N matrix.
+
+    Keeps the ``rank`` largest ``values`` (descending; candidates beyond
+    those given count as 0) with their columns of the (N, k) ``vectors``,
+    each signed so that its largest-magnitude entry is positive.  Raises
+    ``RankDeficiencyError`` unless all kept values exceed the numerical-rank
+    floor N * eps * max(lambda_max, 0); the error carries the full spectrum,
+    descending and zero-padded to N, which the zero-argument callable
+    ``spectrum`` is asked for only then.
+    """
+    n = vectors.shape[0]
+    order = np.argsort(-values, kind="stable")[:rank]
+    values = np.concatenate([values[order], np.zeros(rank - order.size)])
+    floor = n * np.finfo(float).eps * max(values[0], 0.0)
+    if values[-1] <= floor:
+        full = np.sort(spectrum())[::-1]
+        raise RankDeficiencyError(
+            f"only {int((values > floor).sum())} of the requested {rank} eigenvalues "
+            "are numerically positive",
+            spectrum=np.concatenate([full, np.zeros(n - full.size)]),
+        )
+    vectors = vectors[:, order]
+    # No solver fixes an eigenvector's sign; make each largest-magnitude
+    # entry positive so the basis depends on the matrix alone.
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
+    vectors = vectors * np.where(peaks < 0, -1.0, 1.0)[None, :]
+    return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values)
+
+
 def symmetrize_and_eig(matrix, rank):
     """Whitening basis from the top-rank eigenpairs of (M + M^T) / 2.
 
-    Takes the ``rank`` algebraically largest eigenvalues, each vector signed
-    so that its largest-magnitude entry is positive; raises
-    ``RankDeficiencyError`` (carrying the full descending spectrum) unless
-    all of them exceed the numerical-rank floor N * eps * max(lambda_max, 0).
+    Takes the ``rank`` algebraically largest eigenvalues under the rules of
+    ``whitening_basis``.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -186,15 +231,4 @@ def symmetrize_and_eig(matrix, rank):
         raise ValidationError("rank must be in [1, N]")
     sym = 0.5 * (m + m.T)
     values, vectors = _top_eigenpairs(sym, rank, "LA")
-    floor = sym.shape[0] * np.finfo(float).eps * max(values[0], 0.0)
-    if values[-1] <= floor:
-        raise RankDeficiencyError(
-            f"only {int((values > floor).sum())} of the requested {rank} eigenvalues "
-            "are numerically positive",
-            spectrum=np.linalg.eigvalsh(sym)[::-1],
-        )
-    # Neither solver fixes an eigenvector's sign; make each largest-magnitude
-    # entry positive so the basis depends on the matrix alone.
-    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
-    vectors = vectors * np.where(peaks < 0, -1.0, 1.0)[None, :]
-    return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values)
+    return whitening_basis(values, vectors, rank, lambda: np.linalg.eigvalsh(sym))

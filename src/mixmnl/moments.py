@@ -72,11 +72,19 @@ def exact_third_moment(model, graph, max_pairs=60):
 def second_moment_spectrum(model, graph):
     """Top r eigenvalues and eigenvectors of the exact second moment.
 
-    Works on the (n_pairs, r) factor P diag(sqrt(q)), so it is exact and
-    cheap even when n_pairs is too large for a dense eigensolve.  Returns
-    (values descending, vectors) with r columns.
+    See ``spectrum_from_factors``; returns (values descending, vectors).
     """
-    factor = model.expected_outcomes(graph) * np.sqrt(model.mixture)[None, :]
+    return spectrum_from_factors(model.expected_outcomes(graph), model.mixture)
+
+
+def spectrum_from_factors(outcome_matrix, mixture):
+    """Top r eigenpairs of P diag(q) P^T from the thin SVD of P diag(sqrt(q)).
+
+    Works on the (n_pairs, r) factor, so it is exact and cheap even when
+    n_pairs is too large for a dense eigensolve.  Returns (values
+    descending, vectors) with min(n_pairs, r) columns.
+    """
+    factor = outcome_matrix * np.sqrt(mixture)[None, :]
     u, s, _ = np.linalg.svd(factor, full_matrices=False)
     return s**2, u
 

@@ -18,16 +18,10 @@ from scipy.optimize import linear_sum_assignment
 from .errors import MixMNLError, ValidationError
 from .graphs import erdos_renyi
 from .model import random_uniform_model
-from .moments import (
-    exact_second_moment,
-    exact_third_moment,
-    incoherence_from_basis,
-    second_moment_spectrum,
-)
+from .moments import incoherence_from_basis, second_moment_spectrum
 from .rankcentrality import rank_centrality
-from .spectral import components_from_exact_moments, estimate_components
+from .spectral import components_from_factors, estimate_components
 
-_EXACT_TENSOR_LIMIT = 300
 # Failure probability and target accuracy of the sample-size estimate.
 _DELTA = 0.1
 _EPS = 0.1
@@ -43,6 +37,8 @@ class LearnConfig:
     power iteration stops at convergence, capped by
     ``rankcentrality.default_iteration_count``.  ``seed`` seeds only the
     tensor power method's restarts; every other stage is deterministic.
+    ``exact_moments`` runs the moment phase on the generating model's
+    population moments, from their factors, at any number of pairs.
     """
 
     n_components: int
@@ -85,23 +81,17 @@ def learn_mixed_mnl(batch, config, model=None):
     """Run both phases on a batch and return per-component weight vectors.
 
     With ``config.exact_moments`` the moment phase runs on the population
-    moments of ``model`` (debug path, requires the generating model and a
-    modest number of pairs); otherwise everything comes from the batch.
+    moments of ``model`` (debug path, requires the generating model), taken
+    from their factors by ``components_from_factors`` at any number of
+    pairs; otherwise everything comes from the batch.
     """
     graph = batch.graph
     rng = np.random.default_rng(config.seed)
     if config.exact_moments:
         if model is None:
             raise ValidationError("exact-moment path needs the generating model")
-        if graph.n_pairs > _EXACT_TENSOR_LIMIT:
-            raise ValidationError(
-                f"exact-moment path is limited to {_EXACT_TENSOR_LIMIT} pairs"
-            )
-        estimate = components_from_exact_moments(
-            exact_second_moment(model, graph),
-            exact_third_moment(model, graph, max_pairs=graph.n_pairs),
-            config.n_components,
-            rng=rng,
+        estimate = components_from_factors(
+            model.expected_outcomes(graph), model.mixture, config.n_components, rng=rng
         )
     else:
         estimate = estimate_components(batch, config.n_components, rng=rng)

@@ -18,13 +18,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig
+from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whitening_basis
 from .errors import NumericalError, ValidationError
-from .moments import empirical_second_moment, incoherence_from_basis, split_ranges
+from .moments import (
+    empirical_second_moment,
+    incoherence_from_basis,
+    spectrum_from_factors,
+    split_ranges,
+)
 from .tensors import (
     tensor_power_decomposition,
     whitened_third_moment_ls,
     whitened_third_moment_ls_exact,
+    whitened_third_moment_ls_factored,
 )
 
 _MIXTURE_SUM_BAND = 0.5
@@ -124,4 +130,33 @@ def components_from_exact_moments(second_moment, third_moment, n_components, rng
         raise ValidationError("need at least one component")
     basis = _staged("whitening", symmetrize_and_eig, second_moment, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls_exact, third_moment, basis)
+    return _decompose(basis, ls_result, n_components, rng)
+
+
+def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
+    """Moment-phase recovery from the factors of the exact population moments.
+
+    ``outcome_matrix`` is the (n_pairs, r) matrix P of outcome means and
+    ``mixture`` the (r,) proportions q.  M2 = P diag(q) P^T and
+    M3 = sum_a q_a p_a^{x3} are never formed: the whitening comes from the
+    thin SVD of P diag(sqrt(q)), under the rules of ``symmetrize_and_eig``,
+    and the whitened right-hand side from W^T P and per-pair powers of P.
+    Time and memory are O(n_pairs r^3), so any number of pairs works.  Up to
+    component order and roundoff the output is that of
+    ``components_from_exact_moments`` on the dense moments.
+    """
+    n_components = int(n_components)
+    if n_components < 1:
+        raise ValidationError("need at least one component")
+    p = np.asarray(outcome_matrix, dtype=np.float64)
+    q = np.asarray(mixture, dtype=np.float64)
+    if p.ndim != 2 or q.shape != (p.shape[1],):
+        raise ValidationError("outcome_matrix must be (n_pairs, r) and mixture (r,)")
+    if not (np.isfinite(p).all() and np.isfinite(q).all() and (q >= 0).all()):
+        raise ValidationError("factors must be finite, the mixture nonnegative")
+    if n_components > p.shape[0]:
+        raise ValidationError("rank must be in [1, N]")
+    values, vectors = spectrum_from_factors(p, q)
+    basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
+    ls_result = _staged("tensor", whitened_third_moment_ls_factored, p, q, basis)
     return _decompose(basis, ls_result, n_components, rng)

@@ -167,6 +167,40 @@ def whitened_third_moment_ls_exact(third_moment, basis):
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 
 
+def whitened_third_moment_ls_factored(outcome_matrix, mixture, basis):
+    """Same solve with the right-hand side from the factors of the exact moment.
+
+    For M3 = sum_a q_a p_a^{x3} and y_a = W^T p_a the inclusion-exclusion
+    of ``whitened_third_moment_ls_exact`` reads
+
+        sum_a q_a y_a^{x3} - [three pair-diagonal planes sum_i W_i W_i g_i]
+            + 2 sum_i d_i W_i^{x3},
+
+    with g_i = sum_a q_a p_ia^2 y_a and d_i = sum_a q_a p_ia^3.  Every term
+    is a GEMM over the pair axis against the (N, r^2) row products of W, so
+    it takes O(N r^3) time and no N x N or N^3 array.
+    """
+    p = np.asarray(outcome_matrix, dtype=np.float64)
+    q = np.asarray(mixture, dtype=np.float64)
+    w = basis.whitening_map
+    r = basis.rank
+    if p.ndim != 2 or p.shape[0] != w.shape[0] or q.shape != (p.shape[1],):
+        raise ValidationError("factors do not match the basis")
+    y = w.T @ p  # (r, components)
+    w2 = _row_products(w, 2)
+    full = ((y * q[None, :]) @ _row_products(y.T, 2)).reshape(r, r, r)
+    plane = (w2.T @ ((p * p * q[None, :]) @ y.T)).reshape(r, r, r)  # [a, b, c] for i=j
+    diagonal = ((w * (p**3 @ q)[:, None]).T @ w2).reshape(r, r, r)
+    rhs = (
+        full
+        - plane
+        - np.moveaxis(plane, 2, 0)  # j=k
+        - plane.transpose(0, 2, 1)  # i=k
+        + 2.0 * diagonal
+    )
+    return _solve_whitened(whitened_ls_operator(basis), rhs)
+
+
 def default_restarts(rank):
     """Restarts per deflation round, 20 r log(r + 1) (robust tensor power method)."""
     return max(1, math.ceil(20.0 * rank * math.log(rank + 1)))

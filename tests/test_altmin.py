@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,40 @@ class TestCompletion:
         m[0, 1] = 1.0
         with pytest.raises(ValidationError):
             altmin_complete(m, 1)
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("where", [(0, 1), (299, 3), (130, 257)])
+    def test_rejects_asymmetry_in_any_block(self, where, negative):
+        # 300 rows span three blocks of the row-against-column check; the
+        # all-negative input takes its scale from its most negative entry.
+        hollow, _ = low_rank_offdiag(300, 2, 9)
+        if negative:
+            hollow = -np.abs(hollow)
+        hollow[where] += 1e-6 * np.abs(hollow).max()
+        with pytest.raises(ValidationError):
+            altmin_complete(hollow, 2, n_iterations=1)
+
+    def test_accepts_asymmetry_below_tolerance(self):
+        hollow, _ = low_rank_offdiag(300, 2, 10)
+        hollow[299, 3] += 1e-10 * np.abs(hollow).max()
+        altmin_complete(hollow, 2, n_iterations=1)
+
+    @pytest.mark.parametrize("n", [1, 5, 128, 129, 300])
+    def test_blocked_asymmetry_matches_dense(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        assert altmin._max_asymmetry(a) == np.abs(a - a.T).max()
+
+    def test_symmetry_check_allocates_no_square_temporary(self):
+        # The input's one working copy and the completed output are the
+        # only N x N arrays; the symmetry check adds a (block, N) slab.
+        hollow, _ = low_rank_offdiag(800, 2, 11)
+        tracemalloc.start()
+        try:
+            altmin_complete(hollow, 2, n_iterations=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * hollow.nbytes
 
     def test_rejects_nonfinite(self):
         m = np.zeros((5, 5))

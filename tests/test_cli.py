@@ -116,6 +116,39 @@ class TestLearn:
         assert result.exit_code == 2
         assert "ground truth" in result.output
 
+    def test_exact_moments_above_300_pairs(self, runner, tmp_path):
+        data = tmp_path / "d.json"
+        result = runner.invoke(
+            main,
+            [
+                "generate",
+                "--n", "30",
+                "--dbar", "24",
+                "--ell", "3",
+                "--samples", "10",
+                "--out", str(data),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(data.read_text())["graph"]["edges"]) > 300
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            result = runner.invoke(
+                main,
+                [
+                    "learn",
+                    "--dataset", str(data),
+                    "--out", str(out),
+                    "--r", "2",
+                    "--exact-moments",
+                ],
+            )
+            assert result.exit_code == 0, result.output
+        doc = json.loads(outs[0].read_text())
+        assert len(doc["w_hat"]) == 2
+        assert len(doc["p_hat"]) > 300
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         # asking for far more components than the data supports dies in a
         # named stage with the numerical-failure exit code

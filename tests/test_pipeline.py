@@ -9,11 +9,15 @@ from mixmnl import (
     MixedMNLModel,
     ValidationError,
     check_conditions,
+    components_from_exact_moments,
     erdos_renyi,
     evaluate,
+    exact_second_moment,
+    exact_third_moment,
     learn_mixed_mnl,
     match_components,
     random_uniform_model,
+    rank_centrality,
     run_sweep,
 )
 
@@ -93,6 +97,54 @@ class TestLearn:
         )
         assert result.max_mixture_error <= 1e-6
         assert result.max_vector_error <= 1e-6
+
+    @pytest.mark.parametrize(
+        "instance",
+        ["readme", "complete-12-r3", "complete-16-r4"],
+    )
+    def test_exact_path_matches_dense_chain(self, instance):
+        # The factored exact path against the dense moments it replaces.
+        if instance == "readme":
+            rng = np.random.default_rng(0)
+            graph = erdos_renyi(30, 8.0, rng)
+            model = random_uniform_model(30, 2, rng, low=1.0, high=8.0)
+        else:
+            n_items, rank = (12, 3) if instance == "complete-12-r3" else (16, 4)
+            graph = complete_graph(n_items)
+            rng = np.random.default_rng(n_items)
+            model = MixedMNLModel(
+                rng.uniform(1.0, 8.0, (rank, n_items)), rng.dirichlet(np.ones(rank))
+            )
+        r = model.n_components
+        batch = model.sample_batch(graph, 3, 10, np.random.default_rng(1))
+        got = learn_mixed_mnl(
+            batch, LearnConfig(n_components=r, exact_moments=True, seed=3), model=model
+        )
+        dense = components_from_exact_moments(
+            exact_second_moment(model, graph),
+            exact_third_moment(model, graph, max_pairs=graph.n_pairs),
+            r,
+            rng=np.random.default_rng(3),
+        )
+        dense_weights = rank_centrality(graph, dense.outcome_matrix)
+        match = match_components(got.mixture, got.weights, dense.mixture, dense_weights)
+        assert match.max_mixture_error <= 1e-12
+        assert match.max_vector_error <= 1e-12
+        outcome = got.outcome_matrix[:, list(match.order)]
+        assert np.abs(outcome - dense.outcome_matrix).max() <= 1e-12
+
+    def test_exact_path_above_300_pairs(self):
+        graph = complete_graph(30)  # 435 pairs
+        model = random_uniform_model(30, 2, np.random.default_rng(20), low=1.0, high=8.0)
+        batch = model.sample_batch(graph, 3, 10, np.random.default_rng(21))
+        estimates = learn_mixed_mnl(
+            batch, LearnConfig(n_components=2, exact_moments=True), model=model
+        )
+        result = match_components(
+            estimates.mixture, estimates.weights, model.mixture, model.weights
+        )
+        assert result.max_mixture_error <= 1e-9
+        assert result.max_vector_error <= 1e-9
 
     def test_exact_moments_require_model(self):
         graph = complete_graph(6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mixmnl import (
     RankDeficiencyError,
     ValidationError,
     components_from_exact_moments,
+    components_from_factors,
     erdos_renyi,
     estimate_components,
     exact_second_moment,
@@ -15,6 +18,7 @@ from mixmnl import (
     match_components,
     random_uniform_model,
     rank_centrality,
+    symmetrize_and_eig,
 )
 
 from conftest import best_permutation_errors, complete_graph
@@ -121,6 +125,106 @@ class TestExactMomentPath:
         ):
             assert key in d
         assert len(d["second_moment_values"]) == 2
+
+
+def factored_estimate(model, graph, n_components=None, **kwargs):
+    if n_components is None:
+        n_components = model.n_components
+    return components_from_factors(
+        model.expected_outcomes(graph), model.mixture, n_components, **kwargs
+    )
+
+
+class TestFactoredPath:
+    @pytest.mark.parametrize("rank", [8, 10])
+    def test_recovers_many_components_above_300_pairs(self, rank):
+        graph = complete_graph(30)  # 435 pairs
+        model = random_uniform_model(30, rank, np.random.default_rng(rank), low=1.0, high=8.0)
+        est = factored_estimate(model, graph)
+        match = match_components(
+            est.mixture, est.outcome_matrix.T, model.mixture, model.expected_outcomes(graph).T
+        )
+        assert match.max_mixture_error <= 1e-9
+        assert match.max_vector_error <= 1e-9
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_basis_follows_dense_whitening_rules(self, rank):
+        # Same eigenvalues, same vectors with the same signs, as the dense
+        # eigensolve of the exact second moment.
+        graph = complete_graph(9)
+        model = random_uniform_model(9, rank, np.random.default_rng(50 + rank))
+        got = factored_estimate(model, graph).basis
+        want = symmetrize_and_eig(exact_second_moment(model, graph), rank)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12)
+        np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
+
+    def test_rank_deficient_model_raises_in_whitening(self):
+        graph = complete_graph(6)
+        model = random_uniform_model(6, 1, np.random.default_rng(5))
+        with pytest.raises(RankDeficiencyError) as info:
+            factored_estimate(model, graph, n_components=2)
+        assert info.value.stage == "whitening"
+        spectrum = info.value.spectrum
+        assert spectrum.shape == (graph.n_pairs,)
+        assert spectrum[0] > 0.0
+        assert (spectrum[1:] == 0.0).all()
+
+    def test_equal_weights_raise_in_whitening(self):
+        graph = complete_graph(6)
+        model = MixedMNLModel(np.ones((2, 6)), [0.5, 0.5])
+        with pytest.raises(RankDeficiencyError) as info:
+            factored_estimate(model, graph)
+        assert info.value.stage == "whitening"
+        np.testing.assert_array_equal(info.value.spectrum, np.zeros(graph.n_pairs))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_spectrum_matches_dense_path(self, rank):
+        # Both paths report the same descending, N-long spectrum.
+        graph = complete_graph(6)
+        model = random_uniform_model(6, rank, np.random.default_rng(5))
+        with pytest.raises(RankDeficiencyError) as dense:
+            components_from_exact_moments(
+                exact_second_moment(model, graph), exact_third_moment(model, graph), rank + 1
+            )
+        with pytest.raises(RankDeficiencyError) as factored:
+            factored_estimate(model, graph, n_components=rank + 1)
+        want = dense.value.spectrum
+        got = factored.value.spectrum
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want[0])
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (np.zeros((6, 2)), np.array([0.5])),  # mixture length
+            (np.zeros(6), np.array([1.0])),  # 1-D outcome matrix
+            (np.full((6, 2), np.nan), np.array([0.5, 0.5])),
+            (np.zeros((6, 2)), np.array([1.5, -0.5])),
+        ],
+        ids=["mixture-length", "1-d", "non-finite", "negative-mixture"],
+    )
+    def test_malformed_factors_rejected(self, p, q):
+        with pytest.raises(ValidationError):
+            components_from_factors(p, q, 2)
+
+    @pytest.mark.parametrize("n_components", [0, 7])
+    def test_component_count_checked(self, n_components):
+        with pytest.raises(ValidationError):
+            components_from_factors(np.ones((6, 2)), np.array([0.5, 0.5]), n_components)
+
+    def test_peak_memory_below_one_pair_matrix(self):
+        # n = 300 at mean degree 12 draws 1,759 pairs; one N x N float64
+        # array would be 24.8 MB.
+        graph = erdos_renyi(300, 12.0, np.random.default_rng(0))
+        model = random_uniform_model(300, 2, np.random.default_rng(1), low=1.0, high=8.0)
+        p = model.expected_outcomes(graph)
+        tracemalloc.start()
+        try:
+            components_from_factors(p, model.mixture, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.n_pairs**2 * 8
 
 
 class TestEmpiricalPath:

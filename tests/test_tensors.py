@@ -5,6 +5,7 @@ import pytest
 
 from mixmnl import (
     DegenerateTensorError,
+    ValidationError,
     exact_second_moment,
     exact_third_moment,
     symmetrize_and_eig,
@@ -17,6 +18,7 @@ from mixmnl.tensors import (
     symmetrize,
     whitened_ls_operator,
     whitened_third_moment_ls,
+    whitened_third_moment_ls_factored,
 )
 
 from conftest import complete_graph
@@ -189,8 +191,6 @@ class TestExactSolve:
             np.random.default_rng(4).uniform(1, 2, (2, 5)), [0.5, 0.5]
         )
         basis = whitening_from_model(model, graph)
-        from mixmnl import ValidationError
-
         with pytest.raises(ValidationError):
             whitened_third_moment_ls_exact(np.zeros((3, 3, 3)), basis)
 
@@ -239,6 +239,50 @@ class TestCopyFreeRightHandSide:
         finally:
             tracemalloc.stop()
         assert peak < cube.nbytes / 4
+
+
+class TestFactoredRightHandSide:
+    @pytest.mark.parametrize(
+        "n_items, rank", [(8, 1), (10, 2), (12, 3), (16, 4), (24, 8)]
+    )  # 28 to 276 pairs
+    def test_matches_dense_inclusion_exclusion(self, monkeypatch, n_items, rank):
+        graph = complete_graph(n_items)
+        rng = np.random.default_rng(40 + rank)
+        model = MixedMNLModel(rng.uniform(1, 8, (rank, n_items)), rng.dirichlet(np.ones(rank)))
+        basis = whitening_from_model(model, graph)
+        seen = []
+        monkeypatch.setattr(tensors, "_solve_whitened", lambda op, rhs: seen.append(rhs))
+        whitened_third_moment_ls_exact(
+            exact_third_moment(model, graph, max_pairs=graph.n_pairs), basis
+        )
+        whitened_third_moment_ls_factored(model.expected_outcomes(graph), model.mixture, basis)
+        want, got = seen
+        assert got.shape == (rank, rank, rank)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_more_model_components_than_basis_rank(self, monkeypatch):
+        # The right-hand side projects the whole moment, whatever rank the
+        # basis keeps.
+        graph = complete_graph(9)
+        rng = np.random.default_rng(45)
+        model = MixedMNLModel(rng.uniform(1, 8, (4, 9)), rng.dirichlet(np.ones(4)))
+        basis = symmetrize_and_eig(exact_second_moment(model, graph), 2)
+        seen = []
+        monkeypatch.setattr(tensors, "_solve_whitened", lambda op, rhs: seen.append(rhs))
+        whitened_third_moment_ls_exact(exact_third_moment(model, graph), basis)
+        whitened_third_moment_ls_factored(model.expected_outcomes(graph), model.mixture, basis)
+        want, got = seen
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_shape_mismatch_rejected(self):
+        graph = complete_graph(5)
+        model = MixedMNLModel(np.random.default_rng(46).uniform(1, 2, (2, 5)), [0.5, 0.5])
+        basis = whitening_from_model(model, graph)
+        p = model.expected_outcomes(graph)
+        with pytest.raises(ValidationError):
+            whitened_third_moment_ls_factored(p[:-1], model.mixture, basis)
+        with pytest.raises(ValidationError):
+            whitened_third_moment_ls_factored(p, [1.0], basis)
 
 
 class TestEmpiricalSolve:
