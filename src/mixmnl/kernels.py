@@ -1,11 +1,11 @@
-"""Accumulation kernels for streaming moment estimation.
+"""Accumulation kernels for moment estimation.
 
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
 at its pair indices, ``ell`` entries per row.  The second-moment sums are
-X^T X; the projected third-moment sums expand into products of X, its
-sparsity pattern |X| and its column sums with the basis, so no
-per-observation loop, chunking or cubic intermediate is needed.
+X^T X.  The third-moment sums come from ``offdiagonal_third_sums``, which
+also gives the exact-moment right-hand side (outcome means as rows, the
+mixture as weights), with no per-observation loop or cubic intermediate.
 """
 
 import numpy as np
@@ -37,26 +37,37 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     return (x.T.tocsr() @ x).toarray()
 
 
+def offdiagonal_third_sums(rows, squares, cubes, weights, basis):
+    """Weighted sum over rows x_t of offdiag(x_t^{x3}) contracted with W.
+
+    ``rows`` is a (count, n_pairs) matrix X, sparse or dense, ``squares`` and
+    ``cubes`` its entrywise powers, ``weights`` the (count,) w and ``basis``
+    the (n_pairs, r) W.  With Y = X W the result is the full power minus the
+    three pair-diagonal planes plus twice the triple diagonal:
+
+        sum_t w_t y_t^{x3} - 3 sym(sum_k (sum_t w_t x_tk^2 y_t) W_k W_k)
+            + 2 sum_k (sum_t w_t x_tk^3) W_k^{x3}.
+    """
+    y = rows @ basis
+    weighted = y * weights[:, None]
+    planes = squares.T @ weighted  # (n_pairs, r)
+    cross = np.einsum("ka,kb,kc->abc", planes, basis, basis, optimize=True)
+    out = np.einsum("ta,tb,tc->abc", weighted, y, y, optimize=True)
+    out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
+    diagonal = cubes.T @ weights  # (n_pairs,)
+    out += 2.0 * np.einsum("k,ka,kb,kc->abc", diagonal, basis, basis, basis, optimize=True)
+    return out
+
+
 def projected_third_moment_sums(pair_indices, signs, basis):
     """Sum over observations of the projected third-moment statistic.
 
     For each observation with dense sign vector ``x`` and projection
     ``basis`` W (n_pairs, r) this accumulates the contraction of the
     off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
-    W.  Per observation that is y^{x3} - 3 sym(y \\otimes c2) + 2 c3 with
-    y = W^T x, c2 = W^T diag(|x|) W and c3 = sum_k x_k W_k^{x3}; summed over
-    observations with Y = X W these become Y^{x3} summed over rows,
-    (|X|^T Y) contracted with W twice, and the column sums of X contracted
-    with W three times.  Requires ``signs`` in {-1, +1}: the expansion
-    substitutes ``x^2 = 1`` and ``x^3 = x`` on observed pairs.
+    W, by ``offdiagonal_third_sums`` with unit weights.  Requires ``signs``
+    in {-1, +1}: then the squares of X are |X| and its cubes X itself.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
     x = _sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, w.shape[0])
-    y = x @ w
-    touched = abs(x).T @ y  # (n_pairs, r): sum of y over observations touching each pair
-    column_sums = np.asarray(x.sum(axis=0)).ravel()
-    cross = np.einsum("ka,kb,kc->abc", touched, w, w, optimize=True)
-    out = np.einsum("ta,tb,tc->abc", y, y, y, optimize=True)
-    out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
-    out += 2.0 * np.einsum("k,ka,kb,kc->abc", column_sums, w, w, w, optimize=True)
-    return out
+    return offdiagonal_third_sums(x, abs(x), x, np.ones(x.shape[0]), w)

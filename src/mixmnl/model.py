@@ -128,22 +128,15 @@ class MixedMNLModel:
         """Largest within-component weight ratio max_i w_i / min_i w_i."""
         return float((self.weights.max(axis=1) / self.weights.min(axis=1)).max())
 
-    def expected_outcomes(self, graph, component=None):
-        """Conditional mean sign per pair: (w_j - w_i) / (w_i + w_j).
-
-        Returns an (n_pairs, r) matrix, or one (n_pairs,) column when
-        ``component`` is given.
-        """
+    def expected_outcomes(self, graph):
+        """Conditional mean sign per pair: (w_j - w_i) / (w_i + w_j), (n_pairs, r)."""
         if graph.n_items != self.n_items:
             raise ValidationError("graph and model disagree on the number of items")
         i = graph.edges[:, 0]
         j = graph.edges[:, 1]
         wi = self.weights[:, i]
         wj = self.weights[:, j]
-        p = ((wj - wi) / (wi + wj)).T
-        if component is None:
-            return p
-        return p[:, component]
+        return ((wj - wi) / (wi + wj)).T
 
     def sample_batch(self, graph, ell, count, rng):
         """Draw ``count`` independent observations of ``ell`` distinct pairs.

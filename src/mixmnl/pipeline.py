@@ -19,7 +19,7 @@ from .errors import MixMNLError, ValidationError
 from .graphs import erdos_renyi
 from .model import random_uniform_model
 from .moments import incoherence_from_basis, second_moment_spectrum
-from .rankcentrality import rank_centrality
+from .rankcentrality import ergodic_diagnostics, rank_centrality
 from .spectral import components_from_factors, estimate_components
 
 # Failure probability and target accuracy of the sample-size estimate.
@@ -83,9 +83,12 @@ def learn_mixed_mnl(batch, config, model=None):
     With ``config.exact_moments`` the moment phase runs on the population
     moments of ``model`` (debug path, requires the generating model), taken
     from their factors by ``components_from_factors`` at any number of
-    pairs; otherwise everything comes from the batch.
+    pairs; otherwise everything comes from the batch.  A comparison graph
+    that Rank Centrality rejects (disconnected or bipartite) raises
+    ``ValidationError`` before the moment phase runs.
     """
     graph = batch.graph
+    ergodic_diagnostics(graph)
     rng = np.random.default_rng(config.seed)
     if config.exact_moments:
         if model is None:

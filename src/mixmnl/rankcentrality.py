@@ -173,19 +173,24 @@ def estimate_dynamic_range(graph, outcomes):
     return float(min(spread, _RANGE_CAP))
 
 
+def ergodic_diagnostics(graph):
+    """The graph's cached diagnostics; ``ValidationError`` unless it is
+    connected and non-bipartite (positive spectral gap)."""
+    diag = graph.diagnostics()
+    if not diag.connected or diag.spectral_gap <= 0.0:
+        raise ValidationError("Rank Centrality needs a connected non-bipartite comparison graph")
+    return diag
+
+
 def default_iteration_count(graph, outcomes):
     """Iteration cap b^2 d_max (log n + log 1/eps) / (xi d_min).
 
     The Rank Centrality worst-case bound, with unit constant and
     eps = 1e-8.  ``rank_centrality`` uses it as the cap on
     ``power_stationary``, which usually stops far earlier.  Needs a
-    connected non-bipartite graph (positive spectral gap).
+    connected non-bipartite graph (``ergodic_diagnostics``).
     """
-    diag = graph.diagnostics()
-    if not diag.connected or diag.spectral_gap <= 0.0:
-        raise ValidationError(
-            "default iteration count needs a connected non-bipartite graph"
-        )
+    diag = ergodic_diagnostics(graph)
     spread = estimate_dynamic_range(graph, outcomes)
     count = (
         spread**2

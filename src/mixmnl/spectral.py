@@ -45,10 +45,6 @@ class MixtureMomentsEstimate:
     basis: WhiteningBasis
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def n_components(self):
-        return self.mixture.shape[0]
-
 
 def _staged(stage, fn, *args, **kwargs):
     try:

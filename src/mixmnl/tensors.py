@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTensorError, ValidationError
+from .kernels import offdiagonal_third_sums
 from .moments import projected_third_moment
 
 _COND_LIMIT = 1e12
@@ -170,34 +171,19 @@ def whitened_third_moment_ls_exact(third_moment, basis):
 def whitened_third_moment_ls_factored(outcome_matrix, mixture, basis):
     """Same solve with the right-hand side from the factors of the exact moment.
 
-    For M3 = sum_a q_a p_a^{x3} and y_a = W^T p_a the inclusion-exclusion
-    of ``whitened_third_moment_ls_exact`` reads
-
-        sum_a q_a y_a^{x3} - [three pair-diagonal planes sum_i W_i W_i g_i]
-            + 2 sum_i d_i W_i^{x3},
-
-    with g_i = sum_a q_a p_ia^2 y_a and d_i = sum_a q_a p_ia^3.  Every term
-    is a GEMM over the pair axis against the (N, r^2) row products of W, so
-    it takes O(N r^3) time and no N x N or N^3 array.
+    M3 = sum_a q_a p_a^{x3}, so the whitened off-diagonal contraction of
+    ``whitened_third_moment_ls_exact`` is ``kernels.offdiagonal_third_sums``,
+    the expansion the sampled statistic runs, with the columns p_a of P as
+    rows and q as their weights.  It takes O(N r^3) time and no N x N or
+    N^3 array.
     """
     p = np.asarray(outcome_matrix, dtype=np.float64)
     q = np.asarray(mixture, dtype=np.float64)
     w = basis.whitening_map
-    r = basis.rank
     if p.ndim != 2 or p.shape[0] != w.shape[0] or q.shape != (p.shape[1],):
         raise ValidationError("factors do not match the basis")
-    y = w.T @ p  # (r, components)
-    w2 = _row_products(w, 2)
-    full = ((y * q[None, :]) @ _row_products(y.T, 2)).reshape(r, r, r)
-    plane = (w2.T @ ((p * p * q[None, :]) @ y.T)).reshape(r, r, r)  # [a, b, c] for i=j
-    diagonal = ((w * (p**3 @ q)[:, None]).T @ w2).reshape(r, r, r)
-    rhs = (
-        full
-        - plane
-        - np.moveaxis(plane, 2, 0)  # j=k
-        - plane.transpose(0, 2, 1)  # i=k
-        + 2.0 * diagonal
-    )
+    rows = p.T
+    rhs = offdiagonal_third_sums(rows, rows * rows, rows**3, q, w)
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mixmnl import MixedMNLModel, erdos_renyi
+from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
 
@@ -164,6 +164,35 @@ class TestLearn:
         )
         assert result.exit_code == 3
         assert "numerical failure" in result.output
+
+    @pytest.mark.parametrize(
+        "n_items, edges, ell",
+        [
+            (12, [[i, j] for i in range(6) for j in range(6, 12)], 4),  # K_{6,6}
+            (6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]], 3),  # two triangles
+        ],
+        ids=["bipartite", "disconnected"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--exact-moments"]], ids=["sampled", "exact"])
+    def test_graph_rank_centrality_rejects_exits_2_before_moments(
+        self, runner, tmp_path, monkeypatch, n_items, edges, ell, flags
+    ):
+        rng = np.random.default_rng(7)
+        model = MixedMNLModel(rng.uniform(1, 8, (2, n_items)), [0.5, 0.5])
+        data = tmp_path / "d.json"
+        batch = model.sample_batch(ComparisonGraph(n_items, edges), ell, 2000, rng)
+        save_dataset(data, batch, model)
+        stages = []
+        for name in ("estimate_components", "components_from_factors"):
+            monkeypatch.setattr(pipeline, name, lambda *a, _name=name, **k: stages.append(_name))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"]
+            + flags,
+        )
+        assert result.exit_code == 2
+        assert "Rank Centrality needs a connected non-bipartite comparison graph" in result.output
+        assert stages == []
 
     def test_results_hold_diagnostics(self, runner, tmp_path):
         data = generate_dataset(runner, tmp_path / "d.json")

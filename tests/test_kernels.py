@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mixmnl import kernels
 
@@ -41,19 +42,68 @@ class TestSignOuterProducts:
         assert out[0, 2] == -1.0 and out[0, 1] == 1.0
 
 
+def _brute_offdiagonal(x, weights, basis):
+    """Per row: zero every entry of x^{x3} with a repeated index, contract with W."""
+    n_pairs, r = basis.shape
+    expected = np.zeros((r, r, r))
+    for row, weight in zip(x, weights):
+        cube = np.einsum("i,j,k->ijk", row, row, row)
+        for i in range(n_pairs):
+            cube[i, i, :] = 0.0
+            cube[:, i, i] = 0.0
+            cube[i, :, i] = 0.0
+        expected += weight * np.einsum("ijk,ia,jb,kc->abc", cube, basis, basis, basis)
+    return expected
+
+
+def _sign_specialized_sums(pair_indices, signs, basis):
+    """The sampled statistic expanded for +-1 signs only, the bit-identity reference.
+
+    |X| stands in for the squares and the column sums of X for the cubes;
+    there are no weights.
+    """
+    w = np.ascontiguousarray(basis, dtype=np.float64)
+    x = kernels._sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, w.shape[0])
+    y = x @ w
+    touched = abs(x).T @ y
+    column_sums = np.asarray(x.sum(axis=0)).ravel()
+    cross = np.einsum("ka,kb,kc->abc", touched, w, w, optimize=True)
+    out = np.einsum("ta,tb,tc->abc", y, y, y, optimize=True)
+    out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
+    out += 2.0 * np.einsum("k,ka,kb,kc->abc", column_sums, w, w, w, optimize=True)
+    return out
+
+
+class TestOffdiagonalThirdSums:
+    def test_matches_brute_force_on_weighted_real_rows(self):
+        # Entries that are not +-1 keep squares and cubes apart from |x|
+        # and x, and non-unit weights scale each row's contribution.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((40, 10)) * (rng.random((40, 10)) < 0.5)
+        weights = rng.uniform(0.1, 2.0, 40)
+        basis = rng.standard_normal((10, 3))
+        expected = _brute_offdiagonal(x, weights, basis)
+        tol = 1e-13 * np.abs(expected).max()
+        csr = sparse.csr_matrix(x)
+        for rows, squares, cubes in ((x, x * x, x**3), (csr, csr.multiply(csr), csr.power(3))):
+            got = kernels.offdiagonal_third_sums(rows, squares, cubes, weights, basis)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+    def test_sampled_statistic_bit_identical_to_sign_expansion(self):
+        rng = np.random.default_rng(6)
+        for count, n_pairs, ell, r in ((500, 20, 5, 2), (3000, 80, 12, 4)):
+            idx, sgn, basis = _random_inputs(rng, count=count, n_pairs=n_pairs, ell=ell, r=r)
+            assert np.array_equal(
+                kernels.projected_third_moment_sums(idx, sgn, basis),
+                _sign_specialized_sums(idx, sgn, basis),
+            )
+
+
 class TestProjectedThird:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         idx, sgn, basis = _random_inputs(rng, count=50)
-        x = _dense(idx, sgn, 12)
-        expected = np.zeros((3, 3, 3))
-        for t in range(50):
-            cube = np.einsum("i,j,k->ijk", x[t], x[t], x[t])
-            for i in range(12):
-                cube[i, i, :] = 0.0
-                cube[:, i, i] = 0.0
-                cube[i, :, i] = 0.0
-            expected += np.einsum("ijk,ia,jb,kc->abc", cube, basis, basis, basis)
+        expected = _brute_offdiagonal(_dense(idx, sgn, 12), np.ones(50), basis)
         got = kernels.projected_third_moment_sums(idx, sgn, basis)
         # The expansion y^3 - 3 sym(y c2) + 2 c3 cancels heavily and sums in
         # another order than the brute force, so an entry can differ from
