@@ -81,6 +81,7 @@ class ComparisonGraph:
         degrees.setflags(write=False)
         self._degrees = degrees
         self._diagnostics = None
+        self._neighbor_lists = None
 
     @property
     def n_items(self):
@@ -110,13 +111,16 @@ class ComparisonGraph:
         """Adjacency as (targets, edge index, orientation) per node.
 
         Orientation is +1 when the node is the smaller endpoint of the
-        edge, -1 otherwise.
+        edge, -1 otherwise.  Built once per graph; tuples, so callers
+        cannot change the cached lists.
         """
-        adj = [[] for _ in range(self._n)]
-        for k, (i, j) in enumerate(self._edges):
-            adj[i].append((j, k, 1))
-            adj[j].append((i, k, -1))
-        return adj
+        if self._neighbor_lists is None:
+            adj = [[] for _ in range(self._n)]
+            for k, (i, j) in enumerate(self._edges.tolist()):
+                adj[i].append((j, k, 1))
+                adj[j].append((i, k, -1))
+            self._neighbor_lists = tuple(map(tuple, adj))
+        return self._neighbor_lists
 
     def diagnostics(self):
         if self._diagnostics is None:

@@ -5,8 +5,8 @@ pairs.  Rather than completing the missing diagonal planes in the
 ambient space, the estimator works in the whitened r-dimensional space:
 the linear map sending a candidate whitened tensor Z to the whitened
 off-diagonal projection of its lift is materialized as an (r^3, r^3)
-matrix and inverted against the streaming statistic.  With B the coloring
-map and W the whitening map (B^T W = I), the map is
+matrix and solved against the streaming statistic on symmetric tensors.
+With B the coloring map and W the whitening map (B^T W = I), the map is
 
     A(Z) = Z - [i=j term] - [j=k term] - [i=k term] + 2 [i=j=k term],
 
@@ -15,15 +15,17 @@ C[ab, a'b'] = sum_i B_ia B_ib W_ia' W_ib' on two modes and the identity on
 the third, and the triple-diagonal term contracts with
 D[abc, a'b'c'] = sum_i B_ia B_ib B_ic W_ia' W_ib' W_ic'.  Both are GEMMs
 over the pair axis of row-wise (Khatri-Rao) products: C = B2^T W2 and
-D = B3^T W3, with B_k and W_k of shape (N, r^k).  The solution,
-symmetrized over all 6 mode permutations, estimates the whitened full
-third moment, whose exact version admits an orthogonal rank-r
-decomposition with weights 1/sqrt(q_a).  The robust power method finds
-it; each deflation round iterates all of its restarts together as the
-columns of one (r, restarts) matrix.
+D = B3^T W3, with B_k and W_k of shape (N, r^k).  A commutes with the six
+mode permutations (they permute its plane terms and fix the triple term),
+so it is block-diagonal over symmetric tensors and their complement.  The
+symmetrized solution is therefore the solution of the m x m block on an
+orthonormal basis of symmetric tensors, m = r(r+1)(r+2)/6.  It estimates
+the whitened full third moment, whose exact version admits an orthogonal
+rank-r decomposition with weights 1/sqrt(q_a).  The robust power method
+finds it; each deflation round iterates all of its restarts together as
+the columns of one (r, restarts) matrix.
 """
 
-import itertools
 import math
 import warnings
 from typing import NamedTuple
@@ -40,7 +42,7 @@ _WEIGHT_FLOOR = 1e-12
 
 
 class TensorLSResult(NamedTuple):
-    tensor: np.ndarray  # (r, r, r), symmetrized
+    tensor: np.ndarray  # (r, r, r), symmetric
     condition_number: float
     used_pinv: bool
 
@@ -48,14 +50,6 @@ class TensorLSResult(NamedTuple):
 class TensorEigenpairs(NamedTuple):
     values: np.ndarray  # descending, positive
     vectors: np.ndarray  # (r, rank), unit columns
-
-
-def symmetrize(tensor):
-    """Average over all 6 mode permutations."""
-    out = np.zeros_like(tensor)
-    for perm in itertools.permutations(range(3)):
-        out += tensor.transpose(perm)
-    return out / 6.0
 
 
 def _row_products(m, order):
@@ -101,21 +95,45 @@ def whitened_ls_operator(basis):
     )
 
 
+def _symmetric_basis(r):
+    """Orthonormal basis of the symmetric (r, r, r) tensors, as (r^3, m) columns.
+
+    One column per index multiset a <= b <= c, in lexicographic order,
+    holding 1/sqrt(orbit size) on each distinct permutation of it.
+    """
+    entries = np.sort(np.indices((r, r, r)).reshape(3, -1), axis=0)
+    _, column, orbit = np.unique(entries, axis=1, return_inverse=True, return_counts=True)
+    column = column.ravel()
+    basis = np.zeros((r**3, orbit.size))
+    basis[np.arange(r**3), column] = 1.0 / np.sqrt(orbit[column])
+    return basis
+
+
 def _solve_whitened(operator, rhs):
+    """Symmetric part of the solution of ``operator`` x = ``rhs``.
+
+    The masking map A commutes with the mode permutations, so with S the
+    symmetric basis that part is S (S^T A S)^-1 S^T rhs.  The condition
+    number, the solve and the pseudo-inverse fallback all run on the
+    (m, m) block S^T A S, and the lift S x is symmetric by construction.
+    """
     r = rhs.shape[0]
-    cond = float(np.linalg.cond(operator))
+    s = _symmetric_basis(r)
+    block = s.T @ operator @ s
+    projected = s.T @ rhs.reshape(-1)
+    cond = float(np.linalg.cond(block))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         warnings.warn(
             f"whitened tensor system is ill-conditioned (cond={cond:.3e}); "
             "falling back to a pseudo-inverse solve",
             RuntimeWarning,
         )
-        flat = np.linalg.pinv(operator) @ rhs.reshape(-1)
+        x = np.linalg.pinv(block) @ projected
         used_pinv = True
     else:
-        flat = np.linalg.solve(operator, rhs.reshape(-1))
+        x = np.linalg.solve(block, projected)
         used_pinv = False
-    tensor = symmetrize(flat.reshape(r, r, r))
+    tensor = (s @ x).reshape(r, r, r)
     return TensorLSResult(tensor=tensor, condition_number=cond, used_pinv=used_pinv)
 
 
@@ -123,9 +141,10 @@ def whitened_third_moment_ls(batch, basis, start=0, stop=None):
     """Estimate the whitened third moment from an observation range.
 
     Builds the masking operator for ``basis``, evaluates the streaming
-    projected statistic as the right-hand side, and solves.  Condition
-    numbers beyond 1e12 switch to a pseudo-inverse with a warning, flagged
-    in the result.
+    projected statistic as the right-hand side, and solves on symmetric
+    tensors.  ``condition_number`` is the 2-norm condition number of the
+    map restricted to symmetric tensors; beyond 1e12 the solve switches to
+    a pseudo-inverse with a warning, flagged in ``used_pinv``.
     """
     rhs = projected_third_moment(batch, basis.whitening_map, start, stop)
     return _solve_whitened(whitened_ls_operator(basis), rhs)

@@ -51,6 +51,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 2
 
+    def test_neighbor_lists_built_once_and_immutable(self):
+        g = ComparisonGraph(3, [(1, 2), (0, 1)])
+        adj = g.neighbor_lists()
+        assert adj == (((1, 0, 1),), ((0, 0, -1), (2, 1, 1)), ((1, 1, -1),))
+        assert g.neighbor_lists() is adj
+        with pytest.raises(TypeError):
+            adj[0][0] = (2, 1, 1)
+
 
 class TestDiagnostics:
     def test_complete_graph(self):

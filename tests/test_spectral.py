@@ -136,7 +136,7 @@ def factored_estimate(model, graph, n_components=None, **kwargs):
 
 
 class TestFactoredPath:
-    @pytest.mark.parametrize("rank", [8, 10])
+    @pytest.mark.parametrize("rank", [8, 10, 12])
     def test_recovers_many_components_above_300_pairs(self, rank):
         graph = complete_graph(30)  # 435 pairs
         model = random_uniform_model(30, rank, np.random.default_rng(rank), low=1.0, high=8.0)

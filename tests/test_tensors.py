@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,18 @@ from mixmnl import (
 from mixmnl import tensors
 from mixmnl.tensors import (
     default_restarts,
-    symmetrize,
     whitened_ls_operator,
     whitened_third_moment_ls,
     whitened_third_moment_ls_factored,
 )
 
 from conftest import complete_graph
-from mixmnl import MixedMNLModel
+from mixmnl import MixedMNLModel, WhiteningBasis
+
+
+def symmetrize(tensor):
+    """Average over all 6 mode permutations."""
+    return sum(tensor.transpose(perm) for perm in itertools.permutations(range(3))) / 6.0
 
 
 def project_pair_diagonals(tensor):
@@ -193,6 +198,76 @@ class TestExactSolve:
         basis = whitening_from_model(model, graph)
         with pytest.raises(ValidationError):
             whitened_third_moment_ls_exact(np.zeros((3, 3, 3)), basis)
+
+
+def random_basis(n_pairs, rank, rng):
+    vectors, _ = np.linalg.qr(rng.standard_normal((n_pairs, rank)))
+    return WhiteningBasis(vectors, np.sort(rng.uniform(0.5, 2.0, rank))[::-1])
+
+
+class TestSymmetricSolve:
+    """The symmetric-block solve against the full (r^3, r^3) solve."""
+
+    RANKS = [1, 2, 3, 4, 5, 8]
+
+    @staticmethod
+    def bases(rank):
+        """A random orthonormal basis and the exact-moment basis of a model.
+
+        105 pairs keep both maps well conditioned (cond < 3) up to r = 8.
+        """
+        rng = np.random.default_rng(60 + rank)
+        graph = complete_graph(15)
+        weights = rng.uniform(1, 4, (rank, graph.n_items))
+        model = MixedMNLModel(weights, rng.dirichlet(np.ones(rank)))
+        return [random_basis(graph.n_pairs, rank, rng), whitening_from_model(model, graph)]
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_matches_full_space_solve(self, rank):
+        rng = np.random.default_rng(rank)
+        for basis in self.bases(rank):
+            operator = whitened_ls_operator(basis)
+            rhs = rng.standard_normal((rank, rank, rank))  # not symmetric
+            got = tensors._solve_whitened(operator, rhs)
+            flat = np.linalg.solve(operator, rhs.reshape(-1))
+            want = symmetrize(flat.reshape(rank, rank, rank))
+            assert not got.used_pinv
+            assert np.abs(got.tensor - want).max() <= 1e-12 * np.abs(want).max()
+            assert got.condition_number <= np.linalg.cond(operator) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_operator_commutes_with_mode_permutations(self, rank):
+        index = np.arange(rank**3).reshape(rank, rank, rank)
+        for basis in self.bases(rank):
+            operator = whitened_ls_operator(basis)
+            for perm in itertools.permutations(range(3)):
+                p = index.transpose(perm).ravel()
+                moved = operator[np.ix_(p, p)]
+                assert np.abs(moved - operator).max() <= 1e-13 * np.abs(operator).max()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 8])
+    def test_symmetric_basis_is_orthonormal(self, rank):
+        s = tensors._symmetric_basis(rank)
+        m = rank * (rank + 1) * (rank + 2) // 6
+        assert s.shape == (rank**3, m)
+        np.testing.assert_allclose(s.T @ s, np.eye(m), atol=1e-14)
+        cubes = s.T.reshape(m, rank, rank, rank)
+        for perm in itertools.permutations(range(3)):
+            np.testing.assert_array_equal(cubes.transpose(0, *(1 + np.array(perm))), cubes)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_pinv_fallback_when_each_component_sits_on_one_pair(self, rank):
+        # With outcome vectors e_1, ..., e_r every component's third-moment
+        # mass is on the triple diagonal, and the map on symmetric tensors is
+        # Z - 3 Z + 2 Z = 0.
+        p = np.eye(4)[:, :rank]
+        basis = WhiteningBasis(p.copy(), np.ones(rank))
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            result = whitened_third_moment_ls_factored(p, np.full(rank, 1.0 / rank), basis)
+        assert result.used_pinv
+        cond = result.condition_number
+        assert not np.isfinite(cond) or cond > 1e12
+        assert np.isfinite(result.tensor).all()
 
 
 class TestCopyFreeRightHandSide:
