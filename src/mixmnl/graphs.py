@@ -8,6 +8,7 @@ downstream observation exactly.
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +16,18 @@ from .errors import GraphGenerationError, ValidationError
 
 # Graphs ``erdos_renyi`` draws before giving up on a connected non-bipartite one.
 _GRAPH_DRAWS = 50
+
+
+class SpanningTree(NamedTuple):
+    """Tree edges in discovery order: ``child`` was reached from ``parent``
+    over pair ``edge``, whose orientation seen from ``parent`` is
+    ``orientation`` (as in ``neighbor_lists``).  Each is a read-only int64
+    array with one entry per tree edge."""
+
+    parent: np.ndarray
+    child: np.ndarray
+    edge: np.ndarray
+    orientation: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,7 @@ class ComparisonGraph:
         self._degrees = degrees
         self._diagnostics = None
         self._neighbor_lists = None
+        self._spanning_tree = None
 
     @property
     def n_items(self):
@@ -121,6 +135,32 @@ class ComparisonGraph:
                 adj[j].append((i, k, -1))
             self._neighbor_lists = tuple(map(tuple, adj))
         return self._neighbor_lists
+
+    def spanning_tree(self):
+        """Spanning tree of item 0's component, from a depth-first search.
+
+        The search pops an item and reaches each of its unreached neighbors
+        in ``neighbor_lists`` order, so every parent precedes its children.
+        On a disconnected graph the tree has fewer than n_items - 1 edges.
+        Built once per graph.
+        """
+        if self._spanning_tree is None:
+            adj = self.neighbor_lists()
+            reached = [False] * self._n
+            reached[0] = True
+            rows = []
+            stack = [0]
+            while stack:
+                u = stack.pop()
+                for v, k, orientation in adj[u]:
+                    if not reached[v]:
+                        reached[v] = True
+                        rows.append((u, v, k, orientation))
+                        stack.append(v)
+            table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+            table.setflags(write=False)
+            self._spanning_tree = SpanningTree(*table.T)
+        return self._spanning_tree
 
     def diagnostics(self):
         if self._diagnostics is None:

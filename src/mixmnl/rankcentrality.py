@@ -150,27 +150,37 @@ def estimate_dynamic_range(graph, outcomes):
     propagating log-ratios over a spanning tree recovers the weights up to
     a constant, exactly so for consistent inputs.  The estimate is capped
     at 16 to keep downstream iteration budgets sane when noisy outcomes
-    suggest absurd ranges.
+    suggest absurd ranges.  Infinite means are clipped like any other;
+    NaN raises ``ValidationError``.
     """
-    v = np.clip(np.asarray(outcomes, dtype=np.float64), -_RATIO_CLIP, _RATIO_CLIP)
+    v = np.asarray(outcomes, dtype=np.float64)
     if v.shape != (graph.n_pairs,):
         raise ValidationError("need one outcome mean per graph pair")
-    n = graph.n_items
-    adj = graph.neighbor_lists()
-    log_w = np.full(n, np.nan)
-    log_w[0] = 0.0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for nbr, k, orientation in adj[u]:
-            if np.isnan(log_w[nbr]):
-                step = math.log1p(v[k]) - math.log1p(-v[k])
-                log_w[nbr] = log_w[u] + orientation * step
-                stack.append(nbr)
-    if np.isnan(log_w).any():
+    if np.isnan(v).any():
+        raise ValidationError("outcome means must not be NaN")
+    return _dynamic_ranges(graph, v[None, :])[0]
+
+
+def _dynamic_ranges(graph, columns):
+    """``estimate_dynamic_range`` of each row of an (r, n_pairs) array at once.
+
+    The rows' log-weights are propagated together along the graph's cached
+    spanning tree.  Each edge's log-ratio is taken with ``math.log1p``,
+    whose last bit ``np.log1p`` does not always match.
+    """
+    tree = graph.spanning_tree()
+    if tree.child.size != graph.n_items - 1:
         raise ValidationError("dynamic-range estimate needs a connected graph")
-    spread = math.exp(log_w.max() - log_w.min())
-    return float(min(spread, _RANGE_CAP))
+    ratios = np.clip(columns[:, tree.edge].T, -_RATIO_CLIP, _RATIO_CLIP)
+    steps = np.array(
+        [math.log1p(x) - math.log1p(-x) for x in ratios.ravel().tolist()]
+    ).reshape(ratios.shape)
+    steps *= tree.orientation[:, None]
+    log_w = np.zeros((graph.n_items, columns.shape[0]))
+    for parent, child, step in zip(tree.parent.tolist(), tree.child.tolist(), steps):
+        log_w[child] = log_w[parent] + step
+    spans = (log_w.max(axis=0) - log_w.min(axis=0)).tolist()
+    return [float(min(math.exp(span), _RANGE_CAP)) for span in spans]
 
 
 def ergodic_diagnostics(graph):
@@ -191,7 +201,10 @@ def default_iteration_count(graph, outcomes):
     connected non-bipartite graph (``ergodic_diagnostics``).
     """
     diag = ergodic_diagnostics(graph)
-    spread = estimate_dynamic_range(graph, outcomes)
+    return _iteration_cap(graph, diag, estimate_dynamic_range(graph, outcomes))
+
+
+def _iteration_cap(graph, diag, spread):
     count = (
         spread**2
         * diag.d_max
@@ -217,7 +230,8 @@ def rank_centrality(graph, outcomes, n_iterations=None):
     if projected.ndim not in (1, 2) or columns.shape[0] == 0 or columns.shape[1] != graph.n_pairs:
         raise ValidationError("need outcomes of shape (n_pairs,) or (n_pairs, r), r >= 1")
     if n_iterations is None:
-        caps = [default_iteration_count(graph, column) for column in columns]
+        diag = ergodic_diagnostics(graph)
+        caps = [_iteration_cap(graph, diag, spread) for spread in _dynamic_ranges(graph, columns)]
     else:
         caps = [n_iterations] * len(columns)
     transitions = [build_transition(graph, column) for column in columns]

@@ -137,7 +137,8 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
     M3 = sum_a q_a p_a^{x3} are never formed: the whitening comes from the
     thin SVD of P diag(sqrt(q)), under the rules of ``symmetrize_and_eig``,
     and the whitened right-hand side from W^T P and per-pair powers of P.
-    Time and memory are O(n_pairs r^3), so any number of pairs works.  Up to
+    With m = r(r+1)(r+2)/6, time is O(n_pairs m^2) and memory
+    O(n_pairs (r^2 + m)), so any number of pairs works.  Up to
     component order and roundoff the output is that of
     ``components_from_exact_moments`` on the dense moments.
     """

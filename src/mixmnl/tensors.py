@@ -3,29 +3,32 @@
 Observed third-moment information lives only on triples of distinct
 pairs.  Rather than completing the missing diagonal planes in the
 ambient space, the estimator works in the whitened r-dimensional space:
-the linear map sending a candidate whitened tensor Z to the whitened
-off-diagonal projection of its lift is materialized as an (r^3, r^3)
-matrix and solved against the streaming statistic on symmetric tensors.
-With B the coloring map and W the whitening map (B^T W = I), the map is
+it solves for the whitened tensor Z whose off-diagonal lift matches the
+streaming statistic.  With B the coloring map and W the whitening map
+(B^T W = I), the masking map is
 
     A(Z) = Z - [i=j term] - [j=k term] - [i=k term] + 2 [i=j=k term],
 
 where each pair-diagonal term contracts Z with
 C[ab, a'b'] = sum_i B_ia B_ib W_ia' W_ib' on two modes and the identity on
 the third, and the triple-diagonal term contracts with
-D[abc, a'b'c'] = sum_i B_ia B_ib B_ic W_ia' W_ib' W_ic'.  Both are GEMMs
-over the pair axis of row-wise (Khatri-Rao) products: C = B2^T W2 and
-D = B3^T W3, with B_k and W_k of shape (N, r^k).  A commutes with the six
-mode permutations (they permute its plane terms and fix the triple term),
-so it is block-diagonal over symmetric tensors and their complement.  The
-symmetrized solution is therefore the solution of the m x m block on an
-orthonormal basis of symmetric tensors, m = r(r+1)(r+2)/6.  It estimates
-the whitened full third moment, whose exact version admits an orthogonal
-rank-r decomposition with weights 1/sqrt(q_a).  The robust power method
-finds it; each deflation round iterates all of its restarts together as
-the columns of one (r, restarts) matrix.
+D[abc, a'b'c'] = sum_i B_ia B_ib B_ic W_ia' W_ib' W_ic'.  A commutes with
+the six mode permutations (they permute its plane terms and fix the triple
+term), so it is block-diagonal over symmetric tensors and their
+complement, and the symmetrized solution solves the m x m block S^T A S on
+an orthonormal basis S of symmetric tensors, m = r(r+1)(r+2)/6.  That
+block is built directly: its triple term is one GEMM over the pair axis of
+the (N, m) symmetric row products of W and B, and its three plane terms
+agree on symmetric tensors, so one (r^2, r^2) kernel C contracted with S
+gives all three.  Memory is O(N (r^2 + m)), and no (r^3, r^3) map is
+formed.  The solution estimates the whitened full third moment, whose
+exact version admits an orthogonal rank-r decomposition with weights
+1/sqrt(q_a).  The robust power method finds it; each deflation round
+iterates all of its restarts together as the columns of one (r, restarts)
+matrix.
 """
 
+import functools
 import math
 import warnings
 from typing import NamedTuple
@@ -37,6 +40,8 @@ from .kernels import offdiagonal_third_sums
 from .moments import projected_third_moment
 
 _COND_LIMIT = 1e12
+# Symmetric bases kept per process; the basis takes r^3 m floats (5 MB at r = 12).
+_BASIS_CACHE = 4
 _POWER_TOL = 1e-12
 _WEIGHT_FLOOR = 1e-12
 
@@ -71,55 +76,78 @@ def _apply_columns(tensor, columns):
 
 
 def whitened_ls_operator(basis):
-    """Materialize the whitened masking map as an (r^3, r^3) matrix.
+    """The whitened masking map on symmetric tensors, as its (m, m) block S^T A S.
 
-    The pair-diagonal kernel C and the triple-diagonal kernel D are two
-    GEMMs over the pair axis, B2^T W2 and W3^T B3, where B_k and W_k are
-    the row-wise k-fold products of the coloring and whitening maps.
+    S is the orthonormal symmetric basis (``_symmetric_basis``) and
+    m = r(r+1)(r+2)/6.  The triple term S^T D S is (W3 S)^T (B3 S), where
+    column (a, b, c) of W3 S is sqrt(orbit) w_a w_b w_c, one N x m product
+    per map.  The three plane terms agree on symmetric tensors, so they are
+    3 S^T (K x I) S with K = W2^T B2 the (r^2, r^2) pair-diagonal kernel.
+    Memory is O(N (r^2 + m)); no (r^3, r^3) array is formed.
     """
     b = basis.coloring_map
     w = basis.whitening_map
     r = basis.rank
-    c4 = (_row_products(b, 2).T @ _row_products(w, 2)).reshape(r, r, r, r)
-    eye = np.eye(r)
-    six = (
-        np.einsum("abAB,cC->ABCabc", c4, eye)
-        + np.einsum("bcBC,aA->ABCabc", c4, eye)
-        + np.einsum("acAC,bB->ABCabc", c4, eye)
-    )
-    r3 = r**3
-    return (
-        np.eye(r3)
-        - six.reshape(r3, r3)
-        + 2.0 * (_row_products(w, 3).T @ _row_products(b, 3))
-    )
+    s = _symmetric_basis(r)
+    m = s.shape[1]
+    triple = _symmetric_products(w).T @ _symmetric_products(b)
+    kernel = _row_products(w, 2).T @ _row_products(b, 2)
+    planes = (kernel @ s.reshape(r * r, r * m)).reshape(r**3, m)
+    return np.eye(m) - 3.0 * (s.T @ planes) + 2.0 * triple
 
 
+def _symmetric_products(x):
+    """X3 S for an (N, r) map X: column (a, b, c) is sqrt(orbit) x_a x_b x_c."""
+    (i, j, k), _, orbit = _multisets(x.shape[1])
+    out = x[:, i] * np.sqrt(orbit)
+    out *= x[:, j]
+    out *= x[:, k]
+    return out
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _multisets(r):
+    """Index multisets a <= b <= c of an (r, r, r) tensor, in lexicographic order.
+
+    Returns them as a (3, m) array, the multiset of each of the r^3 entries
+    in C order, and each multiset's orbit size (its distinct permutations).
+    Cached per r and read-only.
+    """
+    entries = np.sort(np.indices((r, r, r)).reshape(3, -1), axis=0)
+    triples, column, orbit = np.unique(
+        entries, axis=1, return_inverse=True, return_counts=True
+    )
+    column = column.ravel()
+    for array in (triples, column, orbit):
+        array.setflags(write=False)
+    return triples, column, orbit
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE)
 def _symmetric_basis(r):
     """Orthonormal basis of the symmetric (r, r, r) tensors, as (r^3, m) columns.
 
-    One column per index multiset a <= b <= c, in lexicographic order,
-    holding 1/sqrt(orbit size) on each distinct permutation of it.
+    One column per multiset of ``_multisets``, holding 1/sqrt(orbit size)
+    on each distinct permutation of it.  Cached per r and read-only.
     """
-    entries = np.sort(np.indices((r, r, r)).reshape(3, -1), axis=0)
-    _, column, orbit = np.unique(entries, axis=1, return_inverse=True, return_counts=True)
-    column = column.ravel()
+    _, column, orbit = _multisets(r)
     basis = np.zeros((r**3, orbit.size))
     basis[np.arange(r**3), column] = 1.0 / np.sqrt(orbit[column])
+    basis.setflags(write=False)
     return basis
 
 
-def _solve_whitened(operator, rhs):
-    """Symmetric part of the solution of ``operator`` x = ``rhs``.
+def _solve_whitened(block, rhs):
+    """Symmetric part of the solution of A x = ``rhs``, from the block S^T A S.
 
     The masking map A commutes with the mode permutations, so with S the
     symmetric basis that part is S (S^T A S)^-1 S^T rhs.  The condition
     number, the solve and the pseudo-inverse fallback all run on the
-    (m, m) block S^T A S, and the lift S x is symmetric by construction.
+    (m, m) ``block`` from ``whitened_ls_operator``, and the lift S x is
+    symmetric by construction.
     """
     r = rhs.shape[0]
     s = _symmetric_basis(r)
-    block = s.T @ operator @ s
     projected = s.T @ rhs.reshape(-1)
     cond = float(np.linalg.cond(block))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -140,9 +168,9 @@ def _solve_whitened(operator, rhs):
 def whitened_third_moment_ls(batch, basis, start=0, stop=None):
     """Estimate the whitened third moment from an observation range.
 
-    Builds the masking operator for ``basis``, evaluates the streaming
-    projected statistic as the right-hand side, and solves on symmetric
-    tensors.  ``condition_number`` is the 2-norm condition number of the
+    Builds the masking map's symmetric block for ``basis``, evaluates the
+    streaming projected statistic as the right-hand side, and solves on
+    symmetric tensors.  ``condition_number`` is the 2-norm condition number of the
     map restricted to symmetric tensors; beyond 1e12 the solve switches to
     a pseudo-inverse with a warning, flagged in ``used_pinv``.
     """
@@ -176,13 +204,13 @@ def whitened_third_moment_ls_exact(third_moment, basis):
     ij = w2.T @ (np.einsum("iik->ik", t) @ w)  # [(a, b), c]
     jk = w.T @ (np.einsum("ijj->ij", t) @ w2)  # [a, (b, c)]
     ik = w2.T @ (np.einsum("iji->ij", t) @ w)  # [(a, c), b]
-    iii = _row_products(w, 3).T @ np.einsum("iii->i", t)  # [(a, b, c)]
+    iii = np.einsum("k,ka,kb,kc->abc", np.einsum("iii->i", t), w, w, w, optimize=True)
     rhs = (
         full
         - ij.reshape(r, r, r)
         - jk.reshape(r, r, r)
         - ik.reshape(r, r, r).transpose(0, 2, 1)
-        + 2.0 * iii.reshape(r, r, r)
+        + 2.0 * iii
     )
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 

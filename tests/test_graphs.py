@@ -59,6 +59,20 @@ class TestConstruction:
         with pytest.raises(TypeError):
             adj[0][0] = (2, 1, 1)
 
+    def test_spanning_tree_in_discovery_order(self):
+        g = ComparisonGraph(4, [(0, 2), (0, 1), (1, 3)])
+        tree = g.spanning_tree()
+        rows = np.column_stack(tree).tolist()
+        # From 0: reach 1 over pair 0 and 2 over pair 1; pop 2, then 1 reaches 3.
+        assert rows == [[0, 1, 0, 1], [0, 2, 1, 1], [1, 3, 2, 1]]
+        assert g.spanning_tree() is tree
+        with pytest.raises(ValueError):
+            tree.child[0] = 3
+
+    def test_spanning_tree_of_disconnected_graph_is_short(self):
+        g = ComparisonGraph(4, [(0, 1), (2, 3)])
+        assert np.column_stack(g.spanning_tree()).tolist() == [[0, 1, 0, 1]]
+
 
 class TestDiagnostics:
     def test_complete_graph(self):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -35,3 +36,26 @@ def test_benchmark_modules_import(monkeypatch):
     finally:
         for name in names:
             sys.modules.pop(name, None)
+
+
+def test_benchmark_imports_from_mixmnl_resolve():
+    # Parsed rather than imported, so an import inside a function counts
+    # too: every name perfbench takes from mixmnl must exist.
+    missing = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names if a.name.split(".")[0] == "mixmnl"]
+                for module in modules:
+                    try:
+                        importlib.import_module(module)
+                    except ImportError:
+                        missing.append(f"{path.name}: import {module}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] != "mixmnl":
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: from {node.module} import {alias.name}")
+    assert missing == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from mixmnl import (
     erdos_renyi,
     rank_centrality,
 )
+from mixmnl import rankcentrality
 from mixmnl.rankcentrality import (
     build_transition,
     default_iteration_count,
@@ -189,6 +192,15 @@ class TestDynamicRange:
         with pytest.raises(ValidationError):
             estimate_dynamic_range(g, np.zeros(2))
 
+    def test_nan_rejected(self):
+        # On a bridge edge NaN used to send the tree walk round forever.
+        g = ComparisonGraph(3, [[0, 1], [1, 2]])
+        for outcomes in ([np.nan, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValidationError, match="NaN"):
+                estimate_dynamic_range(g, np.array(outcomes))
+            with pytest.raises(ValidationError, match="NaN"):
+                default_iteration_count(complete_graph(3), np.array(outcomes + [0.0]))
+
 
 class TestDefaults:
     def test_iteration_budget_converges(self):
@@ -342,3 +354,61 @@ class TestBlockIteration:
         exact = exact_stationary(t)
         assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
 
+
+
+def scalar_dynamic_range(graph, outcomes):
+    """Reference: one column's depth-first walk from item 0, edge by edge."""
+    v = np.clip(np.asarray(outcomes, dtype=np.float64), -(1.0 - 1e-12), 1.0 - 1e-12)
+    adj = graph.neighbor_lists()
+    log_w = np.full(graph.n_items, np.nan)
+    log_w[0] = 0.0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for nbr, k, orientation in adj[u]:
+            if np.isnan(log_w[nbr]):
+                step = math.log1p(v[k]) - math.log1p(-v[k])
+                log_w[nbr] = log_w[u] + orientation * step
+                stack.append(nbr)
+    return float(min(math.exp(log_w.max() - log_w.min()), 16.0))
+
+
+def scalar_cap(graph, outcomes):
+    diag = graph.diagnostics()
+    count = (
+        scalar_dynamic_range(graph, outcomes) ** 2
+        * diag.d_max
+        * (math.log(graph.n_items) + math.log(1.0 / 1e-8))
+        / (diag.spectral_gap * diag.d_min)
+    )
+    return max(1, math.ceil(count))
+
+
+def test_cached_tree_caps_match_scalar_walk(monkeypatch):
+    graph = erdos_renyi(70, 8.0, np.random.default_rng(50))
+    graph.diagnostics()
+    builds = []
+    lists = graph.neighbor_lists
+    monkeypatch.setattr(graph, "neighbor_lists", lambda: builds.append(1) or lists())
+    outcomes = component_outcomes(graph, 8, 51)
+    outcomes[:4, 0] = [1.0, -1.0, 1.0 - 1e-15, 0.0]  # clipped ratios and a zero step
+    outcomes[:, 7] = np.sign(outcomes[:, 7])  # spread far above the cap of 16
+    seen = []
+    block_power = rankcentrality._block_power
+    monkeypatch.setattr(
+        rankcentrality,
+        "_block_power",
+        lambda transitions, caps: seen.append(list(caps)) or block_power(transitions, caps),
+    )
+    rank_centrality(graph, outcomes)
+    tree = graph.spanning_tree()
+    for column in outcomes.T:
+        default_iteration_count(graph, column)
+    assert graph.spanning_tree() is tree
+    assert len(builds) == 1  # the one search that built the tree
+    assert not tree.parent.flags.writeable
+    for column in outcomes.T:
+        assert default_iteration_count(graph, column) == scalar_cap(graph, column)
+        assert estimate_dynamic_range(graph, column) == scalar_dynamic_range(graph, column)
+    assert seen == [[scalar_cap(graph, column) for column in outcomes.T]]
+    assert estimate_dynamic_range(graph, outcomes[:, 7]) == 16.0

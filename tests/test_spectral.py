@@ -214,17 +214,19 @@ class TestFactoredPath:
 
     def test_peak_memory_below_one_pair_matrix(self):
         # n = 300 at mean degree 12 draws 1,759 pairs; one N x N float64
-        # array would be 24.8 MB.
+        # array would be 24.8 MB.  At r = 8 the tensor map's N x m products
+        # (m = 120) must stay within a third of it.
         graph = erdos_renyi(300, 12.0, np.random.default_rng(0))
-        model = random_uniform_model(300, 2, np.random.default_rng(1), low=1.0, high=8.0)
-        p = model.expected_outcomes(graph)
-        tracemalloc.start()
-        try:
-            components_from_factors(p, model.mixture, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < graph.n_pairs**2 * 8
+        for rank in (2, 8):
+            model = random_uniform_model(300, rank, np.random.default_rng(1), low=1.0, high=8.0)
+            p = model.expected_outcomes(graph)
+            tracemalloc.start()
+            try:
+                components_from_factors(p, model.mixture, rank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < graph.n_pairs**2 * 8 / 3, rank
 
 
 class TestEmpiricalPath:

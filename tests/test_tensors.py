@@ -61,6 +61,38 @@ def brute_force_operator(basis):
     return op.reshape(r**3, r**3)
 
 
+def reference_operator(basis):
+    """The whitened masking map on all of R^(r^3), as an (r^3, r^3) matrix.
+
+    Identity, minus the three pair-diagonal planes (C = B2^T W2 on two
+    modes, the identity on the third), plus twice the triple diagonal
+    W3^T B3, with B_k and W_k the row-wise k-fold products of the coloring
+    and whitening maps.
+    """
+    b = basis.coloring_map
+    w = basis.whitening_map
+    r = basis.rank
+    c4 = (tensors._row_products(b, 2).T @ tensors._row_products(w, 2)).reshape(r, r, r, r)
+    eye = np.eye(r)
+    six = (
+        np.einsum("abAB,cC->ABCabc", c4, eye)
+        + np.einsum("bcBC,aA->ABCabc", c4, eye)
+        + np.einsum("acAC,bB->ABCabc", c4, eye)
+    )
+    r3 = r**3
+    return (
+        np.eye(r3)
+        - six.reshape(r3, r3)
+        + 2.0 * (tensors._row_products(w, 3).T @ tensors._row_products(b, 3))
+    )
+
+
+def projected(operator, rank):
+    """S^T operator S on the symmetric basis S."""
+    s = tensors._symmetric_basis(rank)
+    return s.T @ operator @ s
+
+
 def whitening_from_model(model, graph):
     m2 = exact_second_moment(model, graph)
     return symmetrize_and_eig(m2, model.n_components)
@@ -135,9 +167,14 @@ class TestOperator:
         model = MixedMNLModel(rng.uniform(1, 2, (rank, 5)), rng.dirichlet(np.ones(rank)))
         basis = whitening_from_model(model, graph)
         want = brute_force_operator(basis)
-        got = whitened_ls_operator(basis)
+        got = reference_operator(basis)
         assert got.shape == (rank**3, rank**3)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        block = whitened_ls_operator(basis)
+        m = rank * (rank + 1) * (rank + 2) // 6
+        assert block.shape == (m, m)
+        want = projected(want, rank)
+        assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_matches_entrywise_construction(self):
         graph = complete_graph(5)
@@ -145,9 +182,10 @@ class TestOperator:
             np.random.default_rng(0).uniform(1, 2, (2, 5)), [0.3, 0.7]
         )
         basis = whitening_from_model(model, graph)
-        got = whitened_ls_operator(basis)
+        got = reference_operator(basis)
         want = brute_force_operator(basis)
         np.testing.assert_allclose(got, want, atol=1e-10)
+        np.testing.assert_allclose(whitened_ls_operator(basis), projected(want, 2), atol=1e-10)
 
     def test_rank_three(self):
         graph = complete_graph(6)
@@ -155,9 +193,9 @@ class TestOperator:
             np.random.default_rng(1).uniform(1, 2, (3, 6)), [0.2, 0.3, 0.5]
         )
         basis = whitening_from_model(model, graph)
-        np.testing.assert_allclose(
-            whitened_ls_operator(basis), brute_force_operator(basis), atol=1e-10
-        )
+        want = brute_force_operator(basis)
+        np.testing.assert_allclose(reference_operator(basis), want, atol=1e-10)
+        np.testing.assert_allclose(whitened_ls_operator(basis), projected(want, 3), atol=1e-10)
 
 
 class TestExactSolve:
@@ -206,7 +244,7 @@ def random_basis(n_pairs, rank, rng):
 
 
 class TestSymmetricSolve:
-    """The symmetric-block solve against the full (r^3, r^3) solve."""
+    """The symmetric block and its solve against the full (r^3, r^3) map."""
 
     RANKS = [1, 2, 3, 4, 5, 8]
 
@@ -222,13 +260,21 @@ class TestSymmetricSolve:
         model = MixedMNLModel(weights, rng.dirichlet(np.ones(rank)))
         return [random_basis(graph.n_pairs, rank, rng), whitening_from_model(model, graph)]
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 8])
+    def test_block_is_projected_reference(self, rank):
+        for basis in self.bases(rank):
+            want = projected(reference_operator(basis), rank)
+            got = whitened_ls_operator(basis)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("rank", RANKS)
     def test_matches_full_space_solve(self, rank):
         rng = np.random.default_rng(rank)
         for basis in self.bases(rank):
-            operator = whitened_ls_operator(basis)
+            operator = reference_operator(basis)
             rhs = rng.standard_normal((rank, rank, rank))  # not symmetric
-            got = tensors._solve_whitened(operator, rhs)
+            got = tensors._solve_whitened(whitened_ls_operator(basis), rhs)
             flat = np.linalg.solve(operator, rhs.reshape(-1))
             want = symmetrize(flat.reshape(rank, rank, rank))
             assert not got.used_pinv
@@ -239,7 +285,7 @@ class TestSymmetricSolve:
     def test_operator_commutes_with_mode_permutations(self, rank):
         index = np.arange(rank**3).reshape(rank, rank, rank)
         for basis in self.bases(rank):
-            operator = whitened_ls_operator(basis)
+            operator = reference_operator(basis)
             for perm in itertools.permutations(range(3)):
                 p = index.transpose(perm).ravel()
                 moved = operator[np.ix_(p, p)]
@@ -250,6 +296,8 @@ class TestSymmetricSolve:
         s = tensors._symmetric_basis(rank)
         m = rank * (rank + 1) * (rank + 2) // 6
         assert s.shape == (rank**3, m)
+        assert tensors._symmetric_basis(rank) is s
+        assert not s.flags.writeable
         np.testing.assert_allclose(s.T @ s, np.eye(m), atol=1e-14)
         cubes = s.T.reshape(m, rank, rank, rank)
         for perm in itertools.permutations(range(3)):
