@@ -8,9 +8,10 @@ entries: alternately solve the row-wise least-squares problem
 
 against the current orthonormal basis V, then re-orthonormalize by QR.
 Because the mask and the input are symmetric, the objective is
-non-increasing across iterations.  The returned matrix is the last
-unorthonormalized solution times the basis it was regressed against, which
-keeps the final product an exact minimizer over its row space.
+non-increasing across iterations.  The result keeps the completion as
+factors: the last unorthonormalized solution S and the basis V it was
+regressed against, whose product S V^T is an exact minimizer over its row
+space and is formed only when ``matrix`` is read.
 
 The objective recorded after each solve is expanded so that no N x N
 product is formed: with S the solution, V the basis it was regressed
@@ -39,15 +40,23 @@ _SYMMETRY_BLOCK = 128
 
 @dataclass
 class AltMinResult:
-    """Completed matrix plus a convergence report.
+    """Completion as factors, S V^T, plus a convergence report.
 
-    ``objectives[t]`` is the masked squared error after solve t;
-    ``ridge_steps`` lists the solves that needed a ridge fallback.
+    ``solution`` is the last solve's S and ``basis`` the orthonormal V it
+    was regressed against, both (N, r).  ``objectives[t]`` is the masked
+    squared error after solve t; ``ridge_steps`` lists the solves that
+    needed a ridge fallback.
     """
 
-    matrix: np.ndarray
+    solution: np.ndarray
+    basis: np.ndarray
     objectives: list = field(default_factory=list)
     ridge_steps: list = field(default_factory=list)
+
+    @property
+    def matrix(self):
+        """The completed (N, N) matrix S V^T, formed on every read."""
+        return self.solution @ self.basis.T
 
     def report(self):
         return {
@@ -161,9 +170,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     _, basis = _top_eigenpairs(a, rank, "LM")
 
     norm_sq = float(np.vdot(a, a))
-    result = AltMinResult(matrix=None)
-    solution = None
-    previous = None
+    result = AltMinResult(solution=None, basis=None)
     eye = np.eye(rank)
     for step in range(n_iterations):
         gram = basis.T @ basis
@@ -176,14 +183,13 @@ def altmin_complete(offdiag, rank, n_iterations=None):
                 :, :, 0
             ]
             result.ridge_steps.append(step)
-        previous = basis
+        result.solution, result.basis = solution, basis
         fit = float(np.vdot(solution, rhs))
         norm_fit = float(np.vdot(solution.T @ solution, gram))
         diag_fit = np.einsum("ij,ij->i", solution, basis)
         objective = norm_sq - 2.0 * fit + norm_fit - float(diag_fit @ diag_fit)
         result.objectives.append(max(objective, 0.0))
         basis, _ = np.linalg.qr(solution)
-    result.matrix = solution @ previous.T
     return result
 
 
@@ -203,11 +209,11 @@ def whitening_basis(values, vectors, rank, spectrum):
     values = np.concatenate([values[order], np.zeros(rank - order.size)])
     floor = n * np.finfo(float).eps * max(values[0], 0.0)
     if values[-1] <= floor:
-        full = np.sort(spectrum())[::-1]
+        full = spectrum()
         raise RankDeficiencyError(
             f"only {int((values > floor).sum())} of the requested {rank} eigenvalues "
             "are numerically positive",
-            spectrum=np.concatenate([full, np.zeros(n - full.size)]),
+            spectrum=np.sort(np.concatenate([full, np.zeros(n - full.size)]))[::-1],
         )
     vectors = vectors[:, order]
     # No solver fixes an eigenvector's sign; make each largest-magnitude

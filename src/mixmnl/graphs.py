@@ -11,6 +11,8 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphGenerationError, ValidationError
 
@@ -114,13 +116,6 @@ class ComparisonGraph:
     def degrees(self):
         return self._degrees
 
-    def adjacency(self):
-        a = np.zeros((self._n, self._n))
-        i, j = self._edges[:, 0], self._edges[:, 1]
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-        return a
-
     def neighbor_lists(self):
         """Adjacency as (targets, edge index, orientation) per node.
 
@@ -173,25 +168,15 @@ class ComparisonGraph:
 
 def _diagnose(graph):
     n = graph.n_items
-    adj = graph.neighbor_lists()
-    color = np.full(n, -1, dtype=np.int8)
-    bipartite = True
-    components = 0
-    for root in range(n):
-        if color[root] >= 0:
-            continue
-        components += 1
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, _, _ in adj[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    bipartite = False
-    connected = components == 1
+    i, j = graph.edges.T
+    # The bipartite double cover joins u to v + n and v to u + n for each edge
+    # u-v.  It keeps an item's two copies apart exactly when the item's
+    # component is bipartite; either way their smaller label names it.
+    rows, cols = np.concatenate([i, j]), np.concatenate([j + n, i + n])
+    cover = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * n, 2 * n))
+    labels = connected_components(cover, directed=False)[1]
+    connected = np.unique(np.minimum(labels[:n], labels[n:])).size == 1
+    bipartite = bool((labels[:n] != labels[n:]).all())
     degrees = graph.degrees
     d_min = int(degrees.min())
     d_max = int(degrees.max())
@@ -199,10 +184,9 @@ def _diagnose(graph):
     if bipartite:
         gap = 0.0
     else:
-        scale = np.zeros(n)
-        nz = degrees > 0
-        scale[nz] = 1.0 / np.sqrt(degrees[nz])
-        sym = scale[:, None] * graph.adjacency() * scale[None, :]
+        scale = 1.0 / np.sqrt(np.maximum(degrees, 1))  # isolated items touch no edge
+        sym = np.zeros((n, n))
+        sym[i, j] = sym[j, i] = scale[i] * scale[j]
         lam = np.linalg.eigvalsh(sym)
         gap = float(1.0 - max(lam[-2], -lam[0]))
         gap = max(gap, 0.0)

@@ -70,23 +70,24 @@ def exact_third_moment(model, graph, max_pairs=60):
 
 
 def second_moment_spectrum(model, graph):
-    """Top r eigenvalues and eigenvectors of the exact second moment.
+    """Top r eigenpairs of the exact second moment P diag(q) P^T.
 
-    See ``spectrum_from_factors``; returns (values descending, vectors).
+    Computed from the factors by ``spectrum_from_factors``, so no
+    n_pairs x n_pairs array is formed; returns (values descending, vectors).
     """
-    return spectrum_from_factors(model.expected_outcomes(graph), model.mixture)
+    return spectrum_from_factors(model.expected_outcomes(graph), np.diag(model.mixture))
 
 
-def spectrum_from_factors(outcome_matrix, mixture):
-    """Top r eigenpairs of P diag(q) P^T from the thin SVD of P diag(sqrt(q)).
+def spectrum_from_factors(factor, core):
+    """Eigenpairs of F C F^T for an (N, k) factor F and a symmetric (k, k) core C.
 
-    Works on the (n_pairs, r) factor, so it is exact and cheap even when
-    n_pairs is too large for a dense eigensolve.  Returns (values
-    descending, vectors) with min(n_pairs, r) columns.
+    With the thin QR F = Q T, one ``eigh`` of T C T^T gives them in O(N k^2)
+    time.  Returns (values descending, vectors) with min(N, k) orthonormal
+    columns; the other eigenvalues are 0.  C may be indefinite.
     """
-    factor = outcome_matrix * np.sqrt(mixture)[None, :]
-    u, s, _ = np.linalg.svd(factor, full_matrices=False)
-    return s**2, u
+    q, t = np.linalg.qr(factor)
+    values, vectors = np.linalg.eigh(t @ core @ t.T)
+    return values[::-1], q @ vectors[:, ::-1]
 
 
 def empirical_second_moment(batch, start=0, stop=None):

@@ -86,7 +86,8 @@ def estimate_components(batch, n_components, rng=None):
     """Moment-phase estimate from an observation batch.
 
     The batch is split in half (first half second moments, second half
-    third moments).  Completion runs ceil(log(n_pairs * count)) solves.
+    third moments).  Completion runs ceil(log(n_pairs * count)) solves; the
+    whitening reads the symmetric part of its S V^T from the factors.
     ``rng`` seeds the power-iteration restarts only; all estimation from
     the data is deterministic.
     """
@@ -101,7 +102,11 @@ def estimate_components(batch, n_components, rng=None):
     completion = _staged(
         "completion", altmin_complete, second.matrix, n_components, completion_iterations
     )
-    basis = _staged("whitening", symmetrize_and_eig, completion.matrix, n_components)
+    # (S V^T + V S^T) / 2 = [S V] C [S V]^T with C = [[0, I], [I, 0]] / 2.
+    factor = np.hstack([completion.solution, completion.basis])
+    core = np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(n_components))
+    values, vectors = spectrum_from_factors(factor, core)
+    basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
     ls_result = _staged("tensor", whitened_third_moment_ls, batch, basis, lo3, hi3)
     return _decompose(
         basis,
@@ -134,9 +139,10 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
 
     ``outcome_matrix`` is the (n_pairs, r) matrix P of outcome means and
     ``mixture`` the (r,) proportions q.  M2 = P diag(q) P^T and
-    M3 = sum_a q_a p_a^{x3} are never formed: the whitening comes from the
-    thin SVD of P diag(sqrt(q)), under the rules of ``symmetrize_and_eig``,
-    and the whitened right-hand side from W^T P and per-pair powers of P.
+    M3 = sum_a q_a p_a^{x3} are never formed: the whitening comes from
+    ``spectrum_from_factors(P, diag(q))``, a thin QR of P and an r x r
+    eigenproblem, under the rules of ``symmetrize_and_eig``, and the
+    whitened right-hand side from W^T P and per-pair powers of P.
     With m = r(r+1)(r+2)/6, time is O(n_pairs m^2) and memory
     O(n_pairs (r^2 + m)), so any number of pairs works.  Up to
     component order and roundoff the output is that of
@@ -153,7 +159,7 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
         raise ValidationError("factors must be finite, the mixture nonnegative")
     if n_components > p.shape[0]:
         raise ValidationError("rank must be in [1, N]")
-    values, vectors = spectrum_from_factors(p, q)
+    values, vectors = spectrum_from_factors(p, np.diag(q))
     basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
     ls_result = _staged("tensor", whitened_third_moment_ls_factored, p, q, basis)
     return _decompose(basis, ls_result, n_components, rng)

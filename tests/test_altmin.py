@@ -215,6 +215,15 @@ class TestSymmetrizeAndEig:
         with pytest.raises(RankDeficiencyError):
             symmetrize_and_eig(-np.eye(4), 1)
 
+    def test_short_indefinite_spectrum_reported_descending(self):
+        # Two candidates of a rank-2 matrix on 5 pairs: the three eigenvalues
+        # not given are 0 and belong between the positive and the negative.
+        vectors = np.eye(5)[:, :2]
+        values = np.array([2.0, -1.0])
+        with pytest.raises(RankDeficiencyError) as info:
+            altmin.whitening_basis(values, vectors, 2, lambda: values)
+        np.testing.assert_array_equal(info.value.spectrum, [2.0, 0.0, 0.0, 0.0, -1.0])
+
     def test_whitening_identities(self):
         rng = np.random.default_rng(10)
         factors = rng.standard_normal((10, 3))

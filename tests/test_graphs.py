@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from mixmnl import ComparisonGraph, GraphGenerationError, ValidationError, erdos_renyi
+from mixmnl import (
+    ComparisonGraph,
+    GraphDiagnostics,
+    GraphGenerationError,
+    ValidationError,
+    erdos_renyi,
+)
 
 from conftest import complete_graph
 
@@ -111,6 +117,67 @@ class TestDiagnostics:
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         )
         assert not g.diagnostics().connected
+
+
+def reference_diagnostics(graph):
+    """Two-colouring walk over ``neighbor_lists`` and a dense adjacency: the
+    loop that ``graphs._diagnose`` ran before it used ``scipy.sparse.csgraph``."""
+    n = graph.n_items
+    adj = graph.neighbor_lists()
+    color = np.full(n, -1, dtype=np.int8)
+    bipartite = True
+    components = 0
+    for root in range(n):
+        if color[root] >= 0:
+            continue
+        components += 1
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, _, _ in adj[u]:
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    bipartite = False
+    degrees = graph.degrees
+    gap = 0.0
+    if not bipartite:
+        dense = np.zeros((n, n))
+        dense[graph.edges[:, 0], graph.edges[:, 1]] = 1.0
+        dense[graph.edges[:, 1], graph.edges[:, 0]] = 1.0
+        scale = np.zeros(n)
+        nz = degrees > 0
+        scale[nz] = 1.0 / np.sqrt(degrees[nz])
+        lam = np.linalg.eigvalsh(scale[:, None] * dense * scale[None, :])
+        gap = max(float(1.0 - max(lam[-2], -lam[0])), 0.0)
+    return GraphDiagnostics(components == 1, bipartite, gap, int(degrees.min()), int(degrees.max()))
+
+
+def test_diagnostics_match_two_colouring_reference():
+    # Sparse edge sets on up to 14 items leave many graphs disconnected,
+    # with isolated items, and many bipartite.
+    rng = np.random.default_rng(0)
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 15))
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(iu.size) < rng.uniform(0.05, 0.5)
+        if not mask.any():
+            continue
+        graph = ComparisonGraph(n, np.column_stack([iu[mask], ju[mask]]))
+        diag = graph.diagnostics()
+        assert diag == reference_diagnostics(graph), graph.edges.tolist()
+        assert type(diag.connected) is bool and type(diag.bipartite) is bool
+        seen.add((diag.connected, diag.bipartite, diag.d_min == 0))
+    # (connected, bipartite, has an isolated item)
+    assert seen >= {
+        (True, True, False),
+        (True, False, False),
+        (False, True, True),
+        (False, False, True),
+    }
 
 
 class TestErdosRenyi:

@@ -12,6 +12,7 @@ from mixmnl import (
     second_moment_spectrum,
     split_ranges,
 )
+from mixmnl.moments import spectrum_from_factors
 
 from conftest import (
     brute_force_projected_third,
@@ -52,11 +53,49 @@ class TestExactMoments:
         assert t.shape == (105, 105, 105)
 
     def test_spectrum_matches_dense_eigensolve(self, small_model, small_graph):
-        # The factor SVD route must agree with a dense eigendecomposition.
+        # The factored route must agree with a dense eigendecomposition.
         values, basis = second_moment_spectrum(small_model, small_graph)
         dense = np.linalg.eigvalsh(exact_second_moment(small_model, small_graph))[::-1]
         np.testing.assert_allclose(values, dense[:2], atol=1e-12)
         np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+
+
+def _cores(k, rng):
+    square = rng.standard_normal((k, k))
+    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    return {
+        "psd": square @ square.T,
+        "indefinite": square + square.T,
+        "rank-deficient": np.diag(np.concatenate([rng.uniform(1, 2, k - 2), [0.0, 0.0]])),
+        "indefinite-rank-deficient": np.diag(
+            signs * np.concatenate([[0.0], rng.uniform(1, 2, k - 1)])
+        ),
+        "swap": np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(k // 2)),
+    }
+
+
+class TestSpectrumFromFactors:
+    @pytest.mark.parametrize(
+        "core_kind", ["psd", "indefinite", "rank-deficient", "indefinite-rank-deficient", "swap"]
+    )
+    @pytest.mark.parametrize("n, k", [(30, 4), (12, 6), (5, 8), (4, 4)])
+    def test_matches_dense_eigh(self, core_kind, n, k):
+        # k > n included: the factor then has more columns than rows.
+        rng = np.random.default_rng(n * k)
+        factor = rng.standard_normal((n, k))
+        core = _cores(k, rng)[core_kind]
+        dense = factor @ core @ factor.T
+        values, vectors = spectrum_from_factors(factor, core)
+        width = min(n, k)
+        assert values.shape == (width,) and vectors.shape == (n, width)
+        assert (np.diff(values) <= 0).all()
+        scale = np.abs(np.linalg.eigvalsh(dense)).max()
+        full = np.sort(np.concatenate([values, np.zeros(n - width)]))
+        np.testing.assert_allclose(full, np.linalg.eigvalsh(dense), rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(width), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            (vectors * values) @ vectors.T, dense, rtol=0, atol=1e-12 * scale
+        )
 
 
 class TestSplit:

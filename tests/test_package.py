@@ -1,7 +1,10 @@
 import ast
 import importlib
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 import mixmnl
 
@@ -59,3 +62,25 @@ def test_benchmark_imports_from_mixmnl_resolve():
                     if not hasattr(module, alias.name):
                         missing.append(f"{path.name}: from {node.module} import {alias.name}")
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["oracle", "pilot"])
+def test_traced_replay_runs(name, monkeypatch, tmp_path):
+    # The traced replay calls library stages directly and reads fields of
+    # their results (the completion's matrix, objectives and ridge steps),
+    # which an import check does not see.  Two repetitions, no timed budget.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for module in ("workloads", "tracing"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    try:
+        tracing = importlib.import_module("tracing")
+        workloads = importlib.import_module("workloads")
+        ops = workloads.Ops()
+        metrics, spans = tracing.run_traced(workloads.make_workload(name, tmp_path), 1, 0.0, ops)
+    finally:
+        for module in ("workloads", "tracing"):
+            sys.modules.pop(module, None)
+    assert (ops.failed, ops.reasons) == (0, [])
+    assert ops.attempted >= 2 and spans
+    assert set(tracing.PER_LAYER) <= metrics.keys()
+    assert math.isfinite(metrics["pipeline.mixture_error"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,17 +10,22 @@ from mixmnl import (
     ObservationBatch,
     RankDeficiencyError,
     ValidationError,
+    altmin_complete,
     components_from_exact_moments,
     components_from_factors,
     erdos_renyi,
+    empirical_second_moment,
     estimate_components,
     exact_second_moment,
     exact_third_moment,
     match_components,
     random_uniform_model,
     rank_centrality,
+    split_ranges,
     symmetrize_and_eig,
 )
+from mixmnl import spectral
+from mixmnl.moments import SecondMomentEstimate
 
 from conftest import best_permutation_errors, complete_graph
 
@@ -229,7 +235,73 @@ class TestFactoredPath:
             assert peak < graph.n_pairs**2 * 8 / 3, rank
 
 
+def sampled_instance(n_items, mean_degree, rank, seed, count=20_000, ell=8):
+    rng = np.random.default_rng(seed)
+    graph = erdos_renyi(n_items, mean_degree, rng)
+    model = random_uniform_model(n_items, rank, rng, low=1.0, high=8.0)
+    return model.sample_batch(graph, ell, count, np.random.default_rng(seed + 10))
+
+
+def dense_completion(batch, rank, offdiag=None):
+    """The fit's completion of ``offdiag``, by default its second moment."""
+    if offdiag is None:
+        (lo, hi), _ = split_ranges(len(batch))
+        offdiag = empirical_second_moment(batch, lo, hi).matrix
+    iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * len(batch))))
+    return altmin_complete(offdiag, rank, iterations)
+
+
 class TestEmpiricalPath:
+    @pytest.mark.parametrize(
+        "n_items, mean_degree, rank, seed", [(30, 7.0, 2, 0), (40, 8.0, 3, 1), (60, 6.0, 4, 2)]
+    )
+    def test_whitening_matches_dense_completion(self, n_items, mean_degree, rank, seed):
+        # Whitening from the completion's factors equals the dense
+        # eigensolve of the symmetrized completed matrix, signs included.
+        batch = sampled_instance(n_items, mean_degree, rank, seed)
+        got = estimate_components(batch, rank, rng=np.random.default_rng(0)).basis
+        want = symmetrize_and_eig(dense_completion(batch, rank).matrix, rank)
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12 * want.values[0])
+        np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
+
+    def test_indefinite_completion_reports_descending_spectrum(self, monkeypatch):
+        # An indefinite rank-2 second moment completes to a matrix with one
+        # positive eigenvalue, so the whitening fails.  The error carries
+        # all N eigenvalues of its symmetric part, descending, with the
+        # zeros padded in sorted place between the signs.
+        batch = sampled_instance(30, 7.0, 2, 0)
+        n = batch.graph.n_pairs
+        factor = np.random.default_rng(1).standard_normal((n, 2))
+        hollow = factor @ np.diag([1.0, -3.0]) @ factor.T
+        np.fill_diagonal(hollow, 0.0)
+        monkeypatch.setattr(
+            spectral,
+            "empirical_second_moment",
+            lambda batch, start, stop: SecondMomentEstimate(hollow, stop - start),
+        )
+        with pytest.raises(RankDeficiencyError) as info:
+            estimate_components(batch, 2, rng=np.random.default_rng(0))
+        assert info.value.stage == "whitening"
+        spectrum = info.value.spectrum
+        assert spectrum.shape == (n,)
+        assert (np.diff(spectrum) <= 0).all()
+        completed = dense_completion(batch, 2, hollow).matrix
+        want = np.linalg.eigvalsh(0.5 * (completed + completed.T))[::-1]
+        assert want[0] > 0 > want[-1]
+        np.testing.assert_allclose(spectrum, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_peak_memory_below_two_and_a_half_pair_matrices(self):
+        # The second moment and completion's working copy are one N x N
+        # array each; the whitening adds no third.  982 pairs here.
+        batch = sampled_instance(150, 12.0, 2, 3, count=4000, ell=10)
+        tracemalloc.start()
+        try:
+            estimate_components(batch, 2, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * batch.graph.n_pairs**2 * 8
+
     def test_close_with_many_samples(self):
         # Full pipeline on a generous sample.  A wide dynamic range keeps
         # the signal well above the without-replacement scaling noise.
