@@ -200,14 +200,15 @@ def whitening_basis(values, vectors, rank, spectrum):
     those given count as 0) with their columns of the (N, k) ``vectors``,
     each signed so that its largest-magnitude entry is positive.  Raises
     ``RankDeficiencyError`` unless all kept values exceed the numerical-rank
-    floor N * eps * max(lambda_max, 0); the error carries the full spectrum,
-    descending and zero-padded to N, which the zero-argument callable
-    ``spectrum`` is asked for only then.
+    floor N * eps * max |lambda| over the given ``values``, so that the
+    roundoff of a negative semidefinite matrix is not kept; the error
+    carries the full spectrum, descending and zero-padded to N, which the
+    zero-argument callable ``spectrum`` is asked for only then.
     """
     n = vectors.shape[0]
+    floor = n * np.finfo(float).eps * np.abs(values).max(initial=0.0)
     order = np.argsort(-values, kind="stable")[:rank]
     values = np.concatenate([values[order], np.zeros(rank - order.size)])
-    floor = n * np.finfo(float).eps * max(values[0], 0.0)
     if values[-1] <= floor:
         full = spectrum()
         raise RankDeficiencyError(

@@ -9,14 +9,16 @@ stationary distribution exactly equal to the item weights; for noisy
 inputs the stationary distribution is the weight estimate.  The power
 iteration starts from the uniform vector, so results are deterministic, and
 stops once successive iterates agree to roundoff; the worst-case spectral
-bound of ``default_iteration_count`` only caps the number of steps.
+bound of ``default_iteration_count``, taken at the largest weight range the
+bound allows for, only caps the number of steps.  The cap depends on the
+graph alone, so every chain of a fit shares it.
 
 The r components of a mixture are ranked in one block iteration: their
 transposed chains form one block-diagonal sparse matrix, applied to an
 (r, n_items) iterate whose rows are the components' distributions.  Each
-row keeps its own stop rule and cap and is frozen once it stops, so every
-chain takes exactly the steps, and returns exactly the bits, it would on
-its own; a single chain is the one-row case of the same loop.
+row keeps its own stop rule and is frozen once it stops, so every chain
+takes exactly the steps, and returns exactly the bits, it would on its own;
+a single chain is the one-row case of the same loop.
 """
 
 import math
@@ -34,10 +36,12 @@ _CONVERGENCE_EPS = 1e-8
 # the pipeline builds, so the stop is reached once the iterate has converged;
 # a chain whose floor lies above it runs to its cap.
 _STOP_CHANGE = 1e-15
-# Iteration budgets grow with the square of the dynamic-range estimate, so
-# wild estimates from noisy inputs are capped before entering the formula.
+# The iteration bound grows with the square of the weights' dynamic range
+# b = max w / min w.  Every chain is capped with b at this ceiling: the stop
+# rule ends the pipeline's chains long before that cap, while a b estimated
+# from noisy outcomes could put the cap below the steps a nearly flat chain
+# needs to reach the stop.
 _RANGE_CAP = 16.0
-_RATIO_CLIP = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,19 +104,19 @@ def power_stationary(transition, n_iterations):
     Stops after the first step whose L1 change is at most 1e-15, or after
     ``n_iterations`` steps, whichever comes first.
     """
-    return _block_power([transition], [n_iterations])[0]
+    return _block_power([transition], n_iterations)[0]
 
 
-def _block_power(transitions, caps):
+def _block_power(transitions, cap):
     """``power_stationary`` of several chains over the same items at once.
 
-    Row a of the iterate belongs to ``transitions[a]``, capped at
-    ``caps[a]`` steps.  The rows still running are stepped together by one
+    Row a of the iterate belongs to ``transitions[a]``; every row is capped
+    at ``cap`` steps.  The rows still running are stepped together by one
     block-diagonal product; a row that stops leaves the block, keeping its
     last iterate.  Returns one ``PowerIterationResult`` per chain.
     """
-    caps = np.array([int(c) for c in caps])
-    if caps.min() < 1:
+    cap = int(cap)
+    if cap < 1:
         raise ValidationError("n_iterations must be at least 1")
     n = transitions[0].n_items
     chains = [t.matrix.T.tocsr() for t in transitions]
@@ -124,15 +128,14 @@ def _block_power(transitions, caps):
     while running.size:
         if block is None:
             block = sp.block_diag([chains[a] for a in running], format="csr")
-            next_cap = caps[running].min()
         step += 1
         nxt = (block @ pi.ravel()).reshape(pi.shape)
         nxt /= nxt.sum(axis=1, keepdims=True)
         changes = np.abs(nxt - pi).sum(axis=1)
         pi = nxt
-        if min(changes.tolist()) > _STOP_CHANGE and step < next_cap:
+        if min(changes.tolist()) > _STOP_CHANGE and step < cap:
             continue
-        stopped = (changes <= _STOP_CHANGE) | (caps[running] == step)
+        stopped = (changes <= _STOP_CHANGE) | (step == cap)
         for row in np.flatnonzero(stopped):
             results[running[row]] = PowerIterationResult(
                 distribution=pi[row], last_change=float(changes[row]), iterations=step
@@ -141,46 +144,6 @@ def _block_power(transitions, caps):
         pi = pi[~stopped]
         block = None
     return results
-
-
-def estimate_dynamic_range(graph, outcomes):
-    """Weight-ratio estimate from log-ratios along a spanning tree.
-
-    Each pair's mean outcome implies a weight ratio of its endpoints;
-    propagating log-ratios over a spanning tree recovers the weights up to
-    a constant, exactly so for consistent inputs.  The estimate is capped
-    at 16 to keep downstream iteration budgets sane when noisy outcomes
-    suggest absurd ranges.  Infinite means are clipped like any other;
-    NaN raises ``ValidationError``.
-    """
-    v = np.asarray(outcomes, dtype=np.float64)
-    if v.shape != (graph.n_pairs,):
-        raise ValidationError("need one outcome mean per graph pair")
-    if np.isnan(v).any():
-        raise ValidationError("outcome means must not be NaN")
-    return _dynamic_ranges(graph, v[None, :])[0]
-
-
-def _dynamic_ranges(graph, columns):
-    """``estimate_dynamic_range`` of each row of an (r, n_pairs) array at once.
-
-    The rows' log-weights are propagated together along the graph's cached
-    spanning tree.  Each edge's log-ratio is taken with ``math.log1p``,
-    whose last bit ``np.log1p`` does not always match.
-    """
-    tree = graph.spanning_tree()
-    if tree.child.size != graph.n_items - 1:
-        raise ValidationError("dynamic-range estimate needs a connected graph")
-    ratios = np.clip(columns[:, tree.edge].T, -_RATIO_CLIP, _RATIO_CLIP)
-    steps = np.array(
-        [math.log1p(x) - math.log1p(-x) for x in ratios.ravel().tolist()]
-    ).reshape(ratios.shape)
-    steps *= tree.orientation[:, None]
-    log_w = np.zeros((graph.n_items, columns.shape[0]))
-    for parent, child, step in zip(tree.parent.tolist(), tree.child.tolist(), steps):
-        log_w[child] = log_w[parent] + step
-    spans = (log_w.max(axis=0) - log_w.min(axis=0)).tolist()
-    return [float(min(math.exp(span), _RANGE_CAP)) for span in spans]
 
 
 def ergodic_diagnostics(graph):
@@ -195,18 +158,27 @@ def ergodic_diagnostics(graph):
 def default_iteration_count(graph, outcomes):
     """Iteration cap b^2 d_max (log n + log 1/eps) / (xi d_min).
 
-    The Rank Centrality worst-case bound, with unit constant and
-    eps = 1e-8.  ``rank_centrality`` uses it as the cap on
-    ``power_stationary``, which usually stops far earlier.  Needs a
-    connected non-bipartite graph (``ergodic_diagnostics``).
+    The Rank Centrality worst-case bound, with unit constant, eps = 1e-8
+    and the weight range b at its ceiling of 16, so the cap depends on the
+    graph alone.  ``rank_centrality`` uses it as the cap on
+    ``power_stationary``, which usually stops far earlier.  ``outcomes``,
+    one mean per graph pair, is checked for shape and NaN but does not move
+    the cap.  Needs a connected non-bipartite graph
+    (``ergodic_diagnostics``).
     """
+    cap = _iteration_cap(graph)
+    v = np.asarray(outcomes, dtype=np.float64)
+    if v.shape != (graph.n_pairs,):
+        raise ValidationError("need one outcome mean per graph pair")
+    if np.isnan(v).any():
+        raise ValidationError("outcome means must not be NaN")
+    return cap
+
+
+def _iteration_cap(graph):
     diag = ergodic_diagnostics(graph)
-    return _iteration_cap(graph, diag, estimate_dynamic_range(graph, outcomes))
-
-
-def _iteration_cap(graph, diag, spread):
     count = (
-        spread**2
+        _RANGE_CAP**2
         * diag.d_max
         * (math.log(graph.n_items) + math.log(1.0 / _CONVERGENCE_EPS))
         / (diag.spectral_gap * diag.d_min)
@@ -214,7 +186,7 @@ def _iteration_cap(graph, diag, spread):
     return max(1, math.ceil(count))
 
 
-def rank_centrality(graph, outcomes, n_iterations=None):
+def rank_centrality(graph, outcomes):
     """Item weights from per-pair outcome means.
 
     ``outcomes`` is one mean per graph pair, shape (n_pairs,), or one
@@ -222,18 +194,13 @@ def rank_centrality(graph, outcomes, n_iterations=None):
     back as (n_items,) or (r, n_items) to match.  Each column is clipped
     into [-1, 1] and turned into its comparison chain, and the chains are
     power-iterated together from uniform until each one's iterates stop
-    changing.  ``n_iterations`` caps the steps of every chain and defaults
-    to each chain's spectral-gap bound from ``default_iteration_count``.
+    changing, or for at most ``default_iteration_count`` steps.
     """
     projected = project_outcomes(outcomes)
     columns = np.atleast_2d(projected.T)
     if projected.ndim not in (1, 2) or columns.shape[0] == 0 or columns.shape[1] != graph.n_pairs:
         raise ValidationError("need outcomes of shape (n_pairs,) or (n_pairs, r), r >= 1")
-    if n_iterations is None:
-        diag = ergodic_diagnostics(graph)
-        caps = [_iteration_cap(graph, diag, spread) for spread in _dynamic_ranges(graph, columns)]
-    else:
-        caps = [n_iterations] * len(columns)
+    cap = _iteration_cap(graph)
     transitions = [build_transition(graph, column) for column in columns]
-    weights = np.stack([res.distribution for res in _block_power(transitions, caps)])
+    weights = np.stack([res.distribution for res in _block_power(transitions, cap)])
     return weights[0] if projected.ndim == 1 else weights

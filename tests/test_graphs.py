@@ -57,28 +57,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 2
 
-    def test_neighbor_lists_built_once_and_immutable(self):
-        g = ComparisonGraph(3, [(1, 2), (0, 1)])
-        adj = g.neighbor_lists()
-        assert adj == (((1, 0, 1),), ((0, 0, -1), (2, 1, 1)), ((1, 1, -1),))
-        assert g.neighbor_lists() is adj
-        with pytest.raises(TypeError):
-            adj[0][0] = (2, 1, 1)
-
-    def test_spanning_tree_in_discovery_order(self):
-        g = ComparisonGraph(4, [(0, 2), (0, 1), (1, 3)])
-        tree = g.spanning_tree()
-        rows = np.column_stack(tree).tolist()
-        # From 0: reach 1 over pair 0 and 2 over pair 1; pop 2, then 1 reaches 3.
-        assert rows == [[0, 1, 0, 1], [0, 2, 1, 1], [1, 3, 2, 1]]
-        assert g.spanning_tree() is tree
-        with pytest.raises(ValueError):
-            tree.child[0] = 3
-
-    def test_spanning_tree_of_disconnected_graph_is_short(self):
-        g = ComparisonGraph(4, [(0, 1), (2, 3)])
-        assert np.column_stack(g.spanning_tree()).tolist() == [[0, 1, 0, 1]]
-
 
 class TestDiagnostics:
     def test_complete_graph(self):
@@ -120,10 +98,13 @@ class TestDiagnostics:
 
 
 def reference_diagnostics(graph):
-    """Two-colouring walk over ``neighbor_lists`` and a dense adjacency: the
+    """Two-colouring walk over adjacency lists and a dense adjacency: the
     loop that ``graphs._diagnose`` ran before it used ``scipy.sparse.csgraph``."""
     n = graph.n_items
-    adj = graph.neighbor_lists()
+    adj = [[] for _ in range(n)]
+    for i, j in graph.edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
     color = np.full(n, -1, dtype=np.int8)
     bipartite = True
     components = 0
@@ -135,7 +116,7 @@ def reference_diagnostics(graph):
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, _, _ in adj[u]:
+            for v in adj[u]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]
                     stack.append(v)

@@ -7,16 +7,18 @@ from scipy.sparse.csgraph import connected_components
 
 from mixmnl import (
     ComparisonGraph,
+    LearnConfig,
     NumericalError,
     ValidationError,
     erdos_renyi,
+    learn_mixed_mnl,
+    random_uniform_model,
     rank_centrality,
 )
 from mixmnl import rankcentrality
 from mixmnl.rankcentrality import (
     build_transition,
     default_iteration_count,
-    estimate_dynamic_range,
     power_stationary,
     project_outcomes,
 )
@@ -175,31 +177,18 @@ class TestStationary:
 
 
 class TestDynamicRange:
-    def test_exact_on_ideal_outcomes(self):
-        rng = np.random.default_rng(2)
-        g = erdos_renyi(25, 5.0, rng)
-        w = rng.uniform(1.0, 3.0, 25)
-        est = estimate_dynamic_range(g, ideal_outcomes(g, w))
-        assert est == pytest.approx(w.max() / w.min(), rel=1e-9)
-
-    def test_cap_applies(self):
-        g = ComparisonGraph(2, [[0, 1]])
-        est = estimate_dynamic_range(g, np.array([1.0 - 1e-15]))
-        assert est == 16.0
-
+    # The cap takes the weights' dynamic range at its ceiling of 16; the
+    # outcomes are checked but do not move it.
     def test_disconnected_rejected(self):
         g = ComparisonGraph(4, [[0, 1], [2, 3]])
         with pytest.raises(ValidationError):
-            estimate_dynamic_range(g, np.zeros(2))
+            default_iteration_count(g, np.zeros(2))
 
     def test_nan_rejected(self):
-        # On a bridge edge NaN used to send the tree walk round forever.
-        g = ComparisonGraph(3, [[0, 1], [1, 2]])
-        for outcomes in ([np.nan, 0.5], [0.5, np.nan]):
+        g = complete_graph(3)
+        for outcomes in ([np.nan, 0.5, 0.0], [0.5, 0.0, np.nan]):
             with pytest.raises(ValidationError, match="NaN"):
-                estimate_dynamic_range(g, np.array(outcomes))
-            with pytest.raises(ValidationError, match="NaN"):
-                default_iteration_count(complete_graph(3), np.array(outcomes + [0.0]))
+                default_iteration_count(g, np.array(outcomes))
 
 
 class TestDefaults:
@@ -223,6 +212,21 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             default_iteration_count(g, np.zeros(4))
 
+    def test_cap_reaches_the_stop_on_a_flat_noisy_fit(self):
+        # U[1, 2] weights and 2,000 samples give a nearly flat, noisy fit.
+        # A cap from the fitted columns' own dynamic range stopped one of
+        # these chains at 218 steps with an L1 change of 8.8e-15.
+        rng = np.random.default_rng([8])
+        g = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng)
+        batch = model.sample_batch(g, 10, 2000, rng)
+        fit = learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=8))
+        for column in project_outcomes(fit.outcome_matrix).T:
+            cap = default_iteration_count(g, column)
+            result = power_stationary(build_transition(g, column), cap)
+            assert result.iterations < cap
+            assert result.last_change <= 1e-15
+
 
 class TestRankCentrality:
     def test_end_to_end_recovers_weights(self):
@@ -244,16 +248,10 @@ class TestRankCentrality:
         scales = [1e-4, 1e-3, 1e-2]
         errors = []
         for s in scales:
-            pi = rank_centrality(g, np.clip(base + s * noise, -1, 1), n_iterations=6000)
+            pi = rank_centrality(g, np.clip(base + s * noise, -1, 1))
             errors.append(np.abs(pi - truth).max())
         slope = np.polyfit(np.log(scales), np.log(errors), 1)[0]
         assert 0.9 <= slope <= 1.1
-
-    def test_explicit_iteration_count(self):
-        g = complete_graph(4)
-        w = np.array([1.0, 1.5, 1.2, 2.0])
-        pi = rank_centrality(g, ideal_outcomes(g, w), n_iterations=2000)
-        np.testing.assert_allclose(pi, w / w.sum(), atol=1e-10)
 
 
 def component_outcomes(graph, n_components, seed):
@@ -318,10 +316,11 @@ class TestBlockIteration:
         steps = sorted(self.stop_steps(10**6))
         cap = (steps[1] + steps[2]) // 2
         assert steps[1] < cap < steps[2]  # two components stop, two hit the cap
-        block = rank_centrality(self.GRAPH, self.OUTCOMES, n_iterations=cap)
-        columns = [
-            rank_centrality(self.GRAPH, column, n_iterations=cap) for column in self.OUTCOMES.T
-        ]
+        transitions = [build_transition(self.GRAPH, column) for column in self.OUTCOMES.T]
+        results = rankcentrality._block_power(transitions, cap)
+        assert sorted(res.iterations for res in results) == steps[:2] + [cap, cap]
+        block = np.stack([res.distribution for res in results])
+        columns = [power_stationary(t, cap).distribution for t in transitions]
         assert np.array_equal(block, np.stack(columns))
         assert np.array_equal(block, self.loop_reference([cap] * 4))
 
@@ -344,7 +343,7 @@ class TestBlockIteration:
 
     def test_scalar_rejected_on_one_pair_graph(self):
         with pytest.raises(ValidationError):
-            rank_centrality(ComparisonGraph(2, [[0, 1]]), np.float64(0.5), n_iterations=10)
+            rank_centrality(ComparisonGraph(2, [[0, 1]]), np.float64(0.5))
 
     def test_power_stationary_is_the_one_row_case(self):
         t = build_transition(self.GRAPH, self.OUTCOMES[:, 1])
@@ -355,11 +354,17 @@ class TestBlockIteration:
         assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
 
 
-
 def scalar_dynamic_range(graph, outcomes):
-    """Reference: one column's depth-first walk from item 0, edge by edge."""
+    """Reference: the weight range implied by one column of outcome means.
+
+    Log weight ratios are propagated edge by edge along a depth-first
+    walk from item 0, and the range is capped at 16.
+    """
     v = np.clip(np.asarray(outcomes, dtype=np.float64), -(1.0 - 1e-12), 1.0 - 1e-12)
-    adj = graph.neighbor_lists()
+    adj = [[] for _ in range(graph.n_items)]
+    for k, (i, j) in enumerate(graph.edges.tolist()):
+        adj[i].append((j, k, 1))
+        adj[j].append((i, k, -1))
     log_w = np.full(graph.n_items, np.nan)
     log_w[0] = 0.0
     stack = [0]
@@ -384,31 +389,25 @@ def scalar_cap(graph, outcomes):
     return max(1, math.ceil(count))
 
 
-def test_cached_tree_caps_match_scalar_walk(monkeypatch):
+def test_cap_never_below_an_estimated_range_cap(monkeypatch):
+    # A cap taken at each column's estimated weight range is never above
+    # the shared cap, and equals it once the estimate reaches the ceiling.
     graph = erdos_renyi(70, 8.0, np.random.default_rng(50))
-    graph.diagnostics()
-    builds = []
-    lists = graph.neighbor_lists
-    monkeypatch.setattr(graph, "neighbor_lists", lambda: builds.append(1) or lists())
     outcomes = component_outcomes(graph, 8, 51)
     outcomes[:4, 0] = [1.0, -1.0, 1.0 - 1e-15, 0.0]  # clipped ratios and a zero step
     outcomes[:, 7] = np.sign(outcomes[:, 7])  # spread far above the cap of 16
+    cap = default_iteration_count(graph, outcomes[:, 0])
+    for column in outcomes.T:
+        assert default_iteration_count(graph, column) == cap
+        assert scalar_cap(graph, column) <= cap
+    assert scalar_dynamic_range(graph, outcomes[:, 7]) == 16.0
+    assert scalar_cap(graph, outcomes[:, 7]) == cap
     seen = []
     block_power = rankcentrality._block_power
     monkeypatch.setattr(
         rankcentrality,
         "_block_power",
-        lambda transitions, caps: seen.append(list(caps)) or block_power(transitions, caps),
+        lambda transitions, cap: seen.append(cap) or block_power(transitions, cap),
     )
     rank_centrality(graph, outcomes)
-    tree = graph.spanning_tree()
-    for column in outcomes.T:
-        default_iteration_count(graph, column)
-    assert graph.spanning_tree() is tree
-    assert len(builds) == 1  # the one search that built the tree
-    assert not tree.parent.flags.writeable
-    for column in outcomes.T:
-        assert default_iteration_count(graph, column) == scalar_cap(graph, column)
-        assert estimate_dynamic_range(graph, column) == scalar_dynamic_range(graph, column)
-    assert seen == [[scalar_cap(graph, column) for column in outcomes.T]]
-    assert estimate_dynamic_range(graph, outcomes[:, 7]) == 16.0
+    assert seen == [cap]

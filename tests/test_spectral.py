@@ -290,6 +290,25 @@ class TestEmpiricalPath:
         assert want[0] > 0 > want[-1]
         np.testing.assert_allclose(spectrum, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_negative_semidefinite_completion_rejected_in_whitening(self, monkeypatch):
+        # -F F^T completes to a matrix whose symmetric part has two large
+        # negative eigenvalues and roundoff for the rest.  The whitening
+        # floor scales with the largest magnitude, so the roundoff-sized
+        # positive candidates are not kept.
+        batch = sampled_instance(30, 7.0, 2, 0)
+        for seed in range(5):
+            factor = np.random.default_rng(seed).standard_normal((batch.graph.n_pairs, 2))
+            hollow = -factor @ factor.T
+            np.fill_diagonal(hollow, 0.0)
+            monkeypatch.setattr(
+                spectral,
+                "empirical_second_moment",
+                lambda batch, start, stop: SecondMomentEstimate(hollow, stop - start),
+            )
+            with pytest.raises(RankDeficiencyError) as info:
+                estimate_components(batch, 2, rng=np.random.default_rng(0))
+            assert info.value.stage == "whitening", seed
+
     def test_peak_memory_below_two_and_a_half_pair_matrices(self):
         # The second moment and completion's working copy are one N x N
         # array each; the whitening adds no third.  982 pairs here.
