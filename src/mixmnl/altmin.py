@@ -228,7 +228,10 @@ def symmetrize_and_eig(matrix, rank):
     """Whitening basis from the top-rank eigenpairs of (M + M^T) / 2.
 
     Takes the ``rank`` algebraically largest eigenvalues under the rules of
-    ``whitening_basis``.
+    ``whitening_basis``.  A negative largest-magnitude eigenpair is passed
+    as one more candidate: it is never kept, but it sets the numerical-rank
+    floor, so a negative semidefinite matrix raises instead of whitening
+    with its roundoff.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -238,4 +241,8 @@ def symmetrize_and_eig(matrix, rank):
         raise ValidationError("rank must be in [1, N]")
     sym = 0.5 * (m + m.T)
     values, vectors = _top_eigenpairs(sym, rank, "LA")
+    extreme, extreme_vector = _top_eigenpairs(sym, 1, "LM")
+    if extreme[0] < 0:
+        values = np.concatenate([values, extreme])
+        vectors = np.concatenate([vectors, extreme_vector], axis=1)
     return whitening_basis(values, vectors, rank, lambda: np.linalg.eigvalsh(sym))

@@ -9,13 +9,33 @@ reproducible at the file level.
 
 A dataset file holds one small list per observation entry, and no
 Python code runs per entry.  ``save_dataset`` encodes the observations
-with one ``%``-format call over a flat list of ints; its bytes equal
-``json.dumps`` of ``dataset_to_dict``, the container reference.
-``dataset_from_dict`` checks the decoded tree with C-level passes
-(``map``, ``set``, ``itertools.chain``) and converts one flat list.  The
-tree that ``json.load`` builds has no cycles, so the cyclic collector is
-paused while a dataset is decoded; otherwise it rescans the growing tree
-again and again.
+by looking up one string per (pair, sign) and filling a row template
+with one ``%``-format call; its bytes equal ``json.dumps`` of
+``dataset_to_dict``, the container reference.
+
+``load_dataset`` has two routes to the same validator,
+``dataset_from_dict``:
+
+- A byte-canonical file, one whose bytes are exactly what
+  ``save_dataset`` writes for its decoded content, has its observations
+  block parsed by numpy: the brackets and commas become spaces and one
+  ``np.fromstring`` reads the integers.  The header and ground truth are
+  parsed by ``json.loads`` with the block replaced by ``[]``.  The route
+  only accepts a file whose every byte it has checked against that
+  canonical form (``_canonical_dataset``); anything else, including
+  values it could misread (leading zeros, ``-0``, a lone ``-``, 19-digit
+  integers that numpy saturates), goes to the general route.
+- Every other file, for example pretty-printed or hand-edited JSON, goes
+  through ``json.load``.  ``dataset_from_dict`` checks the decoded tree
+  with C-level passes (``map``, ``set``, ``itertools.chain``) and
+  converts one flat list.
+
+The general route is kept because valid non-canonical JSON has no other
+reader, and because it is the reference that the canonical route is
+tested against: on every file both routes give equal arrays or the same
+``ValidationError``.  The tree that ``json.load`` builds has no cycles,
+so the cyclic collector is paused while a dataset is loaded; otherwise
+it rescans the growing tree again and again.
 """
 
 import contextlib
@@ -71,11 +91,26 @@ def dataset_to_dict(batch, model=None):
 
 
 def _observations_json(batch):
-    """The ``observations`` block as compact JSON, from one format call."""
+    """The ``observations`` block as compact JSON, from one format call.
+
+    Entry (p, s) is the table string at p + N (s > 0): ``[p,-1]`` in the
+    first N slots, ``[p,1]`` in the second.
+    """
     count, ell = batch.pair_indices.shape
-    flat = np.stack([batch.pair_indices, batch.signs], axis=-1).ravel().tolist()
-    row = "[" + ",".join(["[%d,%d]"] * ell) + "]"
-    return "[" + ",".join([row] * count) % tuple(flat) + "]"
+    n_pairs = batch.graph.n_pairs
+    table = [f"[{p},-1]" for p in range(n_pairs)] + [f"[{p},1]" for p in range(n_pairs)]
+    codes = batch.pair_indices + n_pairs * (batch.signs > 0)
+    row = "[" + ",".join(["%s"] * ell) + "]"
+    entries = tuple(map(table.__getitem__, codes.ravel().tolist()))
+    return "[" + ",".join([row] * count) % entries + "]"
+
+
+def _framing(header, truth):
+    """The text ``save_dataset`` writes before and after the observations block."""
+    head = json.dumps(header, separators=(",", ":"))[:-1] + ',"observations":'
+    if truth is None:
+        return head, "}\n"
+    return head, ',"ground_truth":' + json.dumps(truth, separators=(",", ":")) + "}\n"
 
 
 def _header_int(value, name):
@@ -86,7 +121,11 @@ def _header_int(value, name):
 
 
 def dataset_from_dict(data):
-    """Rebuild (batch, model-or-None) from a parsed dataset dict."""
+    """Rebuild (batch, model-or-None) from a parsed dataset dict.
+
+    ``observations`` is the nested JSON list, or the (count, ell, 2) int64
+    array that ``load_dataset`` decodes from a canonical file.
+    """
     try:
         n = _header_int(data["n"], "n")
         ell = _header_int(data["ell"], "ell")
@@ -112,7 +151,17 @@ def dataset_from_dict(data):
 
 
 def _observation_entries(observations, ell):
-    """The (count, ell, 2) int64 array of decoded observations; ``[]`` is empty."""
+    """The (count, ell, 2) int64 array of decoded observations; ``[]`` is empty.
+
+    Such an array, as ``load_dataset`` decodes from a canonical file, is
+    taken as it is.
+    """
+    if (
+        type(observations) is np.ndarray
+        and observations.dtype == np.int64
+        and observations.shape[1:] == (ell, 2)
+    ):
+        return observations
     if type(observations) is not list:
         raise ValidationError("dataset observations must be a list")
     count = len(observations)
@@ -147,19 +196,91 @@ def _numeric(values, name):
 
 
 def save_dataset(path, batch, model=None):
-    header = json.dumps(_header_dict(batch), separators=(",", ":"))
-    parts = [header[:-1], ',"observations":', _observations_json(batch)]
-    if model is not None:
-        truth = json.dumps(_ground_truth_dict(model), separators=(",", ":"))
-        parts += [',"ground_truth":', truth]
-    parts.append("}\n")
+    truth = None if model is None else _ground_truth_dict(model)
+    head, tail = _framing(_header_dict(batch), truth)
     with open(path, "w") as fh:
-        fh.write("".join(parts))
+        fh.write(head + _observations_json(batch) + tail)
 
 
 def load_dataset(path):
     with _collector_paused():
-        return dataset_from_dict(load_json(path, "dataset"))
+        with open(path, "rb") as fh:
+            data = _canonical_dataset(fh.read())
+        if data is None:
+            data = load_json(path, "dataset")
+        return dataset_from_dict(data)
+
+
+_KEYS = ["n", "ell", "graph", "observations"]
+_BLOCK_START = b',"observations":['
+_SEPARATORS = bytes.maketrans(b"[],", b"   ")
+_NUMBER_BYTES = b"0123456789-"
+# np.fromstring saturates integers beyond int64 instead of failing, so a
+# value this large is left to the general route.
+_LARGEST_READ = 10**18
+
+
+def _canonical_dataset(raw):
+    """The dataset dict of a byte-canonical file, or None for any other file.
+
+    The observations come back as a (count, ell, 2) int64 array.  A file is
+    accepted only if its bytes are exactly those ``save_dataset`` writes for
+    the decoded content: the header and ground truth must re-encode to their
+    own bytes, and the block must be the canonical skeleton
+    ``[[[,],...],...]`` for (count, ell) with one canonical decimal
+    integer in each slot.  The slot count, the count of ``-`` bytes and the
+    count of digit bytes are all compared with the parsed values, which
+    closes what ``np.fromstring`` would otherwise accept (``- 1``, ``01``,
+    ``-0``, a lone ``-`` or an empty slot).
+    """
+    key = raw.find(_BLOCK_START)
+    if key < 0:
+        return None
+    start = key + len(_BLOCK_START) - 1  # the block's opening bracket
+    if raw.startswith(b"[]", start):
+        end = start + 2
+    else:
+        end = raw.find(b"]]]", start) + 3
+        if end < 3:
+            return None
+    block = raw[start:end]
+    try:
+        data = json.loads(raw[:start] + b"[]" + raw[end:])
+    except ValueError:  # invalid JSON or undecodable bytes
+        return None
+    if type(data) is not dict or list(data) not in (_KEYS, _KEYS + ["ground_truth"]):
+        return None
+    header = {key: data[key] for key in _KEYS[:3]}
+    head, tail = _framing(header, data.get("ground_truth"))
+    if raw[:start] != head.encode() or raw[end:] != tail.encode():
+        return None
+    if block == b"[]":
+        return data
+    ell = data["ell"]
+    if type(ell) is not int or ell < 1:
+        return None
+    try:
+        values = np.fromstring(block.translate(_SEPARATORS), dtype=np.int64, sep=" ")
+    except ValueError:  # unmatched data, such as 1-2 or --1
+        return None
+    count = values.size // (2 * ell)
+    if count == 0 or values.size != 2 * ell * count:
+        return None
+    row = b"[" + b",".join([b"[,]"] * ell) + b"]"
+    skeleton = block.translate(None, _NUMBER_BYTES)
+    if skeleton != b"[" + b",".join([row] * count) + b"]":
+        return None
+    if values.min() <= -_LARGEST_READ or values.max() >= _LARGEST_READ:
+        return None
+    magnitudes = np.abs(values)
+    digits = values.size
+    for power in range(1, len(str(int(magnitudes.max())))):
+        digits += np.count_nonzero(magnitudes >= 10**power)
+    minus = block.count(b"-")
+    if minus != np.count_nonzero(values < 0) or digits + minus != len(block) - len(skeleton):
+        return None
+    data["observations"] = values.reshape(count, ell, 2)
+    return data
 
 
 def load_json(path, what):

@@ -215,6 +215,18 @@ class TestSymmetrizeAndEig:
         with pytest.raises(RankDeficiencyError):
             symmetrize_and_eig(-np.eye(4), 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_negative_semidefinite_raises(self, seed):
+        # -F F^T has two large negative eigenvalues and roundoff for the
+        # rest; the floor scales with the largest magnitude, so the
+        # roundoff-sized top candidates are not kept, dense or completed.
+        factor = np.random.default_rng(seed).standard_normal((95, 2))
+        dense = -factor @ factor.T
+        completed = altmin_complete(dense, 2).matrix
+        for matrix in (dense, completed):
+            with pytest.raises(RankDeficiencyError):
+                symmetrize_and_eig(matrix, 2)
+
     def test_short_indefinite_spectrum_reported_descending(self):
         # Two candidates of a rank-2 matrix on 5 pairs: the three eigenvalues
         # not given are 0 and belong between the positive and the negative.

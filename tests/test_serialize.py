@@ -11,6 +11,7 @@ from mixmnl import (
     MixedMNLModel,
     ObservationBatch,
     ValidationError,
+    erdos_renyi,
     load_dataset,
     random_uniform_model,
     save_dataset,
@@ -145,6 +146,138 @@ class TestEncoder:
         again = path.with_name("again.json")
         save_dataset(again, loaded_batch, loaded_model)
         assert again.read_bytes() == path.read_bytes()
+
+
+def general_route(path):
+    """The reference reader: ``json.load`` and the container checks."""
+    return dataset_from_dict(serialize.load_json(path, "dataset"))
+
+
+def outcome(load, path):
+    """What a reader makes of a file: its arrays and model, or its error."""
+    try:
+        batch, model = load(path)
+    except ValidationError as err:
+        return type(err), str(err)
+    arrays = [batch.graph.edges, batch.pair_indices, batch.signs]
+    if model is not None:
+        arrays += [model.weights, model.mixture]
+    return batch.graph.n_items, [(a.dtype.str, a.shape, a.tolist()) for a in arrays]
+
+
+def assert_routes_agree(path):
+    both = outcome(load_dataset, path), outcome(general_route, path)
+    assert both[0] == both[1]
+    return both[0]
+
+
+class TestCanonicalRoute:
+    """``load_dataset`` gives the general route's result on every file."""
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_generated_datasets(self, dataset, tmp_path, with_truth, empty):
+        _, model, batch = dataset
+        model = model if with_truth else None
+        if empty:
+            batch = ObservationBatch(batch.graph, batch.pair_indices[:0], batch.signs[:0])
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert_routes_agree(path)
+        assert len(load_dataset(path)[0]) == len(batch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches())
+    def test_random_batches(self, tmp_path_factory, batch_and_model):
+        batch, model = batch_and_model
+        path = tmp_path_factory.mktemp("route") / "d.json"
+        save_dataset(path, batch, model)
+        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert_routes_agree(path)
+
+    def test_canonical_file_skips_json_load(self, tmp_path, monkeypatch):
+        # A file of the cli workload's shape: n = 30, mean degree 8, ell = 10.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng)
+        batch = model.sample_batch(graph, 10, 2000, rng)
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        expected = outcome(general_route, path)
+
+        def refuse(*args):
+            raise AssertionError("canonical file read through json.load")
+
+        monkeypatch.setattr(serialize, "load_json", refuse)
+        assert outcome(load_dataset, path) == expected
+
+    # Each edit applies to the text of a canonical file; "{p}" and "{s}"
+    # stand for the values of the first observation entry.
+    FIRST = '"observations":[[[{p},{s}]'
+    MUTATIONS = {
+        "space-after-colon": (FIRST, '"observations": [[[{p},{s}]'),
+        "space-in-entry": (FIRST, '"observations":[[[{p}, {s}]'),
+        "space-in-header": ('"ell":', '"ell": '),
+        "space-in-truth": ('"q":', '"q": '),
+        "trailing-space": ("}\n", "} \n"),
+        "no-newline": ("}\n", "}"),
+        "crlf": ("}\n", "}\r\n"),
+        "leading-zero": (FIRST, '"observations":[[[0{p},{s}]'),
+        "minus-zero": (FIRST, '"observations":[[[-0,{s}]'),
+        "minus-space-one": (FIRST, '"observations":[[[{p},- 1]'),
+        "lone-minus": (FIRST, '"observations":[[[{p},-]'),
+        "empty-slot": (FIRST, '"observations":[[[{p},]'),
+        "one-minus-two": (FIRST, '"observations":[[[{p},1-2]'),
+        "double-minus": (FIRST, '"observations":[[[{p},--1]'),
+        "float": (FIRST, '"observations":[[[{p},1.0]'),
+        "exponent": (FIRST, '"observations":[[[{p},1e0]'),
+        "plus": (FIRST, '"observations":[[[{p},+1]'),
+        "true": (FIRST, '"observations":[[[{p},true]'),
+        "string": (FIRST, '"observations":[[[{p},"1"]'),
+        "int64-overflow": (FIRST, '"observations":[[[9223372036854775808,{s}]'),
+        "int64-underflow": (FIRST, '"observations":[[[-9223372036854775809,{s}]'),
+        "nineteen-digits": (FIRST, '"observations":[[[1000000000000000000,{s}]'),
+        "ragged-row": (FIRST + ",", '"observations":[['),
+        "empty-row": (FIRST, '"observations":[[],[[{p},{s}]'),
+        "reordered-keys": ('{"n":5,"ell":3,', '{"ell":3,"n":5,'),
+        "duplicate-observations-last": ("}}\n", '},"observations":[]}\n'),
+        "duplicate-observations-first": ('"observations":', '"observations":[],"observations":'),
+        "nested-observations": [  # the block moves into graph; the top-level key is []
+            ('},"observations":', ',"observations":'),
+            (']]],"ground_truth"', ']]]},"observations":[],"ground_truth"'),
+        ],
+        "extra-key": ('"ell":3,', '"ell":3,"x":0,'),
+        "truncated": ("]]],", "]],"),
+        "bom": ("", "\ufeff"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutated_file(self, dataset, tmp_path, name):
+        _, model, batch = dataset
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        text = path.read_text()
+        first = {"{p}": str(batch.pair_indices[0, 0]), "{s}": str(batch.signs[0, 0])}
+        edits = self.MUTATIONS[name]
+        for old, new in [edits] if isinstance(edits, tuple) else edits:
+            for key, value in first.items():
+                old, new = old.replace(key, value), new.replace(key, value)
+            assert old in text
+            text = new + text if old == "" else text.replace(old, new, 1)
+        path.write_bytes(text.encode())
+        assert serialize._canonical_dataset(path.read_bytes()) is None
+        assert_routes_agree(path)
+
+    def test_large_value_in_range_of_the_canonical_route(self, dataset, tmp_path):
+        # 18 digits are read exactly; the routes then agree on the range error.
+        _, model, batch = dataset
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        first = '"observations":[[[' + str(batch.pair_indices[0, 0])
+        path.write_text(path.read_text().replace(first, '"observations":[[[' + "9" * 18, 1))
+        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert assert_routes_agree(path) == (ValidationError, "pair index out of range")
 
 
 class TestCollectorState:
