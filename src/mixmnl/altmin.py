@@ -142,13 +142,15 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     """Alternating least-squares completion of a symmetric off-diagonal matrix.
 
     ``offdiag`` is square and symmetric with the diagonal treated as
-    unobserved (any diagonal values are ignored).  Starts from the
-    eigenvectors of the ``rank`` largest-magnitude eigenvalues and runs
-    ``n_iterations`` solves (default scales with log of the input norm).
+    unobserved (any diagonal values are ignored).  It is read, never
+    written: a zero-diagonal C-ordered float64 input is used as it is, any
+    other is copied once.  Starts from the eigenvectors of the ``rank``
+    largest-magnitude eigenvalues and runs ``n_iterations`` solves (default
+    scales with log of the input norm).
     Singular row systems fall back to a ridge of 1e-12 and are flagged in
     the result's ``ridge_steps``.
     """
-    a = np.array(offdiag, dtype=np.float64, order="C")
+    a = np.asarray(offdiag, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("offdiag must be square")
     if not np.isfinite(a).all():
@@ -160,7 +162,9 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     scale = max(a.max(), -a.min())
     if scale > 0 and _max_asymmetry(a) > 1e-8 * scale:
         raise ValidationError("offdiag must be symmetric")
-    np.fill_diagonal(a, 0.0)
+    if np.diagonal(a).any():
+        a = a.copy()  # never write to the caller's array
+        np.fill_diagonal(a, 0.0)
     if n_iterations is None:
         n_iterations = default_iteration_count(a)
     n_iterations = int(n_iterations)

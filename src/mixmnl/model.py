@@ -18,8 +18,13 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import ComparisonGraph
 
-# Observation sampling is chunked so scratch uniforms stay around 32 MB.
+# The sampler's chunk fixes the stream: each chunk of _CHUNK_FLOATS // N
+# rows draws its pair keys, then its outcome uniforms.  The keys themselves
+# are drawn _BLOCK_FLOATS at a time into one reusable buffer, which bounds
+# memory without moving any draw: a block of keys is the same words of the
+# stream as the matching rows of one chunk-sized draw.
 _CHUNK_FLOATS = 4 << 20
+_BLOCK_FLOATS = 1 << 17
 
 
 def _normalized(v):
@@ -66,7 +71,7 @@ class ObservationBatch:
         if count > 0:
             if idx.min() < 0 or idx.max() >= graph.n_pairs:
                 raise ValidationError("pair index out of range")
-            if ell > 1 and not (np.diff(idx, axis=1) > 0).all():
+            if not (idx[:, 1:] > idx[:, :-1]).all():
                 raise ValidationError("pair indices must be strictly increasing per row")
             if not (np.abs(sgn) == 1).all():
                 raise ValidationError("signs must be -1 or +1")
@@ -142,9 +147,12 @@ class MixedMNLModel:
         """Draw ``count`` independent observations of ``ell`` distinct pairs.
 
         Pair subsets are uniform without replacement over the graph's
-        pairs.  Consumption of ``rng`` is fixed (components, then per-chunk
-        pair uniforms and outcome uniforms), so a seeded generator
-        reproduces the batch exactly.
+        pairs: each row keeps the ``ell`` smallest of N uniform keys.
+        Consumption of ``rng`` is fixed (components, then per chunk the
+        pair keys and the outcome uniforms), so a seeded generator
+        reproduces the batch exactly.  The chunk size fixes that order; the
+        keys go through one block of about 1 MB, so scratch memory does not
+        grow with the chunk.
         """
         count = int(count)
         ell = int(ell)
@@ -158,15 +166,19 @@ class MixedMNLModel:
         components = rng.choice(self.n_components, size=count, p=self.mixture)
         idx = np.empty((count, ell), dtype=np.int64)
         sgn = np.empty((count, ell), dtype=np.int8)
-        step = max(1, _CHUNK_FLOATS // max(n_pairs, 1))
+        step = max(1, _CHUNK_FLOATS // n_pairs)
+        rows = max(1, _BLOCK_FLOATS // n_pairs)
+        keys = np.empty((min(rows, step, count), n_pairs))
         for lo in range(0, count, step):
             hi = min(lo + step, count)
-            keys = rng.random((hi - lo, n_pairs))
-            chosen = np.argpartition(keys, ell - 1, axis=1)[:, :ell]
-            chosen.sort(axis=1)
-            idx[lo:hi] = chosen
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                block = rng.random(out=keys[: stop - start])
+                chosen = np.argpartition(block, ell - 1, axis=1)[:, :ell]
+                chosen.sort(axis=1)
+                idx[start:stop] = chosen
             u = rng.random((hi - lo, ell))
-            thresholds = win[chosen, components[lo:hi, None]]
+            thresholds = win[idx[lo:hi], components[lo:hi, None]]
             sgn[lo:hi] = np.where(u < thresholds, 1, -1)
         return ObservationBatch(graph, idx, sgn)
 

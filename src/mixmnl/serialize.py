@@ -136,6 +136,8 @@ def dataset_from_dict(data):
         raise ValidationError(f"malformed dataset: {err}") from err
     if graph.n_items != n:
         raise ValidationError("dataset n and graph n disagree")
+    if not 1 <= ell <= graph.n_pairs:
+        raise ValidationError("ell must be in [1, n_pairs]")
     entries = _observation_entries(observations, ell)
     batch = ObservationBatch(graph, entries[:, :, 0], entries[:, :, 1])
     model = None

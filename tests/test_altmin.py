@@ -96,8 +96,8 @@ class TestCompletion:
         assert altmin._max_asymmetry(a) == np.abs(a - a.T).max()
 
     def test_symmetry_check_allocates_no_square_temporary(self):
-        # The input's one working copy and the completed output are the
-        # only N x N arrays; the symmetry check adds a (block, N) slab.
+        # A hollow input is used as it is, with no N x N copy; the symmetry
+        # check adds a (block, N) slab, 0.16 of the input here.
         hollow, _ = low_rank_offdiag(800, 2, 11)
         tracemalloc.start()
         try:
@@ -105,7 +105,18 @@ class TestCompletion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * hollow.nbytes
+        assert peak < 0.25 * hollow.nbytes
+
+    @pytest.mark.parametrize("diagonal", [0.0, 123.0])
+    def test_input_never_written(self, diagonal):
+        # A read-only input raises on any write; the spoiled diagonal is
+        # zeroed on a copy only.
+        hollow, _ = low_rank_offdiag(20, 2, 6)
+        np.fill_diagonal(hollow, diagonal)
+        before = hollow.copy()
+        hollow.setflags(write=False)
+        altmin_complete(hollow, 2, n_iterations=3)
+        assert np.array_equal(hollow, before)
 
     def test_rejects_nonfinite(self):
         m = np.zeros((5, 5))

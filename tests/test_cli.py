@@ -327,6 +327,21 @@ class TestNonIntegerDataset:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("ell", [-1, 0, 10**6])
+    def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        doc = json.loads(data.read_text())
+        doc["ell"] = ell
+        doc["observations"] = []
+        data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "ell must be in [1, n_pairs]" in result.stderr
+
 
 class TestFilesystemErrors:
     """A path the command cannot read or write is an invalid input: exit 2, no traceback."""

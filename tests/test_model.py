@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,12 @@ from mixmnl import (
     MixedMNLModel,
     ObservationBatch,
     ValidationError,
+    erdos_renyi,
     marginally_identical_mixtures,
     random_uniform_model,
     ranking_mixture_marginals,
 )
+from mixmnl import model as model_module
 
 from conftest import complete_graph
 
@@ -140,6 +145,122 @@ class TestSampling:
             ObservationBatch(small_graph, [[0, 1]], [[1, 2]])
         with pytest.raises(ValidationError):
             ObservationBatch(small_graph, [[0, 99]], [[1, 1]])
+
+
+def reference_sample(model, graph, ell, count, rng, chunk_floats):
+    """Reference sampler that draws each chunk's keys at once.
+
+    Same stream as ``sample_batch`` for the same ``chunk_floats``; it holds
+    a whole chunk of keys and their argpartition at once.
+    """
+    win = (1.0 + model.expected_outcomes(graph)) / 2.0
+    components = rng.choice(model.n_components, size=count, p=model.mixture)
+    idx = np.empty((count, ell), dtype=np.int64)
+    sgn = np.empty((count, ell), dtype=np.int8)
+    step = max(1, chunk_floats // graph.n_pairs)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        keys = rng.random((hi - lo, graph.n_pairs))
+        chosen = np.argpartition(keys, ell - 1, axis=1)[:, :ell]
+        chosen.sort(axis=1)
+        idx[lo:hi] = chosen
+        u = rng.random((hi - lo, ell))
+        sgn[lo:hi] = np.where(u < win[chosen, components[lo:hi, None]], 1, -1)
+    return idx, sgn
+
+
+def sampled_instance(n_items, mean_degree, seed=0):
+    rng = np.random.default_rng(seed)
+    graph = erdos_renyi(n_items, mean_degree, rng)
+    return random_uniform_model(n_items, 2, rng, 1.0, 8.0), graph
+
+
+def digest(batch):
+    h = hashlib.sha256(np.ascontiguousarray(batch.pair_indices, dtype="<i8").tobytes())
+    h.update(batch.signs.tobytes())
+    return h.hexdigest()
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize(
+        "chunk_floats, block_floats, ell, count",
+        [
+            # 15 pairs: chunks of 9 rows, blocks of 4, so every chunk ends
+            # on a partial block and the count on a partial chunk
+            (135, 60, 3, 40),
+            (135, 60, 3, 0),
+            (135, 60, 3, 1),
+            (135, 60, 1, 23),
+            (135, 60, 15, 23),
+            # a block larger than the chunk
+            (135, 1000, 4, 23),
+            # one-row chunks and blocks
+            (1, 1, 2, 5),
+        ],
+    )
+    def test_matches_reference(self, monkeypatch, chunk_floats, block_floats, ell, count):
+        graph = complete_graph(6)
+        model = random_uniform_model(6, 3, np.random.default_rng(5))
+        monkeypatch.setattr(model_module, "_CHUNK_FLOATS", chunk_floats)
+        monkeypatch.setattr(model_module, "_BLOCK_FLOATS", block_floats)
+        batch = model.sample_batch(graph, ell, count, np.random.default_rng(17))
+        idx, sgn = reference_sample(
+            model, graph, ell, count, np.random.default_rng(17), chunk_floats
+        )
+        assert np.array_equal(batch.pair_indices, idx)
+        assert np.array_equal(batch.signs, sgn)
+
+    @pytest.mark.parametrize("ell, count", [(40, 5000), (1, 2385), (1759, 3)])
+    def test_matches_reference_at_default_sizes(self, ell, count):
+        # 1,759 pairs: chunks of 2,384 rows, blocks of 74, neither dividing
+        # the count
+        model, graph = sampled_instance(300, 12.0)
+        assert graph.n_pairs == 1759
+        batch = model.sample_batch(graph, ell, count, np.random.default_rng(8))
+        idx, sgn = reference_sample(
+            model, graph, ell, count, np.random.default_rng(8), model_module._CHUNK_FLOATS
+        )
+        assert np.array_equal(batch.pair_indices, idx)
+        assert np.array_equal(batch.signs, sgn)
+
+    def test_scratch_memory_does_not_grow_with_the_chunk(self):
+        # One chunk of keys at this size, with its argpartition, is 67 MB.
+        model, graph = sampled_instance(300, 12.0)
+        tracemalloc.start()
+        try:
+            batch = model.sample_batch(graph, 40, 5000, np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = batch.pair_indices.nbytes + batch.signs.nbytes
+        assert peak < output + (8 << 20)
+
+    @pytest.mark.parametrize(
+        "n_items, mean_degree, ell, count, seed, expected",
+        [
+            pytest.param(
+                8, 3.0, 3, 500, 1,
+                "ca2d82b253b316c493f614ea39c00a67672538fb089f7600ff557b8348b676da",
+                id="9-pairs",
+            ),
+            pytest.param(
+                30, 8.0, 10, 2000, 2,
+                "c02267ec48078c647dc50cc9d109ee6cae5b5d6912d4342e3f8572cfaba74a9a",
+                id="104-pairs",
+            ),
+            pytest.param(
+                300, 12.0, 40, 3000, 3,
+                "496dd621b2cbaae81b031f784f7bbce16dc6c1b9385c7f1fe569d1c0512a5c92",
+                id="1759-pairs",
+            ),
+        ],
+    )
+    def test_seeded_stream_is_pinned(self, n_items, mean_degree, ell, count, seed, expected):
+        # A sampler that draws a different stream (say, Floyd's algorithm)
+        # changes every seeded dataset and fit; it must fail here first.
+        model, graph = sampled_instance(n_items, mean_degree)
+        batch = model.sample_batch(graph, ell, count, np.random.default_rng(seed))
+        assert digest(batch) == expected
 
 
 class TestRankingMixtures:
