@@ -12,9 +12,19 @@ import numpy as np
 from scipy import sparse
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def _sign_matrix(pair_indices, values, n_pairs):
+    """The (count, n_pairs) CSR matrix X; ``pair_indices`` may be any integer array.
+
+    int32 indices, the width batches hold, go into X without a copy, with an
+    int32 indptr whenever count * ell fits; scipy converts other widths.
+    """
+    pair_indices = np.asarray(pair_indices)
     count, ell = pair_indices.shape
-    indptr = np.arange(0, count * ell + 1, ell, dtype=np.int64)
+    nnz = count * ell
+    indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
     return sparse.csr_matrix(
         (np.asarray(values, dtype=np.float64).ravel(), pair_indices.ravel(), indptr),
         shape=(count, int(n_pairs)),
@@ -24,14 +34,14 @@ def _sign_matrix(pair_indices, values, n_pairs):
 def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
-    ``pair_indices`` is (count, ell) int64 with distinct entries per row and
+    ``pair_indices`` is (count, ell) integer with distinct entries per row and
     ``signs`` the matching sign (or weight) array.  Returns the dense
     (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t`` is the dense
     vector with ``signs[t]`` scattered into ``pair_indices[t]``, i.e. X^T X.
     Diagonal entries count touches.  For integer inputs every entry is an
     exact integer sum, so the result does not depend on summation order.
     """
-    x = _sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, n_pairs)
+    x = _sign_matrix(pair_indices, signs, n_pairs)
     # A CSR product densifies in C order, which the completion's in-place
     # updates rely on; X^T in CSC would give a Fortran-ordered result.
     return (x.T.tocsr() @ x).toarray()
@@ -67,7 +77,9 @@ def projected_third_moment_sums(pair_indices, signs, basis):
     off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
     W, by ``offdiagonal_third_sums`` with unit weights.  Requires ``signs``
     in {-1, +1}: then the squares of X are |X| and its cubes X itself.
+    |X| shares X's index arrays rather than copying them.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
-    x = _sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, w.shape[0])
-    return offdiagonal_third_sums(x, abs(x), x, np.ones(x.shape[0]), w)
+    x = _sign_matrix(pair_indices, signs, w.shape[0])
+    magnitudes = sparse.csr_matrix((np.abs(x.data), x.indices, x.indptr), shape=x.shape)
+    return offdiagonal_third_sums(x, magnitudes, x, np.ones(x.shape[0]), w)

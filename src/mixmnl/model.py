@@ -26,6 +26,17 @@ from .graphs import ComparisonGraph
 _CHUNK_FLOATS = 4 << 20
 _BLOCK_FLOATS = 1 << 17
 
+# Pair indices are stored as int32, the one place their width is chosen: a
+# batch holds count * ell of them, and the sparse kernels use int32 indices
+# without converting.  Graphs with 2**31 or more pairs are refused.
+_INDEX_DTYPE = np.int32
+_MAX_PAIRS = int(np.iinfo(_INDEX_DTYPE).max)
+
+
+def _check_pair_count(graph):
+    if graph.n_pairs > _MAX_PAIRS:
+        raise ValidationError(f"graphs with more than {_MAX_PAIRS} pairs are not supported")
+
 
 def _normalized(v):
     """Rows of ``v`` over their sums.
@@ -42,7 +53,7 @@ def _normalized(v):
 class Observation:
     """One multi-pair comparison: ``ell`` distinct pairs with outcomes."""
 
-    pair_indices: np.ndarray  # (ell,) int64, strictly increasing
+    pair_indices: np.ndarray  # (ell,) int32, strictly increasing
     signs: np.ndarray  # (ell,) int8 in {-1, +1}
 
     def dense(self, n_pairs):
@@ -54,28 +65,36 @@ class Observation:
 class ObservationBatch:
     """Column store of observations sharing one graph and one ell.
 
-    ``pair_indices`` has shape (count, ell) with strictly increasing rows;
-    ``signs`` matches with entries in {-1, +1}.
+    ``pair_indices`` has shape (count, ell) with strictly increasing rows,
+    held as a read-only int32 copy; ``signs`` matches with entries in
+    {-1, +1}.  Indices are range-checked before they are narrowed, so a
+    value too wide for int32 is rejected rather than wrapped.
     """
 
     def __init__(self, graph, pair_indices, signs):
         if not isinstance(graph, ComparisonGraph):
             raise ValidationError("batch needs a ComparisonGraph")
-        idx = np.array(pair_indices, dtype=np.int64, copy=True)
+        _check_pair_count(graph)
+        idx = np.asarray(pair_indices)
+        if idx.dtype.kind not in "iu":
+            idx = idx.astype(np.int64)
         sgn = np.asarray(signs)
         if idx.ndim != 2 or sgn.shape != idx.shape:
             raise ValidationError("pair_indices and signs must both be (count, ell)")
         count, ell = idx.shape
         if ell < 1 or ell > graph.n_pairs:
             raise ValidationError("ell must be in [1, n_pairs]")
+        if count > 0 and (idx.min() < 0 or idx.max() >= graph.n_pairs):
+            raise ValidationError("pair index out of range")
+        idx = np.array(idx, dtype=_INDEX_DTYPE, order="C")
         if count > 0:
-            if idx.min() < 0 or idx.max() >= graph.n_pairs:
-                raise ValidationError("pair index out of range")
             if not (idx[:, 1:] > idx[:, :-1]).all():
                 raise ValidationError("pair indices must be strictly increasing per row")
             if not (np.abs(sgn) == 1).all():
                 raise ValidationError("signs must be -1 or +1")
-        sgn = sgn.astype(np.int8)
+        self._hold(graph, idx, sgn.astype(np.int8))
+
+    def _hold(self, graph, idx, sgn):
         idx.setflags(write=False)
         sgn.setflags(write=False)
         self.graph = graph
@@ -95,6 +114,13 @@ class ObservationBatch:
     def __iter__(self):
         for t in range(len(self)):
             yield self[t]
+
+
+def _fresh_batch(graph, idx, sgn):
+    """A batch that takes ``sample_batch``'s own arrays, valid by construction, as they are."""
+    batch = ObservationBatch.__new__(ObservationBatch)
+    batch._hold(graph, idx, sgn)
+    return batch
 
 
 class MixedMNLModel:
@@ -161,10 +187,11 @@ class MixedMNLModel:
         n_pairs = graph.n_pairs
         if not 1 <= ell <= n_pairs:
             raise ValidationError("ell must be in [1, n_pairs]")
+        _check_pair_count(graph)
         p_matrix = self.expected_outcomes(graph)
         win = (1.0 + p_matrix) / 2.0  # P(sign = +1 | pair, component)
         components = rng.choice(self.n_components, size=count, p=self.mixture)
-        idx = np.empty((count, ell), dtype=np.int64)
+        idx = np.empty((count, ell), dtype=_INDEX_DTYPE)
         sgn = np.empty((count, ell), dtype=np.int8)
         step = max(1, _CHUNK_FLOATS // n_pairs)
         rows = max(1, _BLOCK_FLOATS // n_pairs)
@@ -180,7 +207,7 @@ class MixedMNLModel:
             u = rng.random((hi - lo, ell))
             thresholds = win[idx[lo:hi], components[lo:hi, None]]
             sgn[lo:hi] = np.where(u < thresholds, 1, -1)
-        return ObservationBatch(graph, idx, sgn)
+        return _fresh_batch(graph, idx, sgn)
 
     def __repr__(self):
         return f"MixedMNLModel(r={self.n_components}, n={self.n_items})"

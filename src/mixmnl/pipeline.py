@@ -13,7 +13,8 @@ import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import MixMNLError, ValidationError
 from .graphs import erdos_renyi
@@ -111,8 +112,9 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
 
     ``est_vectors`` and ``true_vectors`` hold one component per row (item
     weights or outcome-mean columns transposed).  The matching minimizes
-    the summed per-pair cost |q_hat - q| + relative vector error by the
-    Hungarian algorithm.
+    the summed per-pair cost |q_hat - q| + relative vector error by sparse
+    Jonker-Volgenant (scipy's ``min_weight_full_bipartite_matching``).  A
+    cost that overflows to inf or nan raises ``ValidationError``.
     """
     est_mixture = np.asarray(est_mixture, dtype=np.float64)
     true_mixture = np.asarray(true_mixture, dtype=np.float64)
@@ -126,21 +128,34 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
     if not (np.isfinite(est_mixture).all() and np.isfinite(est_vectors).all()):
         raise ValidationError("estimated mixture and vectors must be finite")
 
-    true_norms = np.linalg.norm(true_vectors, axis=1)
-    if (true_norms == 0).any():
-        raise ValidationError("true component vectors must be non-zero")
-    # cost[a, b]: estimated component a against true component b
-    diff = est_vectors[:, None, :] - true_vectors[None, :, :]
-    vector_cost = np.linalg.norm(diff, axis=2) / true_norms[None, :]
-    cost = np.abs(est_mixture[:, None] - true_mixture[None, :]) + vector_cost
-
-    est_idx, true_idx = linear_sum_assignment(cost)
-    order = est_idx[np.argsort(true_idx)]
+    # Finite inputs can still overflow the norms; the check below catches it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        true_norms = np.linalg.norm(true_vectors, axis=1)
+        if (true_norms == 0).any():
+            raise ValidationError("true component vectors must be non-zero")
+        # cost[a, b]: estimated component a against true component b
+        diff = est_vectors[:, None, :] - true_vectors[None, :, :]
+        vector_cost = np.linalg.norm(diff, axis=2) / true_norms[None, :]
+        cost = np.abs(est_mixture[:, None] - true_mixture[None, :]) + vector_cost
+    if not np.isfinite(cost).all():
+        raise ValidationError("matching cost overflows: component norms are not finite")
+    order = _min_cost_order(cost)
     return MatchResult(
         order=tuple(int(a) for a in order),
         mixture_errors=np.abs(est_mixture[order] - true_mixture),
         vector_errors=vector_cost[order, range(r)],
     )
+
+
+def _min_cost_order(cost):
+    """``order[b]``: the row matched to column b by a minimum-cost assignment.
+
+    ``cost`` is a finite, non-negative square matrix.  A sparse matrix drops
+    zero entries, so every cost moves up by 1 to stay an edge; that adds r to
+    every full matching and leaves the optimum where it was.
+    """
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(cost + 1.0))
+    return rows[np.argsort(cols)]
 
 
 def evaluate(estimates, model, graph=None, ell=None):

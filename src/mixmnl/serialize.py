@@ -124,7 +124,9 @@ def dataset_from_dict(data):
     """Rebuild (batch, model-or-None) from a parsed dataset dict.
 
     ``observations`` is the nested JSON list, or the (count, ell, 2) int64
-    array that ``load_dataset`` decodes from a canonical file.
+    array that ``load_dataset`` decodes from a canonical file.  Either way
+    the int64 decode goes to ``ObservationBatch``, which range-checks it and
+    keeps an int32 copy of the pair indices.
     """
     try:
         n = _header_int(data["n"], "n")

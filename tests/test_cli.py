@@ -267,6 +267,23 @@ class TestEvaluate:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    def test_overflowing_weights_exit_2(self, runner, tmp_path):
+        # Finite weights whose norms overflow make every matching cost inf.
+        data = generate_dataset(runner, tmp_path / "d.json", samples=2000)
+        out = tmp_path / "r.json"
+        runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "2"]
+        )
+        doc = json.loads(out.read_text())
+        doc["w_hat"][0] = [1e308] * len(doc["w_hat"][0])
+        out.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["evaluate", "--dataset", str(data), "--results", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: matching cost")
+        assert "Traceback" not in result.output
+
 
 class TestMalformedJson:
     """A file that is not valid JSON is an invalid input: exit 2, no traceback."""

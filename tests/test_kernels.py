@@ -34,6 +34,25 @@ class TestSignOuterProducts:
                 got = kernels.sign_outer_products(idx, values, n_pairs)
                 assert np.array_equal(got, x.T @ x)
 
+    def test_index_width_changes_no_bit(self):
+        rng = np.random.default_rng(3)
+        idx, sgn, basis = _random_inputs(rng, count=500, n_pairs=20, ell=5)
+        narrow = idx.astype(np.int32)
+        assert np.array_equal(
+            kernels.sign_outer_products(narrow, sgn, 20),
+            kernels.sign_outer_products(idx, sgn, 20),
+        )
+        assert np.array_equal(
+            kernels.projected_third_moment_sums(narrow, sgn, basis),
+            kernels.projected_third_moment_sums(idx, sgn, basis),
+        )
+
+    def test_int32_indices_are_used_without_a_copy(self):
+        idx = np.array([[0, 2], [0, 1]], dtype=np.int32)
+        x = kernels._sign_matrix(idx, np.array([[1, -1], [-1, -1]]), 3)
+        assert x.indptr.dtype == np.int32
+        assert np.shares_memory(x.indices, idx)
+
     def test_diagonal_counts_touches(self):
         idx = np.array([[0, 2], [0, 1]], dtype=np.int64)
         sgn = np.array([[1, -1], [-1, -1]], dtype=np.int8)

@@ -146,6 +146,37 @@ class TestSampling:
         with pytest.raises(ValidationError):
             ObservationBatch(small_graph, [[0, 99]], [[1, 1]])
 
+    def test_pair_indices_are_int32(self, small_model, small_graph):
+        sampled = small_model.sample_batch(small_graph, 3, 20, np.random.default_rng(0))
+        built = ObservationBatch(small_graph, np.array([[0, 2]], dtype=np.int64), [[1, -1]])
+        assert sampled.pair_indices.dtype == np.int32
+        assert built.pair_indices.dtype == np.int32
+
+    def test_wide_index_is_rejected_not_wrapped(self):
+        # 2**32 and 2**32 + 1 would wrap to the valid int32 indices 0 and 1.
+        graph = complete_graph(5)
+        assert graph.n_pairs == 10
+        idx = np.array([[2**32, 2**32 + 1]], dtype=np.int64)
+        with pytest.raises(ValidationError, match="out of range"):
+            ObservationBatch(graph, idx, [[1, 1]])
+
+    def test_callers_arrays_are_copied_and_left_writable(self, small_graph):
+        idx = np.array([[0, 1], [1, 2]], dtype=np.int32)
+        sgn = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        batch = ObservationBatch(small_graph, idx, sgn)
+        assert not np.shares_memory(batch.pair_indices, idx)
+        assert not np.shares_memory(batch.signs, sgn)
+        assert idx.flags.writeable and sgn.flags.writeable
+        assert not (batch.pair_indices.flags.writeable or batch.signs.flags.writeable)
+
+    def test_graph_beyond_int32_indices_is_refused(self, monkeypatch, small_model, small_graph):
+        # No test can build a graph with 2**31 pairs; lower the limit instead.
+        monkeypatch.setattr(model_module, "_MAX_PAIRS", small_graph.n_pairs - 1)
+        with pytest.raises(ValidationError, match="pairs are not supported"):
+            ObservationBatch(small_graph, [[0, 1]], [[1, 1]])
+        with pytest.raises(ValidationError, match="pairs are not supported"):
+            small_model.sample_batch(small_graph, 2, 5, np.random.default_rng(0))
+
 
 def reference_sample(model, graph, ell, count, rng, chunk_floats):
     """Reference sampler that draws each chunk's keys at once.
@@ -234,6 +265,21 @@ class TestSamplerStream:
             tracemalloc.stop()
         output = batch.pair_indices.nbytes + batch.signs.nbytes
         assert peak < output + (8 << 20)
+
+    def test_sampled_indices_are_held_once_at_pilot_shape(self):
+        # 200,000 rows of 10 of 104 pairs: the output is 9.5 MB, and one
+        # chunk's outcome draws, thresholds and index temporaries about 12 MB
+        # more.  A second copy of the 7.6 MB index array would pass the bound.
+        model, graph = sampled_instance(30, 8.0)
+        assert graph.n_pairs == 104
+        tracemalloc.start()
+        try:
+            batch = model.sample_batch(graph, 10, 200_000, np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = batch.pair_indices.nbytes + batch.signs.nbytes
+        assert peak < output + (16 << 20)
 
     @pytest.mark.parametrize(
         "n_items, mean_degree, ell, count, seed, expected",

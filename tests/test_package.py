@@ -1,6 +1,8 @@
 import ast
 import importlib
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +15,19 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def test_every_exported_name_resolves():
     assert [name for name in mixmnl.__all__ if not hasattr(mixmnl, name)] == []
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize adds about 17 MB of RSS and 0.2 s to every process; a
+    # fresh interpreter shows what importing the package and its CLI loads.
+    src = str(Path(mixmnl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, mixmnl, mixmnl.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_exported_names_are_unique():

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mixmnl import (
     ComponentEstimates,
@@ -82,6 +83,54 @@ class TestMatching:
         (est_mix if where == "mixture" else est_vec)[0] = value
         with pytest.raises(ValidationError):
             match_components(est_mix, est_vec, mix, vec)
+
+    def test_overflowing_norms_rejected(self):
+        # Finite estimates whose distances overflow: the cost is inf, and no
+        # RuntimeWarning may escape on the way.
+        mix = np.array([0.4, 0.6])
+        vec = np.array([[0.5, 0.5], [0.2, 0.8]])
+        est_vec = vec.copy()
+        est_vec[0] = [1e308, -1e308]
+        with pytest.raises(ValidationError, match="matching cost"):
+            match_components(mix, est_vec, mix, vec)
+
+    def test_total_cost_matches_linear_sum_assignment(self):
+        # Integer costs in 0..3 give exact zeros and heavy ties, where the
+        # permutations may differ but the optimal total may not; the unit
+        # shift is exact on them.  Continuous costs are compared to roundoff.
+        rng = np.random.default_rng(20)
+        for trial in range(600):
+            r = 1 + trial % 15
+            if trial % 3 == 2:
+                cost = rng.random((r, r)) * 10.0 ** rng.integers(-3, 4)
+            else:
+                cost = rng.integers(0, 4 if trial % 3 else 2, size=(r, r)).astype(float)
+            order = pipeline._min_cost_order(cost)
+            assert sorted(order) == list(range(r))
+            rows, cols = linear_sum_assignment(cost)
+            total = cost[order, np.arange(r)].sum()
+            best = cost[rows, cols].sum()
+            if trial % 3 == 2:
+                assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
+            else:
+                assert total == best
+
+    def test_tied_components_keep_the_optimal_total(self):
+        # Duplicated true components tie every matching among them.
+        rng = np.random.default_rng(21)
+        for r in range(1, 16):
+            base = rng.standard_normal((3, 5))
+            true_vec = base[rng.integers(0, 3, r)]
+            true_mix = np.round(rng.dirichlet(np.ones(r)), 1) + 0.1
+            perm = rng.permutation(r)
+            result = match_components(true_mix[perm], true_vec[perm], true_mix, true_vec)
+            diff = true_vec[perm][:, None, :] - true_vec[None, :, :]
+            cost = np.abs(true_mix[perm][:, None] - true_mix[None, :]) + (
+                np.linalg.norm(diff, axis=2) / np.linalg.norm(true_vec, axis=1)
+            )
+            rows, cols = linear_sum_assignment(cost)
+            total = (result.mixture_errors + result.vector_errors).sum()
+            assert total == pytest.approx(cost[rows, cols].sum(), abs=1e-12)
 
 
 class TestLearn:

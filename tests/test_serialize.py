@@ -280,6 +280,15 @@ class TestCanonicalRoute:
         assert assert_routes_agree(path) == (ValidationError, "pair index out of range")
 
 
+    @pytest.mark.parametrize("load", [load_dataset, general_route], ids=["canonical", "general"])
+    def test_pair_indices_load_as_int32(self, dataset, tmp_path, load):
+        _, model, batch = dataset
+        path = tmp_path / "d.json"
+        save_dataset(path, batch, model)
+        loaded = load(path)[0].pair_indices
+        assert loaded.dtype == np.int32
+        assert np.array_equal(loaded, batch.pair_indices)
+
 class TestCollectorState:
     """The cyclic collector is paused inside load, and its state survives save and load."""
 
