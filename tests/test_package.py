@@ -18,7 +18,7 @@ def test_every_exported_name_resolves():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize adds about 17 MB of RSS and 0.2 s to every process; a
+    # scipy.optimize adds about 17 MB of RSS and 0.14 s to every process; a
     # fresh interpreter shows what importing the package and its CLI loads.
     src = str(Path(mixmnl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
