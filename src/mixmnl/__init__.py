@@ -56,6 +56,7 @@ from .serialize import (
     dataset_from_dict,
     dataset_to_dict,
     load_dataset,
+    load_results,
     results_to_dict,
     save_dataset,
     save_results,
@@ -115,6 +116,7 @@ __all__ = [
     "incoherence_from_basis",
     "learn_mixed_mnl",
     "load_dataset",
+    "load_results",
     "marginally_identical_mixtures",
     "match_components",
     "power_stationary",

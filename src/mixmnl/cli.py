@@ -20,12 +20,12 @@ from .errors import NumericalError, ValidationError
 from .graphs import erdos_renyi
 from .model import marginally_identical_mixtures, random_uniform_model
 from .pipeline import (
-    ComponentEstimates,
     LearnConfig,
     check_conditions,
     evaluate,
     learn_mixed_mnl,
     run_sweep,
+    seeded_rng,
 )
 
 
@@ -62,6 +62,28 @@ def _count_list(text, option):
     return values
 
 
+def _mean_degree(dbar, n_items):
+    """``--dbar``, or by default ceil(log n); the graph's own check rejects n < 2."""
+    return float(np.ceil(np.log(max(n_items, 1)))) if dbar is None else dbar
+
+
+def _load_dataset(path, truth_for=None):
+    """A dataset file's (batch, model); ``truth_for`` names a use that needs the model."""
+    batch, model = serialize.load_dataset(path)
+    if truth_for and model is None:
+        raise ValidationError(f"{truth_for} needs a dataset with ground truth")
+    return batch, model
+
+
+def _report(report, out_path):
+    """Print ``report`` as JSON, or write it to ``out_path`` if one is given."""
+    if out_path is None:
+        click.echo(json.dumps(serialize.jsonable(report), indent=2))
+    else:
+        serialize.save_json(out_path, report)
+        click.echo(f"wrote {out_path}")
+
+
 @click.group()
 def main():
     """Learn mixtures of MNL models from sparse pairwise comparisons."""
@@ -78,10 +100,8 @@ def main():
 @_friendly_errors
 def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
     """Sample a graph, a model, and observations into a dataset file."""
-    if dbar is None:
-        dbar = float(np.ceil(np.log(n_items)))
-    rng = np.random.default_rng(seed)
-    graph = erdos_renyi(n_items, dbar, rng)
+    rng = seeded_rng(seed)
+    graph = erdos_renyi(n_items, _mean_degree(dbar, n_items), rng)
     model = random_uniform_model(n_items, n_components, rng)
     batch = model.sample_batch(graph, ell, samples, rng)
     serialize.save_dataset(out_path, batch, model)
@@ -100,9 +120,7 @@ def generate(n_items, n_components, dbar, ell, samples, seed, out_path):
 @_friendly_errors
 def learn(dataset_path, out_path, n_components, seed, exact_moments):
     """Estimate mixture, outcome means, and item weights from a dataset."""
-    batch, model = serialize.load_dataset(dataset_path)
-    if exact_moments and model is None:
-        raise ValidationError("--exact-moments needs a dataset with ground truth")
+    batch, model = _load_dataset(dataset_path, "--exact-moments" if exact_moments else None)
     config = LearnConfig(
         n_components=n_components, seed=seed, exact_moments=exact_moments
     )
@@ -118,25 +136,9 @@ def learn(dataset_path, out_path, n_components, seed, exact_moments):
 @_friendly_errors
 def evaluate_cmd(dataset_path, results_path, out_path):
     """Match results to a dataset's ground truth and report errors."""
-    batch, model = serialize.load_dataset(dataset_path)
-    if model is None:
-        raise ValidationError("evaluation needs a dataset with ground truth")
-    results = serialize.load_json(results_path, "results")
-    try:
-        estimates = ComponentEstimates(
-            mixture=np.asarray(results["q_hat"], dtype=np.float64),
-            weights=np.asarray(results["w_hat"], dtype=np.float64),
-            outcome_matrix=np.asarray(results["p_hat"], dtype=np.float64),
-            diagnostics=results.get("diagnostics", {}),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValidationError(f"malformed results file: {err}") from err
-    report = evaluate(estimates, model, graph=batch.graph, ell=batch.ell)
-    if out_path is None:
-        click.echo(json.dumps(serialize.jsonable(report), indent=2))
-    else:
-        serialize.save_json(out_path, report)
-        click.echo(f"wrote {out_path}")
+    batch, model = _load_dataset(dataset_path, "evaluation")
+    estimates = serialize.load_results(results_path)
+    _report(evaluate(estimates, model, graph=batch.graph, ell=batch.ell), out_path)
 
 
 @main.command()
@@ -150,10 +152,9 @@ def evaluate_cmd(dataset_path, results_path, out_path):
 @_friendly_errors
 def sweep(n_items, n_components, dbar, ell, samples, seeds, out_path):
     """Run the error-decay sweep and write a CSV of per-run and median errors."""
-    if dbar is None:
-        dbar = float(np.ceil(np.log(n_items)))
     sizes = _count_list(samples, "--samples")
     seed_list = _count_list(seeds, "--seeds")
+    dbar = _mean_degree(dbar, n_items)
     rows = run_sweep(n_items, n_components, dbar, ell, sizes, seed_list, out_path)
     click.echo(f"wrote {out_path} ({len(rows)} rows)")
 
@@ -164,15 +165,8 @@ def sweep(n_items, n_components, dbar, ell, samples, seeds, out_path):
 @_friendly_errors
 def check(dataset_path, out_path):
     """Report conditioning diagnostics for a dataset's generating model."""
-    batch, model = serialize.load_dataset(dataset_path)
-    if model is None:
-        raise ValidationError("condition checks need a dataset with ground truth")
-    report = check_conditions(model, batch.graph, ell=batch.ell)
-    if out_path is None:
-        click.echo(json.dumps(serialize.jsonable(report), indent=2))
-    else:
-        serialize.save_json(out_path, report)
-        click.echo(f"wrote {out_path}")
+    batch, model = _load_dataset(dataset_path, "a condition check")
+    _report(check_conditions(model, batch.graph, ell=batch.ell), out_path)
 
 
 @main.command()

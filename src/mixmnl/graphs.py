@@ -7,13 +7,12 @@ downstream observation exactly.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GraphGenerationError, ValidationError
+from .errors import GraphGenerationError, ValidationError, checked_array
 
 # Graphs ``erdos_renyi`` draws before giving up on a connected non-bipartite one.
 _GRAPH_DRAWS = 50
@@ -52,22 +51,11 @@ class ComparisonGraph:
         n_items = int(n_items)
         if n_items < 2:
             raise ValidationError("a comparison graph needs at least 2 items")
-        rows = edges
-        try:
-            edges = np.asarray(edges)
-        except ValueError as err:  # ragged rows, e.g. [[0, 1], [0]]
-            raise ValidationError(f"edges must be an (m, 2) array of endpoints: {err}") from err
+        edges = checked_array(edges, "edges", integers=True)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValidationError("edges must be an (m, 2) array of endpoints")
         if edges.shape[0] == 0:
             raise ValidationError("a comparison graph needs at least one pair")
-        # numpy reads a float, a string or a lone bool as a non-integer dtype,
-        # but folds booleans among integers into 1/0, so bools are sought too.
-        if edges.dtype.kind not in "iu" or (
-            not isinstance(rows, np.ndarray)
-            and any(isinstance(v, (bool, np.bool_)) for v in chain.from_iterable(rows))
-        ):
-            raise ValidationError("edge endpoints must be integers")
         edges = edges.astype(np.int64, copy=False)
         if edges.min() < 0 or edges.max() >= n_items:
             raise ValidationError("edge endpoint out of range")
@@ -144,12 +132,7 @@ def erdos_renyi(n_items, mean_degree, rng):
     bit-identical edge list.  Raises ``GraphGenerationError`` carrying the
     last candidate's diagnostics when all 50 draws fail.
     """
-    n_items = int(n_items)
-    if n_items < 2:
-        raise ValidationError("need at least 2 items")
-    mean_degree = float(mean_degree)
-    if not 0.0 < mean_degree <= n_items:
-        raise ValidationError("mean_degree must be in (0, n_items]")
+    n_items, mean_degree = erdos_renyi_arguments(n_items, mean_degree)
     p = mean_degree / n_items
     iu, ju = np.triu_indices(n_items, k=1)
     last = None
@@ -168,3 +151,14 @@ def erdos_renyi(n_items, mean_degree, rng):
         f"(n={n_items}, mean_degree={mean_degree})",
         last_diagnostics=last,
     )
+
+
+def erdos_renyi_arguments(n_items, mean_degree):
+    """``erdos_renyi``'s item count and mean degree as (int, float), or ``ValidationError``."""
+    n_items = int(n_items)
+    if n_items < 2:
+        raise ValidationError("need at least 2 items")
+    mean_degree = float(mean_degree)
+    if not 0.0 < mean_degree <= n_items:
+        raise ValidationError("mean_degree must be in (0, n_items]")
+    return n_items, mean_degree

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 from .graphs import ComparisonGraph
 
 # The sampler's chunk fixes the stream: each chunk of _CHUNK_FLOATS // N
@@ -67,18 +67,16 @@ class ObservationBatch:
 
     ``pair_indices`` has shape (count, ell) with strictly increasing rows,
     held as a read-only int32 copy; ``signs`` matches with entries in
-    {-1, +1}.  Indices are range-checked before they are narrowed, so a
-    value too wide for int32 is rejected rather than wrapped.
+    {-1, +1}.  Indices must be integers and are range-checked before they
+    are narrowed, so a float or a value too wide for int32 is rejected.
     """
 
     def __init__(self, graph, pair_indices, signs):
         if not isinstance(graph, ComparisonGraph):
             raise ValidationError("batch needs a ComparisonGraph")
         _check_pair_count(graph)
-        idx = np.asarray(pair_indices)
-        if idx.dtype.kind not in "iu":
-            idx = idx.astype(np.int64)
-        sgn = np.asarray(signs)
+        idx = checked_array(pair_indices, "pair indices", integers=True)
+        sgn = checked_array(signs, "signs")
         if idx.ndim != 2 or sgn.shape != idx.shape:
             raise ValidationError("pair_indices and signs must both be (count, ell)")
         count, ell = idx.shape
@@ -87,11 +85,10 @@ class ObservationBatch:
         if count > 0 and (idx.min() < 0 or idx.max() >= graph.n_pairs):
             raise ValidationError("pair index out of range")
         idx = np.array(idx, dtype=_INDEX_DTYPE, order="C")
-        if count > 0:
-            if not (idx[:, 1:] > idx[:, :-1]).all():
-                raise ValidationError("pair indices must be strictly increasing per row")
-            if not (np.abs(sgn) == 1).all():
-                raise ValidationError("signs must be -1 or +1")
+        if not (idx[:, 1:] > idx[:, :-1]).all():
+            raise ValidationError("pair indices must be strictly increasing per row")
+        if not (np.abs(sgn) == 1).all():
+            raise ValidationError("signs must be -1 or +1")
         self._hold(graph, idx, sgn.astype(np.int8))
 
     def _hold(self, graph, idx, sgn):
@@ -124,13 +121,18 @@ def _fresh_batch(graph, idx, sgn):
 
 
 class MixedMNLModel:
-    """An r-component mixture of MNL weight vectors over n items."""
+    """An r-component mixture of MNL weight vectors over n items.
+
+    ``weights`` (r, n), r >= 1, and ``mixture`` (r,) are positive finite
+    numbers (``checked_array``), held normalized and read-only.
+    """
 
     def __init__(self, weights, mixture):
-        w = np.array(weights, dtype=np.float64)
-        q = np.array(mixture, dtype=np.float64)
+        w = np.asarray(checked_array(weights, "weights"), dtype=np.float64)
+        q = np.asarray(checked_array(mixture, "mixture"), dtype=np.float64)
         if w.ndim != 2:
             raise ValidationError("weights must be (r, n)")
+        component_count(w.shape[0])
         if q.ndim != 1 or q.shape[0] != w.shape[0]:
             raise ValidationError("mixture length must match the number of components")
         if w.shape[1] < 2:
@@ -221,10 +223,17 @@ def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0):
     """
     if not 0 < low < high:
         raise ValidationError("need 0 < low < high")
-    if int(n_components) < 1:
+    r = component_count(n_components)
+    w = rng.uniform(low, high, size=(r, int(n_items)))
+    return MixedMNLModel(w, np.full(r, 1.0 / r))
+
+
+def component_count(n_components):
+    """``n_components`` as an int; ``ValidationError`` if it is below one."""
+    n_components = int(n_components)
+    if n_components < 1:
         raise ValidationError("need at least one component")
-    w = rng.uniform(low, high, size=(int(n_components), int(n_items)))
-    return MixedMNLModel(w, np.full(int(n_components), 1.0 / int(n_components)))
+    return n_components
 
 
 def marginally_identical_mixtures():

@@ -38,6 +38,13 @@ def split_ranges(count):
     return (0, half), (half, count)
 
 
+def check_ell(ell, order):
+    """Raise ``ValidationError`` unless rows of ``ell`` pairs give moments of ``order``."""
+    if ell < order:
+        name = {2: "second", 3: "third"}[order]
+        raise ValidationError(f"{name}-moment estimation needs ell >= {order}")
+
+
 def _check_range(count, start, stop):
     stop = count if stop is None else int(stop)
     start = int(start)
@@ -100,8 +107,7 @@ def empirical_second_moment(batch, start=0, stop=None):
     """
     start, stop = _check_range(len(batch), start, stop)
     ell = batch.ell
-    if ell < 2:
-        raise ValidationError("second-moment estimation needs ell >= 2")
+    check_ell(ell, 2)
     n = batch.graph.n_pairs
     sums = kernels.sign_outer_products(
         batch.pair_indices[start:stop], batch.signs[start:stop], n
@@ -123,8 +129,7 @@ def projected_third_moment(batch, basis, start=0, stop=None):
     """
     start, stop = _check_range(len(batch), start, stop)
     ell = batch.ell
-    if ell < 3:
-        raise ValidationError("third-moment estimation needs ell >= 3")
+    check_ell(ell, 3)
     basis = np.asarray(basis, dtype=np.float64)
     n = batch.graph.n_pairs
     if basis.ndim != 2 or basis.shape[0] != n:

@@ -17,15 +17,28 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import MixMNLError, ValidationError
-from .graphs import erdos_renyi
-from .model import random_uniform_model
-from .moments import incoherence_from_basis, second_moment_spectrum
+from .graphs import erdos_renyi, erdos_renyi_arguments
+from .model import component_count, random_uniform_model
+from .moments import check_ell, incoherence_from_basis, second_moment_spectrum
 from .rankcentrality import ergodic_diagnostics, rank_centrality
 from .spectral import components_from_factors, estimate_components
 
 # Failure probability and target accuracy of the sample-size estimate.
 _DELTA = 0.1
 _EPS = 0.1
+
+# The sweep CSV's columns, in order; the last three are the matched errors.
+_SWEEP_FIELDS = (
+    "samples", "seed", "status", "max_mixture_error", "max_weight_error", "mean_weight_error"
+)
+
+
+def seeded_rng(seed):
+    """``np.random.default_rng(seed)``, raising ``ValidationError`` for a seed such as -1."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"invalid seed {seed!r}: {err}") from err
 
 
 @dataclass
@@ -66,7 +79,7 @@ class MatchResult:
     """
 
     order: tuple
-    mixture_errors: np.ndarray  # |q_hat - q| per true component
+    mixture_errors: np.ndarray  # |q_est - q| per true component
     vector_errors: np.ndarray  # relative L2 error per true component
 
     @property
@@ -90,7 +103,7 @@ def learn_mixed_mnl(batch, config, model=None):
     """
     graph = batch.graph
     ergodic_diagnostics(graph)
-    rng = np.random.default_rng(config.seed)
+    rng = seeded_rng(config.seed)
     if config.exact_moments:
         if model is None:
             raise ValidationError("exact-moment path needs the generating model")
@@ -112,7 +125,7 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
 
     ``est_vectors`` and ``true_vectors`` hold one component per row (item
     weights or outcome-mean columns transposed).  The matching minimizes
-    the summed per-pair cost |q_hat - q| + relative vector error by sparse
+    the summed per-pair cost |q_est - q| + relative vector error by sparse
     Jonker-Volgenant (scipy's ``min_weight_full_bipartite_matching``).  A
     cost that overflows to inf or nan raises ``ValidationError``.
     """
@@ -271,71 +284,52 @@ def run_sweep(
     For each seed the model and graph are drawn once (so error decay per
     seed is attributable to sample size alone), then one run per sample
     size generates observations, learns, and records matched errors.
-    Failures become rows with a non-ok status instead of aborting the
-    sweep.  Median rows per sample size are appended.  Returns the rows;
-    writes CSV when ``out_path`` is given.  A component count below one
-    is a configuration error and raises instead of failing every row.
+    Median rows per sample size are appended.  Returns the rows; writes
+    CSV with the columns of ``_SWEEP_FIELDS`` when ``out_path`` is given.
+    Configuration errors (n_items < 2, a mean degree outside (0, n_items],
+    no component, ell < 3, a negative seed or size) raise before any run.
+    Failures that depend on the draw become rows with an error status.
     """
-    if int(n_components) < 1:
-        raise ValidationError("need at least one component")
+    erdos_renyi_arguments(n_items, mean_degree)
+    component_count(n_components)
+    check_ell(ell, 3)
+    sample_sizes = [int(samples) for samples in sample_sizes]
+    seeds = [int(seed) for seed in seeds]
+    for samples in sample_sizes:
+        for seed in seeds:
+            seeded_rng([seed, samples])
     rows = []
     for samples in sample_sizes:
         per_size = []
         for seed in seeds:
-            row = {
-                "samples": int(samples),
-                "seed": int(seed),
-                "status": "ok",
-                "max_mixture_error": "",
-                "max_weight_error": "",
-                "mean_weight_error": "",
-            }
             try:
-                setup_rng = np.random.default_rng([int(seed)])
+                setup_rng = seeded_rng([seed])
                 graph = erdos_renyi(n_items, mean_degree, setup_rng)
                 model = random_uniform_model(n_items, n_components, setup_rng)
-                sample_rng = np.random.default_rng([int(seed), int(samples)])
-                batch = model.sample_batch(graph, ell, int(samples), sample_rng)
-                config = LearnConfig(n_components=n_components, seed=int(seed))
+                sample_rng = seeded_rng([seed, samples])
+                batch = model.sample_batch(graph, ell, samples, sample_rng)
+                config = LearnConfig(n_components=n_components, seed=seed)
                 estimates = learn_mixed_mnl(batch, config)
                 match = match_components(
                     estimates.mixture, estimates.weights, model.mixture, model.weights
                 )
-                row["max_mixture_error"] = match.max_mixture_error
-                row["max_weight_error"] = match.max_vector_error
-                row["mean_weight_error"] = float(match.vector_errors.mean())
-                per_size.append(row)
             except MixMNLError as err:
-                row["status"] = f"error:{type(err).__name__}"
-            rows.append(row)
+                rows.append(_sweep_row(samples, seed, f"error:{type(err).__name__}"))
+            else:
+                mean_error = float(match.vector_errors.mean())
+                errors = (match.max_mixture_error, match.max_vector_error, mean_error)
+                per_size.append(errors)
+                rows.append(_sweep_row(samples, seed, "ok", errors))
         if per_size:
-            rows.append(
-                {
-                    "samples": int(samples),
-                    "seed": "median",
-                    "status": "median",
-                    "max_mixture_error": statistics.median(
-                        r["max_mixture_error"] for r in per_size
-                    ),
-                    "max_weight_error": statistics.median(
-                        r["max_weight_error"] for r in per_size
-                    ),
-                    "mean_weight_error": statistics.median(
-                        r["mean_weight_error"] for r in per_size
-                    ),
-                }
-            )
+            medians = [statistics.median(column) for column in zip(*per_size)]
+            rows.append(_sweep_row(samples, "median", "median", medians))
     if out_path is not None:
-        fields = [
-            "samples",
-            "seed",
-            "status",
-            "max_mixture_error",
-            "max_weight_error",
-            "mean_weight_error",
-        ]
         with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=_SWEEP_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
     return rows
+
+
+def _sweep_row(samples, seed, status, errors=("", "", "")):
+    return dict(zip(_SWEEP_FIELDS, (samples, seed, status, *errors)))

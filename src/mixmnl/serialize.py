@@ -7,6 +7,10 @@ Datasets are JSON with fixed key order: ``n``, ``ell``, ``graph``
 and saving it again reproduces the bytes, which keeps seeded pipelines
 reproducible at the file level.
 
+Results files hold ``q_hat``, ``w_hat``, ``p_hat`` and ``diagnostics``;
+``save_results`` writes them and ``load_results`` reads them back.  Every
+array read from a file goes through ``errors.checked_array``.
+
 A dataset file holds one small list per observation entry, and no
 Python code runs per entry.  ``save_dataset`` encodes the observations
 by looking up one string per (pair, sign) and filling a row template
@@ -26,9 +30,7 @@ with one ``%``-format call; its bytes equal ``json.dumps`` of
   values it could misread (leading zeros, ``-0``, a lone ``-``, 19-digit
   integers that numpy saturates), goes to the general route.
 - Every other file, for example pretty-printed or hand-edited JSON, goes
-  through ``json.load``.  ``dataset_from_dict`` checks the decoded tree
-  with C-level passes (``map``, ``set``, ``itertools.chain``) and
-  converts one flat list.
+  through ``json.load``, and numpy converts the decoded observations.
 
 The general route is kept because valid non-canonical JSON has no other
 reader, and because it is the reference that the canonical route is
@@ -41,13 +43,13 @@ it rescans the growing tree again and again.
 import contextlib
 import gc
 import json
-from itertools import chain
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 from .graphs import ComparisonGraph
 from .model import MixedMNLModel, ObservationBatch
+from .pipeline import ComponentEstimates
 
 
 @contextlib.contextmanager
@@ -125,8 +127,8 @@ def dataset_from_dict(data):
 
     ``observations`` is the nested JSON list, or the (count, ell, 2) int64
     array that ``load_dataset`` decodes from a canonical file.  Either way
-    the int64 decode goes to ``ObservationBatch``, which range-checks it and
-    keeps an int32 copy of the pair indices.
+    ``ObservationBatch`` gets views of one integer array, range-checks them
+    and keeps an int32 copy of the pair indices.
     """
     try:
         n = _header_int(data["n"], "n")
@@ -146,57 +148,20 @@ def dataset_from_dict(data):
     if "ground_truth" in data:
         truth = data["ground_truth"]
         try:
-            model = MixedMNLModel(
-                _numeric(truth["weights"], "weights"), _numeric(truth["q"], "q")
-            )
+            model = MixedMNLModel(truth["weights"], truth["q"])
         except (KeyError, TypeError) as err:
             raise ValidationError(f"malformed ground truth: {err}") from err
     return batch, model
 
 
 def _observation_entries(observations, ell):
-    """The (count, ell, 2) int64 array of decoded observations; ``[]`` is empty.
-
-    Such an array, as ``load_dataset`` decodes from a canonical file, is
-    taken as it is.
-    """
-    if (
-        type(observations) is np.ndarray
-        and observations.dtype == np.int64
-        and observations.shape[1:] == (ell, 2)
-    ):
-        return observations
-    if type(observations) is not list:
-        raise ValidationError("dataset observations must be a list")
-    count = len(observations)
-    if count == 0:
+    """The (count, ell, 2) integer array of decoded observations; ``[]`` is empty."""
+    if type(observations) is list and not observations:
         return np.empty((0, ell, 2), dtype=np.int64)
-    if set(map(type, observations)) != {list} or set(map(len, observations)) != {ell}:
+    entries = checked_array(observations, "observation entries", integers=True)
+    if entries.shape[1:] != (ell, 2):
         raise ValidationError("every observation needs exactly ell [pair, sign] entries")
-    entries = list(chain.from_iterable(observations))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        raise ValidationError("every observation entry must be a [pair, sign] list")
-    flat = list(chain.from_iterable(entries))
-    # exact type: bool is a subclass of int, and floats, strings and null are not ints
-    if set(map(type, flat)) != {int}:
-        raise ValidationError("observation entries must be integers")
-    try:
-        return np.array(flat, dtype=np.int64).reshape(count, ell, 2)
-    except OverflowError as err:
-        raise ValidationError(f"observation entry out of range: {err}") from err
-
-
-def _numeric(values, name):
-    """A ground-truth array of JSON numbers; strings, bools and ragged rows are rejected."""
-    try:
-        array = np.asarray(values)
-    except ValueError as err:
-        raise ValidationError(f"malformed ground truth {name}: {err}") from err
-    # As for observations, numpy folds true/false among numbers into 1/0.
-    flat = chain.from_iterable(values) if array.ndim == 2 else values
-    if array.dtype.kind not in "iuf" or bool in map(type, flat):
-        raise ValidationError(f"ground truth {name} must be numbers")
-    return array
+    return entries
 
 
 def save_dataset(path, batch, model=None):
@@ -307,6 +272,17 @@ def results_to_dict(estimates):
 
 def save_results(path, estimates):
     save_json(path, results_to_dict(estimates))
+
+
+def load_results(path):
+    """The ``ComponentEstimates`` of a results file, as ``save_results`` writes it."""
+    results = load_json(path, "results")
+    try:
+        arrays = [checked_array(results[key], key) for key in ("q_hat", "w_hat", "p_hat")]
+        diagnostics = results.get("diagnostics", {})
+    except (KeyError, TypeError) as err:
+        raise ValidationError(f"malformed results file: {err}") from err
+    return ComponentEstimates(*(a.astype(np.float64) for a in arrays), diagnostics)
 
 
 def save_json(path, payload):

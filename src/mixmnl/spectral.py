@@ -7,7 +7,7 @@ orthogonal rank-one terms.  For exact moments the decomposition weights
 are exactly 1/sqrt(q_a) with the positive-weight convention resolving
 every sign, so the conditional outcome means are recovered as
 
-    P_hat = U diag(sqrt(sigma)) V diag(lambda),   q_hat_a = lambda_a^-2.
+    P_est = U diag(sqrt(sigma)) V diag(lambda),   q_est_a = lambda_a^-2.
 
 The mixture estimate is reported as-is; its deviation from summing to 1 is
 a useful noise diagnostic, so nothing is renormalized silently.
@@ -20,6 +20,7 @@ import numpy as np
 
 from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whitening_basis
 from .errors import NumericalError, ValidationError
+from .model import component_count
 from .moments import (
     empirical_second_moment,
     incoherence_from_basis,
@@ -91,9 +92,7 @@ def estimate_components(batch, n_components, rng=None):
     ``rng`` seeds the power-iteration restarts only; all estimation from
     the data is deterministic.
     """
-    n_components = int(n_components)
-    if n_components < 1:
-        raise ValidationError("need at least one component")
+    n_components = component_count(n_components)
     count = len(batch)
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
     completion_iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * count)))
@@ -126,9 +125,7 @@ def components_from_exact_moments(second_moment, third_moment, n_components, rng
     moment, and decomposes.  Up to component order, the output matches the
     generating model to solver precision.
     """
-    n_components = int(n_components)
-    if n_components < 1:
-        raise ValidationError("need at least one component")
+    n_components = component_count(n_components)
     basis = _staged("whitening", symmetrize_and_eig, second_moment, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls_exact, third_moment, basis)
     return _decompose(basis, ls_result, n_components, rng)
@@ -148,9 +145,7 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
     component order and roundoff the output is that of
     ``components_from_exact_moments`` on the dense moments.
     """
-    n_components = int(n_components)
-    if n_components < 1:
-        raise ValidationError("need at least one component")
+    n_components = component_count(n_components)
     p = np.asarray(outcome_matrix, dtype=np.float64)
     q = np.asarray(mixture, dtype=np.float64)
     if p.ndim != 2 or q.shape != (p.shape[1],):

@@ -426,6 +426,42 @@ class TestSweepListOptions:
         assert not out.exists()
 
 
+class TestSweepConfiguration:
+    """A sweep setting that fails every run is an invalid input: exit 2, no CSV."""
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--n", "1"), ("--dbar", "0"), ("--ell", "2"), ("--seeds", "0,-1")],
+        ids=["one-item", "zero-degree", "ell-2", "negative-seed"],
+    )
+    def test_exits_2_without_csv(self, runner, tmp_path, option, value):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--n", "8", "--ell", "3", "--samples", "100", "--seeds", "0"]
+        args += ["--dbar", "4", "--out", str(out)]
+        args[args.index(option) + 1] = value
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("verb", ["generate", "learn"])
+    def test_exits_2(self, runner, tmp_path, verb):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        out = tmp_path / "out.json"
+        args = {
+            "generate": ["generate", "--n", "8", "--ell", "3", "--samples", "40"],
+            "learn": ["learn", "--dataset", str(data), "--r", "2"],
+        }[verb]
+        result = runner.invoke(main, args + ["--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: invalid seed -1")
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestComponentCount:
     """Fewer than one component is an invalid input: exit 2, no traceback."""
 

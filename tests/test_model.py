@@ -17,6 +17,7 @@ from mixmnl import (
     ranking_mixture_marginals,
 )
 from mixmnl import model as model_module
+from mixmnl.errors import checked_array
 
 from conftest import complete_graph
 
@@ -87,6 +88,48 @@ class TestModelBasics:
         p = model.expected_outcomes(g)
         b = model.dynamic_range
         assert np.abs(p).max() <= (b - 1.0) / (b + 1.0) + 1e-12
+
+
+_FOUR = complete_graph(4)
+
+# Each constructor crossed with the inputs that ``checked_array`` rejects.
+# numpy would truncate the float index, parse the strings, fold the bool
+# into 1, and raise a bare ValueError on the ragged rows.
+_REJECTED = {
+    "graph-float-index": (lambda: ComparisonGraph(3, [[0.5, 1], [1, 2]]), "integers"),
+    "graph-string": (lambda: ComparisonGraph(3, [["0", 1], [1, 2]]), "integers"),
+    "graph-bool-among-ints": (lambda: ComparisonGraph(3, [[0, 1], [True, 2]]), "integers"),
+    "graph-ragged": (lambda: ComparisonGraph(3, [[0, 1], [0], [1, 2]]), "edges"),
+    "batch-float-index": (lambda: ObservationBatch(_FOUR, [[0.5, 1.7]], [[1, 1]]), "integers"),
+    "batch-string-index": (lambda: ObservationBatch(_FOUR, [["0", "1"]], [[1, 1]]), "integers"),
+    "batch-string-sign": (lambda: ObservationBatch(_FOUR, [[0, 1]], [[1, "x"]]), "numbers"),
+    "batch-bool-among-ints": (lambda: ObservationBatch(_FOUR, [[True, 2]], [[1, 1]]), "integers"),
+    "batch-bool-sign": (lambda: ObservationBatch(_FOUR, [[0, 1]], [[1, True]]), "numbers"),
+    "batch-ragged": (lambda: ObservationBatch(_FOUR, [[0, 1], [2]], [[1, 1], [1]]), "pair indices"),
+    "model-string": (lambda: MixedMNLModel([["1", "2", "3"]], [1]), "numbers"),
+    "model-string-mixture": (lambda: MixedMNLModel([[1, 2, 3]], ["1"]), "numbers"),
+    "model-bool-among-ints": (lambda: MixedMNLModel([[True, 2, 3]], [1]), "numbers"),
+    "model-ragged": (lambda: MixedMNLModel([[1, 2], [3]], [0.5, 0.5]), "weights"),
+    "model-no-components": (lambda: MixedMNLModel(np.ones((0, 5)), []), "component"),
+}
+
+
+class TestCallerArrays:
+    @pytest.mark.parametrize("call, words", _REJECTED.values(), ids=_REJECTED.keys())
+    def test_rejected(self, call, words):
+        with pytest.raises(ValidationError, match=words):
+            call()
+
+    def test_ndarray_is_taken_without_a_copy(self):
+        edges = np.array([[0, 1], [1, 2]])
+        assert checked_array(edges, "edges", integers=True) is edges
+        with pytest.raises(ValidationError, match="integers"):
+            checked_array(edges.astype(float), "edges", integers=True)
+
+    def test_numbers_pass(self):
+        np.testing.assert_array_equal(checked_array([[1, 2.5]], "weights"), [[1.0, 2.5]])
+        assert checked_array(np.uint8(3), "count", integers=True) == 3
+        assert checked_array([np.int32(1), np.int64(2)], "x", integers=True).tolist() == [1, 2]
 
 
 class TestSampling:

@@ -134,6 +134,16 @@ class TestMatching:
 
 
 class TestLearn:
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    def test_negative_seed_rejected(self, exact):
+        graph = complete_graph(6)
+        rng = np.random.default_rng(1)
+        model = random_uniform_model(6, 2, rng)
+        batch = model.sample_batch(graph, 3, 100, rng)
+        config = LearnConfig(n_components=2, seed=-1, exact_moments=exact)
+        with pytest.raises(ValidationError, match="seed"):
+            learn_mixed_mnl(batch, config, model=model)
+
     def test_exact_moment_path_recovers_weights(self):
         graph = complete_graph(8)
         rng = np.random.default_rng(1)
@@ -350,5 +360,55 @@ class TestSweep:
         monkeypatch.setattr(pipeline, "learn_mixed_mnl", nan_learner)
         rows = run_sweep(
             n_items=8, n_components=2, mean_degree=4.0, ell=3, sample_sizes=[50], seeds=[0]
+        )
+        assert [r["status"] for r in rows] == ["error:ValidationError"]
+
+    def test_csv_header_order(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        run_sweep(
+            n_items=8, n_components=2, mean_degree=4.0, ell=3, sample_sizes=[60], seeds=[0],
+            out_path=out,
+        )
+        header = out.read_text().splitlines()[0]
+        assert header == (
+            "samples,seed,status,max_mixture_error,max_weight_error,mean_weight_error"
+        )
+
+    @pytest.mark.parametrize(
+        "changes, words",
+        [
+            ({"n_items": 1, "mean_degree": 1.0}, "at least 2 items"),
+            ({"mean_degree": 0.0}, "mean_degree"),
+            ({"mean_degree": 9.0}, "mean_degree"),
+            ({"n_components": 0}, "component"),
+            ({"ell": 2}, "ell >= 3"),
+            ({"seeds": [0, -1]}, "seed"),
+            ({"sample_sizes": [60, -5]}, "seed"),
+        ],
+        ids=["one-item", "zero-degree", "degree-above-n", "no-component", "ell-2",
+             "negative-seed", "negative-size"],
+    )
+    def test_configuration_error_raises_before_any_run(
+        self, monkeypatch, tmp_path, changes, words
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(pipeline, "learn_mixed_mnl", no_run)
+        monkeypatch.setattr(pipeline, "erdos_renyi", no_run)
+        out = tmp_path / "sweep.csv"
+        args = dict(
+            n_items=8, n_components=2, mean_degree=4.0, ell=3, sample_sizes=[60], seeds=[0]
+        )
+        args.update(changes)
+        with pytest.raises(ValidationError, match=words):
+            run_sweep(**args, out_path=out)
+        assert not out.exists()
+
+    def test_ell_above_the_pair_count_stays_a_row(self):
+        # Whether ell fits depends on the drawn graph, so it is not a
+        # configuration error.
+        rows = run_sweep(
+            n_items=8, n_components=2, mean_degree=2.0, ell=27, sample_sizes=[60], seeds=[0]
         )
         assert [r["status"] for r in rows] == ["error:ValidationError"]

@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 
 from mixmnl import (
     ComparisonGraph,
+    ComponentEstimates,
     MixedMNLModel,
     ObservationBatch,
     ValidationError,
     erdos_renyi,
     load_dataset,
+    load_results,
     random_uniform_model,
     save_dataset,
+    save_results,
 )
 from mixmnl import serialize
 from mixmnl.serialize import dataset_from_dict, dataset_to_dict, jsonable
@@ -488,6 +492,58 @@ class TestValidation:
         doc["ell"] = 4
         with pytest.raises(ValidationError):
             dataset_from_dict(doc)
+
+
+class TestResults:
+    @pytest.fixture
+    def estimates(self):
+        rng = np.random.default_rng(4)
+        return ComponentEstimates(
+            mixture=rng.dirichlet(np.ones(3)),
+            weights=rng.dirichlet(np.ones(6), size=3),
+            outcome_matrix=rng.uniform(-1.0, 1.0, size=(15, 3)),
+            diagnostics={"completion": {"iterations": np.int64(7)}, "condition": np.float64(2.5)},
+        )
+
+    def test_save_then_load_returns_the_same_arrays(self, estimates, tmp_path):
+        path = tmp_path / "r.json"
+        save_results(path, estimates)
+        loaded = load_results(path)
+        for name in ("mixture", "weights", "outcome_matrix"):
+            array = getattr(loaded, name)
+            assert array.dtype == np.float64
+            np.testing.assert_array_equal(array, getattr(estimates, name))
+        assert loaded.diagnostics == {"completion": {"iterations": 7}, "condition": 2.5}
+
+    @pytest.mark.parametrize(
+        "key, value, words",
+        [
+            ("q_hat", ["0.5", "0.5"], "q_hat must be numbers"),
+            ("q_hat", [True, 0.5], "q_hat must be numbers"),
+            ("w_hat", [[0.5, 0.5], [0.5]], "w_hat must be a rectangular array"),
+            ("p_hat", None, "p_hat must be numbers"),
+            ("w_hat", "missing", "malformed results file"),
+        ],
+        ids=["string", "bool", "ragged", "null", "missing"],
+    )
+    def test_malformed_estimates_rejected(self, estimates, tmp_path, key, value, words):
+        path = tmp_path / "r.json"
+        save_results(path, estimates)
+        doc = json.loads(path.read_text())
+        if value == "missing":
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=words):
+            load_results(path)
+
+    def test_results_keys_are_named_in_serialize_only(self):
+        # The results format has one home: no other module spells its keys.
+        src = Path(serialize.__file__).parent
+        for module in sorted(src.glob("*.py")):
+            if module.name != "serialize.py":
+                assert "q_hat" not in module.read_text(), module.name
 
 
 class TestJsonable:
