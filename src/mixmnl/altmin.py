@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import NumericalError, RankDeficiencyError, ValidationError
+from .errors import NumericalError, RankDeficiencyError, ValidationError, checked_count
 
 _RIDGE = 1e-12
 _TARGET = 1e-8
@@ -146,7 +146,9 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     written: a zero-diagonal C-ordered float64 input is used as it is, any
     other is copied once.  Starts from the eigenvectors of the ``rank``
     largest-magnitude eigenvalues and runs ``n_iterations`` solves (default
-    scales with log of the input norm).
+    scales with log of the input norm).  ``rank`` in [1, N] and
+    ``n_iterations`` >= 1 must be integers; a float or a string is refused,
+    not truncated.
     Singular row systems fall back to a ridge of 1e-12 and are flagged in
     the result's ``ridge_steps``.
     """
@@ -156,9 +158,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     if not np.isfinite(a).all():
         raise ValidationError("offdiag must be finite")
     n = a.shape[0]
-    rank = int(rank)
-    if not 1 <= rank <= n:
-        raise ValidationError("rank must be in [1, N]")
+    rank = checked_count(rank, "rank", low=1, high=n)
     scale = max(a.max(), -a.min())
     if scale > 0 and _max_asymmetry(a) > 1e-8 * scale:
         raise ValidationError("offdiag must be symmetric")
@@ -167,9 +167,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
         np.fill_diagonal(a, 0.0)
     if n_iterations is None:
         n_iterations = default_iteration_count(a)
-    n_iterations = int(n_iterations)
-    if n_iterations < 1:
-        raise ValidationError("n_iterations must be at least 1")
+    n_iterations = checked_count(n_iterations, "n_iterations", low=1)
 
     _, basis = _top_eigenpairs(a, rank, "LM")
 
@@ -240,9 +238,7 @@ def symmetrize_and_eig(matrix, rank):
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
-    rank = int(rank)
-    if not 1 <= rank <= m.shape[0]:
-        raise ValidationError("rank must be in [1, N]")
+    rank = checked_count(rank, "rank", low=1, high=m.shape[0])
     sym = 0.5 * (m + m.T)
     values, vectors = _top_eigenpairs(sym, rank, "LA")
     extreme, extreme_vector = _top_eigenpairs(sym, 1, "LM")

@@ -1,9 +1,11 @@
-"""Exception hierarchy shared across the package, and the check of caller arrays.
+"""Exception hierarchy shared across the package, and the checks of caller input.
 
 Two broad classes matter to callers: input problems (``ValidationError``)
 and failures of the numerical stages themselves (``NumericalError``).  The
 command-line layer maps them to distinct exit codes.  ``checked_array``
-checks the arrays that graphs, batches, models and results files take in.
+checks the arrays that graphs, batches, models and results files take in;
+``checked_count`` checks every count (items, components, pairs per
+observation, samples, ranks, iterations, seeds and dataset headers).
 """
 
 from itertools import chain
@@ -72,3 +74,18 @@ def checked_array(values, name, integers=False):
     if array.dtype.kind not in kinds or not {bool, np.bool_}.isdisjoint(map(type, entries)):
         raise ValidationError(f"{name} must be {wanted}")
     return array
+
+
+def checked_count(value, name, low=0, high=None):
+    """``value`` as an int in [low, high] (no upper bound if None); else ``ValidationError``.
+
+    Python and numpy integers pass.  A bool, a float (2.0 included), a
+    string or None is refused, never truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be {bounds}, got {value}")
+    return value

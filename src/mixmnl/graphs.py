@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GraphGenerationError, ValidationError, checked_array
+from .errors import GraphGenerationError, ValidationError, checked_array, checked_count
 
 # Graphs ``erdos_renyi`` draws before giving up on a connected non-bipartite one.
 _GRAPH_DRAWS = 50
@@ -48,9 +48,7 @@ class ComparisonGraph:
     """Immutable undirected graph on ``n_items`` nodes with indexed pairs."""
 
     def __init__(self, n_items, edges):
-        n_items = int(n_items)
-        if n_items < 2:
-            raise ValidationError("a comparison graph needs at least 2 items")
+        n_items = checked_count(n_items, "n_items", low=2)
         edges = checked_array(edges, "edges", integers=True)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValidationError("edges must be an (m, 2) array of endpoints")
@@ -155,9 +153,7 @@ def erdos_renyi(n_items, mean_degree, rng):
 
 def erdos_renyi_arguments(n_items, mean_degree):
     """``erdos_renyi``'s item count and mean degree as (int, float), or ``ValidationError``."""
-    n_items = int(n_items)
-    if n_items < 2:
-        raise ValidationError("need at least 2 items")
+    n_items = checked_count(n_items, "n_items", low=2)
     mean_degree = float(mean_degree)
     if not 0.0 < mean_degree <= n_items:
         raise ValidationError("mean_degree must be in (0, n_items]")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_array
+from .errors import ValidationError, checked_array, checked_count
 from .graphs import ComparisonGraph
 
 # The sampler's chunk fixes the stream: each chunk of _CHUNK_FLOATS // N
@@ -33,9 +33,14 @@ _INDEX_DTYPE = np.int32
 _MAX_PAIRS = int(np.iinfo(_INDEX_DTYPE).max)
 
 
-def _check_pair_count(graph):
+def checked_ell(graph, ell):
+    """``ell``, the pairs per observation, as an int in [1, graph.n_pairs].
+
+    Raises ``ValidationError`` otherwise, or when int32 cannot index the graph's pairs.
+    """
     if graph.n_pairs > _MAX_PAIRS:
         raise ValidationError(f"graphs with more than {_MAX_PAIRS} pairs are not supported")
+    return checked_count(ell, "ell", low=1, high=graph.n_pairs)
 
 
 def _normalized(v):
@@ -57,7 +62,7 @@ class Observation:
     signs: np.ndarray  # (ell,) int8 in {-1, +1}
 
     def dense(self, n_pairs):
-        x = np.zeros(int(n_pairs))
+        x = np.zeros(checked_count(n_pairs, "n_pairs"))
         x[self.pair_indices] = self.signs
         return x
 
@@ -74,14 +79,12 @@ class ObservationBatch:
     def __init__(self, graph, pair_indices, signs):
         if not isinstance(graph, ComparisonGraph):
             raise ValidationError("batch needs a ComparisonGraph")
-        _check_pair_count(graph)
         idx = checked_array(pair_indices, "pair indices", integers=True)
         sgn = checked_array(signs, "signs")
         if idx.ndim != 2 or sgn.shape != idx.shape:
             raise ValidationError("pair_indices and signs must both be (count, ell)")
         count, ell = idx.shape
-        if ell < 1 or ell > graph.n_pairs:
-            raise ValidationError("ell must be in [1, n_pairs]")
+        checked_ell(graph, ell)
         if count > 0 and (idx.min() < 0 or idx.max() >= graph.n_pairs):
             raise ValidationError("pair index out of range")
         idx = np.array(idx, dtype=_INDEX_DTYPE, order="C")
@@ -180,16 +183,12 @@ class MixedMNLModel:
         pair keys and the outcome uniforms), so a seeded generator
         reproduces the batch exactly.  The chunk size fixes that order; the
         keys go through one block of about 1 MB, so scratch memory does not
-        grow with the chunk.
+        grow with the chunk.  ``count`` >= 0 and ``ell`` in [1, n_pairs]
+        must be integers: a float such as 10.9 is refused, not truncated.
         """
-        count = int(count)
-        ell = int(ell)
-        if count < 0:
-            raise ValidationError("count must be non-negative")
+        count = checked_count(count, "count")
+        ell = checked_ell(graph, ell)
         n_pairs = graph.n_pairs
-        if not 1 <= ell <= n_pairs:
-            raise ValidationError("ell must be in [1, n_pairs]")
-        _check_pair_count(graph)
         p_matrix = self.expected_outcomes(graph)
         win = (1.0 + p_matrix) / 2.0  # P(sign = +1 | pair, component)
         components = rng.choice(self.n_components, size=count, p=self.mixture)
@@ -224,16 +223,13 @@ def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0):
     if not 0 < low < high:
         raise ValidationError("need 0 < low < high")
     r = component_count(n_components)
-    w = rng.uniform(low, high, size=(r, int(n_items)))
+    w = rng.uniform(low, high, size=(r, checked_count(n_items, "n_items", low=2)))
     return MixedMNLModel(w, np.full(r, 1.0 / r))
 
 
 def component_count(n_components):
-    """``n_components`` as an int; ``ValidationError`` if it is below one."""
-    n_components = int(n_components)
-    if n_components < 1:
-        raise ValidationError("need at least one component")
-    return n_components
+    """``n_components`` as an int >= 1; ``ValidationError`` otherwise, 2.5 included."""
+    return checked_count(n_components, "n_components", low=1)
 
 
 def marginally_identical_mixtures():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import ValidationError, checked_count
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,25 @@ class SecondMomentEstimate:
 def split_ranges(count):
     """Halve a batch: first range feeds second moments, second range third.
 
-    Odd counts give the extra observation to the first range.
+    Odd counts give the extra observation to the first range.  ``count``
+    must be an integer of at least 2; a float is refused, not truncated.
     """
-    count = int(count)
-    if count < 2:
-        raise ValidationError("need at least 2 observations to split")
+    count = checked_count(count, "observation count", low=2)
     half = (count + 1) // 2
     return (0, half), (half, count)
 
 
 def check_ell(ell, order):
     """Raise ``ValidationError`` unless rows of ``ell`` pairs give moments of ``order``."""
-    if ell < order:
+    if checked_count(ell, "ell") < order:
         name = {2: "second", 3: "third"}[order]
         raise ValidationError(f"{name}-moment estimation needs ell >= {order}")
 
 
 def _check_range(count, start, stop):
-    stop = count if stop is None else int(stop)
-    start = int(start)
-    if not 0 <= start < stop <= count:
+    start = checked_count(start, "start")
+    stop = count if stop is None else checked_count(stop, "stop")
+    if not start < stop <= count:
         raise ValidationError(f"empty or invalid observation range [{start}, {stop})")
     return start, stop
 
@@ -67,7 +66,7 @@ def exact_third_moment(model, graph, max_pairs=60):
     or stay on the streaming statistic.
     """
     n = graph.n_pairs
-    if n > max_pairs:
+    if n > checked_count(max_pairs, "max_pairs"):
         raise ValidationError(
             f"{n} pairs exceeds max_pairs={max_pairs}; "
             "use the streaming projected statistic instead"

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import MixMNLError, ValidationError
+from .errors import MixMNLError, ValidationError, checked_count
 from .graphs import erdos_renyi, erdos_renyi_arguments
-from .model import component_count, random_uniform_model
+from .model import checked_ell, component_count, random_uniform_model
 from .moments import check_ell, incoherence_from_basis, second_moment_spectrum
 from .rankcentrality import ergodic_diagnostics, rank_centrality
 from .spectral import components_from_factors, estimate_components
@@ -205,7 +205,8 @@ def check_conditions(model, graph, ell=None):
 
     at delta = eps = 0.1, with all universal constants omitted, alongside
     the largest recovery accuracy the theory tolerates.  Everything is
-    reported, not asserted.
+    reported, not asserted.  ``ell``, when given, must be an integer in
+    [1, n_pairs]; a float is refused, not truncated.
     """
     r = model.n_components
     n_pairs = graph.n_pairs
@@ -246,9 +247,7 @@ def check_conditions(model, graph, ell=None):
         else float("inf"),
     }
     if ell is not None:
-        ell = int(ell)
-        if not 1 <= ell <= n_pairs:
-            raise ValidationError("ell must be in [1, n_pairs]")
+        ell = checked_ell(graph, ell)
         out["ell"] = ell
         # Order of magnitude only; universal constants are omitted.  A
         # vanishing sigma_r (its fifth power underflowing included) makes the
@@ -286,18 +285,16 @@ def run_sweep(
     size generates observations, learns, and records matched errors.
     Median rows per sample size are appended.  Returns the rows; writes
     CSV with the columns of ``_SWEEP_FIELDS`` when ``out_path`` is given.
-    Configuration errors (n_items < 2, a mean degree outside (0, n_items],
-    no component, ell < 3, a negative seed or size) raise before any run.
+    Configuration errors raise before any run: a count (n_items >= 2,
+    n_components >= 1, ell >= 3, each sample size and seed >= 0) that is
+    out of range or not an integer, or a mean degree outside (0, n_items].
     Failures that depend on the draw become rows with an error status.
     """
     erdos_renyi_arguments(n_items, mean_degree)
     component_count(n_components)
     check_ell(ell, 3)
-    sample_sizes = [int(samples) for samples in sample_sizes]
-    seeds = [int(seed) for seed in seeds]
-    for samples in sample_sizes:
-        for seed in seeds:
-            seeded_rng([seed, samples])
+    sample_sizes = [checked_count(samples, "sample size") for samples in sample_sizes]
+    seeds = [checked_count(seed, "seed") for seed in seeds]
     rows = []
     for samples in sample_sizes:
         per_size = []

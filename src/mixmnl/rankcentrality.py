@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_count
 
 _CONVERGENCE_EPS = 1e-8
 # Power iteration stops once the L1 change between iterates is at most this.
@@ -76,11 +76,7 @@ def build_transition(graph, outcomes):
     chain moves i -> j with rate (1 + outcomes[k]) / (2 d_max) and j -> i
     with the complementary rate; leftover mass stays put.
     """
-    v = np.asarray(outcomes, dtype=np.float64)
-    if v.shape != (graph.n_pairs,):
-        raise ValidationError("need one outcome mean per graph pair")
-    if not np.isfinite(v).all() or np.abs(v).max(initial=0.0) > 1.0:
-        raise ValidationError("outcome means must lie in [-1, 1]")
+    v = _checked_outcomes(graph, outcomes)
     n = graph.n_items
     d_max = int(graph.degrees.max())
     i = graph.edges[:, 0]
@@ -102,7 +98,8 @@ def power_stationary(transition, n_iterations):
     """Left power iteration from uniform, renormalized, stopped at convergence.
 
     Stops after the first step whose L1 change is at most 1e-15, or after
-    ``n_iterations`` steps, whichever comes first.
+    ``n_iterations`` steps, whichever comes first.  ``n_iterations`` must
+    be an integer of at least 1; a float such as 10.5 is refused.
     """
     return _block_power([transition], n_iterations)[0]
 
@@ -115,9 +112,7 @@ def _block_power(transitions, cap):
     block-diagonal product; a row that stops leaves the block, keeping its
     last iterate.  Returns one ``PowerIterationResult`` per chain.
     """
-    cap = int(cap)
-    if cap < 1:
-        raise ValidationError("n_iterations must be at least 1")
+    cap = checked_count(cap, "n_iterations", low=1)
     n = transitions[0].n_items
     chains = [t.matrix.T.tocsr() for t in transitions]
     results = [None] * len(chains)
@@ -162,17 +157,23 @@ def default_iteration_count(graph, outcomes):
     and the weight range b at its ceiling of 16, so the cap depends on the
     graph alone.  ``rank_centrality`` uses it as the cap on
     ``power_stationary``, which usually stops far earlier.  ``outcomes``,
-    one mean per graph pair, is checked for shape and NaN but does not move
-    the cap.  Needs a connected non-bipartite graph
+    one mean per graph pair, is checked as ``build_transition`` checks it
+    but does not move the cap.  Needs a connected non-bipartite graph
     (``ergodic_diagnostics``).
     """
     cap = _iteration_cap(graph)
+    _checked_outcomes(graph, outcomes)
+    return cap
+
+
+def _checked_outcomes(graph, outcomes):
+    """``outcomes`` as float64, one mean per graph pair, each finite and in [-1, 1]."""
     v = np.asarray(outcomes, dtype=np.float64)
     if v.shape != (graph.n_pairs,):
         raise ValidationError("need one outcome mean per graph pair")
-    if np.isnan(v).any():
-        raise ValidationError("outcome means must not be NaN")
-    return cap
+    if not np.isfinite(v).all() or np.abs(v).max(initial=0.0) > 1.0:
+        raise ValidationError("outcome means must lie in [-1, 1], with no NaN or inf")
+    return v
 
 
 def _iteration_cap(graph):

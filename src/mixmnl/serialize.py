@@ -46,9 +46,9 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError, checked_array
+from .errors import ValidationError, checked_array, checked_count
 from .graphs import ComparisonGraph
-from .model import MixedMNLModel, ObservationBatch
+from .model import MixedMNLModel, ObservationBatch, checked_ell
 from .pipeline import ComponentEstimates
 
 
@@ -115,33 +115,24 @@ def _framing(header, truth):
     return head, ',"ground_truth":' + json.dumps(truth, separators=(",", ":")) + "}\n"
 
 
-def _header_int(value, name):
-    """A dataset header count; floats, bools and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"dataset {name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def dataset_from_dict(data):
     """Rebuild (batch, model-or-None) from a parsed dataset dict.
 
     ``observations`` is the nested JSON list, or the (count, ell, 2) int64
     array that ``load_dataset`` decodes from a canonical file.  Either way
     ``ObservationBatch`` gets views of one integer array, range-checks them
-    and keeps an int32 copy of the pair indices.
+    and keeps an int32 copy of the pair indices.  The header counts are
+    checked, and the two item counts compared, before the graph is built.
     """
     try:
-        n = _header_int(data["n"], "n")
-        ell = _header_int(data["ell"], "ell")
-        graph_n = _header_int(data["graph"]["n"], "graph n")
-        graph = ComparisonGraph(graph_n, data["graph"]["edges"])
+        n = checked_count(data["n"], "dataset n")
+        if checked_count(data["graph"]["n"], "graph n") != n:
+            raise ValidationError("dataset n and graph n disagree")
+        graph = ComparisonGraph(n, data["graph"]["edges"])
+        ell = checked_ell(graph, data["ell"])
         observations = data["observations"]
     except (KeyError, TypeError) as err:
         raise ValidationError(f"malformed dataset: {err}") from err
-    if graph.n_items != n:
-        raise ValidationError("dataset n and graph n disagree")
-    if not 1 <= ell <= graph.n_pairs:
-        raise ValidationError("ell must be in [1, n_pairs]")
     entries = _observation_entries(observations, ell)
     batch = ObservationBatch(graph, entries[:, :, 0], entries[:, :, 1])
     model = None

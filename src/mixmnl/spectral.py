@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whitening_basis
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_count
 from .model import component_count
 from .moments import (
     empirical_second_moment,
@@ -145,15 +145,13 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
     component order and roundoff the output is that of
     ``components_from_exact_moments`` on the dense moments.
     """
-    n_components = component_count(n_components)
     p = np.asarray(outcome_matrix, dtype=np.float64)
     q = np.asarray(mixture, dtype=np.float64)
     if p.ndim != 2 or q.shape != (p.shape[1],):
         raise ValidationError("outcome_matrix must be (n_pairs, r) and mixture (r,)")
     if not (np.isfinite(p).all() and np.isfinite(q).all() and (q >= 0).all()):
         raise ValidationError("factors must be finite, the mixture nonnegative")
-    if n_components > p.shape[0]:
-        raise ValidationError("rank must be in [1, N]")
+    n_components = checked_count(n_components, "n_components", low=1, high=p.shape[0])
     values, vectors = spectrum_from_factors(p, np.diag(q))
     basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
     ls_result = _staged("tensor", whitened_third_moment_ls_factored, p, q, basis)

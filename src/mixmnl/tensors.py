@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTensorError, ValidationError
+from .errors import DegenerateTensorError, ValidationError, checked_count
 from .kernels import offdiagonal_third_sums
 from .moments import projected_third_moment
 
@@ -249,17 +249,16 @@ def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     the columns of one (r, restarts) matrix, one GEMM per step; a column
     stops once it moves less than 1e-12 or its image is zero.  Raises
     ``DegenerateTensorError`` when no candidate carries weight above
-    1e-12.  Pairs are returned sorted by descending weight.
+    1e-12.  Pairs are returned sorted by descending weight.  ``rank`` in
+    [1, r] and ``n_iterations`` >= 1 must be integers; a float or a string
+    is refused, not truncated.
     """
     t = np.array(tensor, dtype=np.float64)
     if t.ndim != 3 or len(set(t.shape)) != 1:
         raise ValidationError("tensor must be cubic")
     r = t.shape[0]
-    rank = int(rank)
-    if not 1 <= rank <= r:
-        raise ValidationError("rank must be in [1, r]")
-    if n_iterations < 1:
-        raise ValidationError("n_iterations must be positive")
+    rank = checked_count(rank, "rank", low=1, high=r)
+    n_iterations = checked_count(n_iterations, "n_iterations", low=1)
     if rng is None:
         rng = np.random.default_rng(0)
 

@@ -344,6 +344,19 @@ class TestNonIntegerDataset:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("graph_n", [2**31, 2**63], ids=["2**31", "2**63"])
+    def test_huge_graph_n_exits_2(self, runner, tmp_path, graph_n):
+        data = generate_dataset(runner, tmp_path / "d.json", samples=40, n=6)
+        doc = json.loads(data.read_text())
+        doc["graph"]["n"] = graph_n
+        data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: dataset n and graph n disagree\n"
+
     @pytest.mark.parametrize("ell", [-1, 0, 10**6])
     def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):
         data = generate_dataset(runner, tmp_path / "d.json")
@@ -357,7 +370,8 @@ class TestNonIntegerDataset:
         )
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
-        assert "ell must be in [1, n_pairs]" in result.stderr
+        n_pairs = len(doc["graph"]["edges"])
+        assert f"ell must be in [1, {n_pairs}], got {ell}" in result.stderr
 
 
 class TestFilesystemErrors:

@@ -377,13 +377,13 @@ class TestSweep:
     @pytest.mark.parametrize(
         "changes, words",
         [
-            ({"n_items": 1, "mean_degree": 1.0}, "at least 2 items"),
+            ({"n_items": 1, "mean_degree": 1.0}, "n_items must be >= 2"),
             ({"mean_degree": 0.0}, "mean_degree"),
             ({"mean_degree": 9.0}, "mean_degree"),
             ({"n_components": 0}, "component"),
             ({"ell": 2}, "ell >= 3"),
             ({"seeds": [0, -1]}, "seed"),
-            ({"sample_sizes": [60, -5]}, "seed"),
+            ({"sample_sizes": [60, -5]}, "sample size must be >= 0, got -5"),
         ],
         ids=["one-item", "zero-degree", "degree-above-n", "no-component", "ell-2",
              "negative-seed", "negative-size"],

@@ -185,10 +185,16 @@ class TestDynamicRange:
             default_iteration_count(g, np.zeros(2))
 
     def test_nan_rejected(self):
+        # NaN, inf and values outside [-1, 1] are refused here as
+        # build_transition refuses them.
         g = complete_graph(3)
-        for outcomes in ([np.nan, 0.5, 0.0], [0.5, 0.0, np.nan]):
-            with pytest.raises(ValidationError, match="NaN"):
-                default_iteration_count(g, np.array(outcomes))
+        for outcomes in (
+            [np.nan, 0.5, 0.0], [0.5, 0.0, np.nan], [np.inf, 0.5, 0.0], [0.5, -np.inf, 0.0],
+            [1.5, 0.0, 0.0],
+        ):
+            for check in (default_iteration_count, build_transition):
+                with pytest.raises(ValidationError, match="NaN"):
+                    check(g, np.array(outcomes))
 
 
 class TestDefaults:

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,23 @@ class TestValidation:
         parent[keys[-1]] = value
         with pytest.raises(ValidationError, match="integer"):
             dataset_from_dict(doc)
+
+    @pytest.mark.parametrize("graph_n", [2**31, 2**63], ids=["2**31", "2**63"])
+    def test_huge_graph_n_rejected_before_the_graph_is_built(self, graph_n):
+        # A graph of graph_n items would allocate O(graph_n) degrees (16 GiB
+        # at 2**31); the header's n = 6 must refuse it first.
+        graph = complete_graph(6)
+        model = random_uniform_model(6, 2, np.random.default_rng(0))
+        doc = dataset_to_dict(model.sample_batch(graph, 3, 20, np.random.default_rng(1)), model)
+        doc["graph"]["n"] = graph_n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="dataset n and graph n disagree"):
+                dataset_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "key, index, value",
