@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .errors import NumericalError, RankDeficiencyError, ValidationError, checked_count
+from .errors import NumericalError, RankDeficiencyError, ValidationError
+from .errors import checked_array, checked_count
 
 _RIDGE = 1e-12
 _TARGET = 1e-8
@@ -144,7 +145,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     ``offdiag`` is square and symmetric with the diagonal treated as
     unobserved (any diagonal values are ignored).  It is read, never
     written: a zero-diagonal C-ordered float64 input is used as it is, any
-    other is copied once.  Starts from the eigenvectors of the ``rank``
+    other is copied.  Starts from the eigenvectors of the ``rank``
     largest-magnitude eigenvalues and runs ``n_iterations`` solves (default
     scales with log of the input norm).  ``rank`` in [1, N] and
     ``n_iterations`` >= 1 must be integers; a float or a string is refused,
@@ -152,11 +153,9 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     Singular row systems fall back to a ridge of 1e-12 and are flagged in
     the result's ``ridge_steps``.
     """
-    a = np.asarray(offdiag, dtype=np.float64, order="C")
+    a = np.ascontiguousarray(checked_array(offdiag, "offdiag"))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("offdiag must be square")
-    if not np.isfinite(a).all():
-        raise ValidationError("offdiag must be finite")
     n = a.shape[0]
     rank = checked_count(rank, "rank", low=1, high=n)
     scale = max(a.max(), -a.min())
@@ -235,7 +234,7 @@ def symmetrize_and_eig(matrix, rank):
     floor, so a negative semidefinite matrix raises instead of whitening
     with its roundoff.
     """
-    m = np.asarray(matrix, dtype=np.float64)
+    m = checked_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
     rank = checked_count(rank, "rank", low=1, high=m.shape[0])

@@ -3,7 +3,7 @@
 Two broad classes matter to callers: input problems (``ValidationError``)
 and failures of the numerical stages themselves (``NumericalError``).  The
 command-line layer maps them to distinct exit codes.  ``checked_array``
-checks the arrays that graphs, batches, models and results files take in;
+checks every array a caller passes, and every float input down to scalars;
 ``checked_count`` checks every count (items, components, pairs per
 observation, samples, ranks, iterations, seeds and dataset headers).
 """
@@ -53,10 +53,12 @@ class DegenerateTensorError(NumericalError):
 
 
 def checked_array(values, name, integers=False):
-    """``values`` as an array of integers, or of numbers; else ``ValidationError``.
+    """``values`` as an array of integers, or of finite float64; else ``ValidationError``.
 
-    An ndarray is checked by its dtype alone.  Other input must not be
+    An ndarray's kind is read from its dtype.  Other input must not be
     ragged or hold a string or a bool: numpy would fold bools into 1 and 0.
+    Numbers come back as float64, a scalar as a 0-d array, and a float64
+    ndarray as it is, with no copy.
     """
     wanted, kinds = ("integers", "iu") if integers else ("numbers", "iuf")
     if isinstance(values, np.ndarray):
@@ -73,6 +75,11 @@ def checked_array(values, name, integers=False):
             entries = chain.from_iterable(entries)
     if array.dtype.kind not in kinds or not {bool, np.bool_}.isdisjoint(map(type, entries)):
         raise ValidationError(f"{name} must be {wanted}")
+    if integers:
+        return array
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} must be finite (no NaN or inf)")
     return array
 
 

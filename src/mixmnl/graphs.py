@@ -34,15 +34,6 @@ class GraphDiagnostics:
     d_min: int
     d_max: int
 
-    def to_dict(self):
-        return {
-            "connected": self.connected,
-            "bipartite": self.bipartite,
-            "spectral_gap": self.spectral_gap,
-            "d_min": self.d_min,
-            "d_max": self.d_max,
-        }
-
 
 class ComparisonGraph:
     """Immutable undirected graph on ``n_items`` nodes with indexed pairs."""
@@ -154,7 +145,7 @@ def erdos_renyi(n_items, mean_degree, rng):
 def erdos_renyi_arguments(n_items, mean_degree):
     """``erdos_renyi``'s item count and mean degree as (int, float), or ``ValidationError``."""
     n_items = checked_count(n_items, "n_items", low=2)
-    mean_degree = float(mean_degree)
-    if not 0.0 < mean_degree <= n_items:
+    mean_degree = checked_array(mean_degree, "mean_degree")
+    if mean_degree.ndim or not 0.0 < mean_degree <= n_items:
         raise ValidationError("mean_degree must be in (0, n_items]")
-    return n_items, mean_degree
+    return n_items, float(mean_degree)

@@ -131,8 +131,8 @@ class MixedMNLModel:
     """
 
     def __init__(self, weights, mixture):
-        w = np.asarray(checked_array(weights, "weights"), dtype=np.float64)
-        q = np.asarray(checked_array(mixture, "mixture"), dtype=np.float64)
+        w = checked_array(weights, "weights")
+        q = checked_array(mixture, "mixture")
         if w.ndim != 2:
             raise ValidationError("weights must be (r, n)")
         component_count(w.shape[0])
@@ -140,9 +140,9 @@ class MixedMNLModel:
             raise ValidationError("mixture length must match the number of components")
         if w.shape[1] < 2:
             raise ValidationError("need at least 2 items")
-        if not np.isfinite(w).all() or (w <= 0).any():
-            raise ValidationError("weights must be finite and strictly positive")
-        if not np.isfinite(q).all() or (q <= 0).any():
+        if (w <= 0).any():
+            raise ValidationError("weights must be strictly positive")
+        if (q <= 0).any():
             raise ValidationError("mixture probabilities must be strictly positive")
         w = _normalized(w)
         q = _normalized(q)
@@ -219,11 +219,13 @@ def random_uniform_model(n_items, n_components, rng, low=1.0, high=2.0):
 
     The standard synthetic instance: before normalization every weight is
     an independent uniform draw, and components are equally likely.
+    ``low`` and ``high`` are finite numbers (``checked_array``).
     """
-    if not 0 < low < high:
+    low, high = checked_array(low, "low"), checked_array(high, "high")
+    if low.ndim or high.ndim or not 0 < low < high:
         raise ValidationError("need 0 < low < high")
     r = component_count(n_components)
-    w = rng.uniform(low, high, size=(r, checked_count(n_items, "n_items", low=2)))
+    w = rng.uniform(float(low), float(high), size=(r, checked_count(n_items, "n_items", low=2)))
     return MixedMNLModel(w, np.full(r, 1.0 / r))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError, checked_count
+from .errors import ValidationError, checked_array, checked_count
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def projected_third_moment(batch, basis, start=0, stop=None):
     start, stop = _check_range(len(batch), start, stop)
     ell = batch.ell
     check_ell(ell, 3)
-    basis = np.asarray(basis, dtype=np.float64)
+    basis = checked_array(basis, "basis")
     n = batch.graph.n_pairs
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValidationError("basis must be (n_pairs, r)")
@@ -142,7 +142,7 @@ def projected_third_moment(batch, basis, start=0, stop=None):
 
 def incoherence_from_basis(basis):
     """Incoherence of an explicit (N, rank) orthonormal basis."""
-    basis = np.asarray(basis)
+    basis = checked_array(basis, "basis")
     n, rank = basis.shape
     row_norms = np.linalg.norm(basis, axis=1)
     return float(math.sqrt(n / rank) * row_norms.max())

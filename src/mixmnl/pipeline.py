@@ -10,13 +10,13 @@ error-minimizing assignment to the true components.
 import csv
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import MixMNLError, ValidationError, checked_count
+from .errors import MixMNLError, ValidationError, checked_array, checked_count
 from .graphs import erdos_renyi, erdos_renyi_arguments
 from .model import checked_ell, component_count, random_uniform_model
 from .moments import check_ell, incoherence_from_basis, second_moment_spectrum
@@ -34,7 +34,9 @@ _SWEEP_FIELDS = (
 
 
 def seeded_rng(seed):
-    """``np.random.default_rng(seed)``, raising ``ValidationError`` for a seed such as -1."""
+    """``np.random.default_rng(seed)``; ``ValidationError`` for a seed such as -1 or True."""
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValidationError(f"invalid seed {seed!r}: expected an integer, not a bool")
     try:
         return np.random.default_rng(seed)
     except (TypeError, ValueError) as err:
@@ -126,20 +128,19 @@ def match_components(est_mixture, est_vectors, true_mixture, true_vectors):
     ``est_vectors`` and ``true_vectors`` hold one component per row (item
     weights or outcome-mean columns transposed).  The matching minimizes
     the summed per-pair cost |q_est - q| + relative vector error by sparse
-    Jonker-Volgenant (scipy's ``min_weight_full_bipartite_matching``).  A
-    cost that overflows to inf or nan raises ``ValidationError``.
+    Jonker-Volgenant (scipy's ``min_weight_full_bipartite_matching``).  All
+    four arrays must be finite numbers (``checked_array``), and a cost that
+    overflows to inf raises ``ValidationError``.
     """
-    est_mixture = np.asarray(est_mixture, dtype=np.float64)
-    true_mixture = np.asarray(true_mixture, dtype=np.float64)
-    est_vectors = np.atleast_2d(np.asarray(est_vectors, dtype=np.float64))
-    true_vectors = np.atleast_2d(np.asarray(true_vectors, dtype=np.float64))
+    est_mixture = checked_array(est_mixture, "est_mixture")
+    true_mixture = checked_array(true_mixture, "true_mixture")
+    est_vectors = np.atleast_2d(checked_array(est_vectors, "est_vectors"))
+    true_vectors = np.atleast_2d(checked_array(true_vectors, "true_vectors"))
     r = true_mixture.shape[0]
     if est_mixture.shape != (r,) or est_vectors.shape != true_vectors.shape:
         raise ValidationError("estimate and truth must have matching shapes")
     if est_vectors.shape[0] != r:
         raise ValidationError("need one vector per component")
-    if not (np.isfinite(est_mixture).all() and np.isfinite(est_vectors).all()):
-        raise ValidationError("estimated mixture and vectors must be finite")
 
     # Finite inputs can still overflow the norms; the check below catches it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +229,7 @@ def check_conditions(model, graph, ell=None):
         "sigma_r": sigma_r,
         "condition_ratio": sigma_1 / sigma_r if sigma_r > 0 else float("inf"),
         "incoherence": incoherence_from_basis(basis),
-        "graph": diag.to_dict(),
+        "graph": asdict(diag),
         "dynamic_range": b,
         "mixture_min": q_min,
         "mixture_max": q_max,

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError, checked_count
+from .errors import ValidationError, checked_array, checked_count
 
 _CONVERGENCE_EPS = 1e-8
 # Power iteration stops once the L1 change between iterates is at most this.
@@ -62,11 +62,8 @@ class PowerIterationResult(NamedTuple):
 
 
 def project_outcomes(values):
-    """Clip mean-outcome estimates into [-1, 1]; rejects non-finite input."""
-    v = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValidationError("outcome estimates must be finite")
-    return np.clip(v, -1.0, 1.0)
+    """Clip mean-outcome estimates, finite numbers (``checked_array``), into [-1, 1]."""
+    return np.clip(checked_array(values, "outcomes"), -1.0, 1.0)
 
 
 def build_transition(graph, outcomes):
@@ -168,10 +165,10 @@ def default_iteration_count(graph, outcomes):
 
 def _checked_outcomes(graph, outcomes):
     """``outcomes`` as float64, one mean per graph pair, each finite and in [-1, 1]."""
-    v = np.asarray(outcomes, dtype=np.float64)
+    v = checked_array(outcomes, "outcomes")
     if v.shape != (graph.n_pairs,):
         raise ValidationError("need one outcome mean per graph pair")
-    if not np.isfinite(v).all() or np.abs(v).max(initial=0.0) > 1.0:
+    if np.abs(v).max(initial=0.0) > 1.0:
         raise ValidationError("outcome means must lie in [-1, 1], with no NaN or inf")
     return v
 

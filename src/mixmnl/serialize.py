@@ -273,7 +273,7 @@ def load_results(path):
         diagnostics = results.get("diagnostics", {})
     except (KeyError, TypeError) as err:
         raise ValidationError(f"malformed results file: {err}") from err
-    return ComponentEstimates(*(a.astype(np.float64) for a in arrays), diagnostics)
+    return ComponentEstimates(*arrays, diagnostics)
 
 
 def save_json(path, payload):

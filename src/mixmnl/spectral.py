@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whitening_basis
-from .errors import NumericalError, ValidationError, checked_count
+from .errors import NumericalError, ValidationError, checked_array, checked_count
 from .model import component_count
 from .moments import (
     empirical_second_moment,
@@ -126,6 +126,7 @@ def components_from_exact_moments(second_moment, third_moment, n_components, rng
     generating model to solver precision.
     """
     n_components = component_count(n_components)
+    second_moment = checked_array(second_moment, "second_moment")
     basis = _staged("whitening", symmetrize_and_eig, second_moment, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls_exact, third_moment, basis)
     return _decompose(basis, ls_result, n_components, rng)
@@ -145,12 +146,12 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
     component order and roundoff the output is that of
     ``components_from_exact_moments`` on the dense moments.
     """
-    p = np.asarray(outcome_matrix, dtype=np.float64)
-    q = np.asarray(mixture, dtype=np.float64)
+    p = checked_array(outcome_matrix, "outcome_matrix")
+    q = checked_array(mixture, "mixture")
     if p.ndim != 2 or q.shape != (p.shape[1],):
         raise ValidationError("outcome_matrix must be (n_pairs, r) and mixture (r,)")
-    if not (np.isfinite(p).all() and np.isfinite(q).all() and (q >= 0).all()):
-        raise ValidationError("factors must be finite, the mixture nonnegative")
+    if (q < 0).any():
+        raise ValidationError("mixture must be nonnegative")
     n_components = checked_count(n_components, "n_components", low=1, high=p.shape[0])
     values, vectors = spectrum_from_factors(p, np.diag(q))
     basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)

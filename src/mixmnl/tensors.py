@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTensorError, ValidationError, checked_count
+from .errors import DegenerateTensorError, ValidationError, checked_array, checked_count
 from .kernels import offdiagonal_third_sums
 from .moments import projected_third_moment
 
@@ -187,7 +187,7 @@ def whitened_third_moment_ls_exact(third_moment, basis):
     planes are read as diagonal views, so no copy of the N^3 tensor is made
     and the argument is left unchanged; the tensor need not be symmetric.
     """
-    t = np.asarray(third_moment, dtype=np.float64)
+    t = checked_array(third_moment, "third_moment")
     n = basis.vectors.shape[0]
     if t.shape != (n, n, n):
         raise ValidationError("third moment shape does not match the basis")
@@ -224,8 +224,8 @@ def whitened_third_moment_ls_factored(outcome_matrix, mixture, basis):
     rows and q as their weights.  It takes O(N r^3) time and no N x N or
     N^3 array.
     """
-    p = np.asarray(outcome_matrix, dtype=np.float64)
-    q = np.asarray(mixture, dtype=np.float64)
+    p = checked_array(outcome_matrix, "outcome_matrix")
+    q = checked_array(mixture, "mixture")
     w = basis.whitening_map
     if p.ndim != 2 or p.shape[0] != w.shape[0] or q.shape != (p.shape[1],):
         raise ValidationError("factors do not match the basis")
@@ -253,7 +253,7 @@ def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     [1, r] and ``n_iterations`` >= 1 must be integers; a float or a string
     is refused, not truncated.
     """
-    t = np.array(tensor, dtype=np.float64)
+    t = checked_array(tensor, "tensor").copy()  # deflated in place
     if t.ndim != 3 or len(set(t.shape)) != 1:
         raise ValidationError("tensor must be cubic")
     r = t.shape[0]

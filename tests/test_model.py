@@ -123,11 +123,15 @@ class TestCallerArrays:
     def test_ndarray_is_taken_without_a_copy(self):
         edges = np.array([[0, 1], [1, 2]])
         assert checked_array(edges, "edges", integers=True) is edges
+        weights = np.array([[0.5, 1.0]]).T
+        assert checked_array(weights, "weights") is weights
         with pytest.raises(ValidationError, match="integers"):
             checked_array(edges.astype(float), "edges", integers=True)
 
     def test_numbers_pass(self):
         np.testing.assert_array_equal(checked_array([[1, 2.5]], "weights"), [[1.0, 2.5]])
+        for value in (np.float32(0.5), 1, np.int64(1), [1, 2], np.array([1], dtype=np.uint8)):
+            assert checked_array(value, "x").dtype == np.float64
         assert checked_array(np.uint8(3), "count", integers=True) == 3
         assert checked_array([np.int32(1), np.int64(2)], "x", integers=True).tolist() == [1, 2]
 

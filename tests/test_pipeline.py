@@ -144,6 +144,19 @@ class TestLearn:
         with pytest.raises(ValidationError, match="seed"):
             learn_mixed_mnl(batch, config, model=model)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("seed", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+    def test_bool_seed_rejected(self, exact, seed):
+        # numpy would seed True exactly as 1.
+        graph = complete_graph(6)
+        rng = np.random.default_rng(1)
+        model = random_uniform_model(6, 2, rng)
+        batch = model.sample_batch(graph, 3, 100, rng)
+        config = LearnConfig(n_components=2, seed=seed, exact_moments=exact)
+        words = r"^invalid seed .*: expected an integer, not a bool$"
+        with pytest.raises(ValidationError, match=words):
+            learn_mixed_mnl(batch, config, model=model)
+
     def test_exact_moment_path_recovers_weights(self):
         graph = complete_graph(8)
         rng = np.random.default_rng(1)
