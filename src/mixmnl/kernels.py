@@ -3,9 +3,11 @@
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
 at its pair indices, ``ell`` entries per row.  The second-moment sums are
-X^T X.  The third-moment sums come from ``offdiagonal_third_sums``, which
-also gives the exact-moment right-hand side (outcome means as rows, the
-mixture as weights), with no per-observation loop or cubic intermediate.
+X^T X, accumulated in the narrowest integer type that holds the largest
+per-pair touch count, so every partial sum is exact.  The third-moment
+sums come from ``offdiagonal_third_sums``, which also gives the
+exact-moment right-hand side (outcome means as rows, the mixture as
+weights), with no per-observation loop or cubic intermediate.
 """
 
 import numpy as np
@@ -15,18 +17,19 @@ from scipy import sparse
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def _sign_matrix(pair_indices, values, n_pairs):
-    """The (count, n_pairs) CSR matrix X; ``pair_indices`` may be any integer array.
+def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
+    """The (count, n_pairs) CSR matrix X with ``dtype`` values.
 
-    int32 indices, the width batches hold, go into X without a copy, with an
-    int32 indptr whenever count * ell fits; scipy converts other widths.
+    ``pair_indices`` may be any integer array.  int32 indices, the width
+    batches hold, go into X without a copy, with an int32 indptr whenever
+    count * ell fits; scipy converts other widths.
     """
     pair_indices = np.asarray(pair_indices)
     count, ell = pair_indices.shape
     nnz = count * ell
     indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
     return sparse.csr_matrix(
-        (np.asarray(values, dtype=np.float64).ravel(), pair_indices.ravel(), indptr),
+        (np.asarray(values, dtype=dtype).ravel(), pair_indices.ravel(), indptr),
         shape=(count, int(n_pairs)),
     )
 
@@ -35,13 +38,21 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
     ``pair_indices`` is (count, ell) integer with distinct entries per row and
-    ``signs`` the matching sign (or weight) array.  Returns the dense
-    (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t`` is the dense
-    vector with ``signs[t]`` scattered into ``pair_indices[t]``, i.e. X^T X.
-    Diagonal entries count touches.  For integer inputs every entry is an
-    exact integer sum, so the result does not depend on summation order.
+    ``signs`` the matching integer array of signs or counts in {-1, 0, 1}.
+    Returns the dense (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t``
+    is the dense vector with ``signs[t]`` scattered into ``pair_indices[t]``,
+    i.e. X^T X.  Diagonal entries count touches.
+
+    Every entry, and every partial sum of the product, is an integer no
+    larger in magnitude than the largest per-pair touch count, the most
+    times one index occurs in ``pair_indices``.  So X, and the result, are
+    int16 when that count is at most 32767, int32 (int64 past that)
+    otherwise: the sums are exact and do not depend on summation order.
     """
-    x = _sign_matrix(pair_indices, signs, n_pairs)
+    pair_indices = np.asarray(pair_indices)
+    touches = np.bincount(pair_indices.ravel(), minlength=1).max()
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if touches <= np.iinfo(t).max)
+    x = _sign_matrix(pair_indices, signs, n_pairs, dtype)
     # A CSR product densifies in C order, which the completion's in-place
     # updates rely on; X^T in CSC would give a Fortran-ordered result.
     return (x.T.tocsr() @ x).toarray()

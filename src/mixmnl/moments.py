@@ -112,9 +112,9 @@ def empirical_second_moment(batch, start=0, stop=None):
         batch.pair_indices[start:stop], batch.signs[start:stop], n
     )
     scale = (n * (n - 1)) / (ell * (ell - 1)) / (stop - start)
-    sums *= scale
-    np.fill_diagonal(sums, 0.0)
-    return SecondMomentEstimate(matrix=sums, sample_count=stop - start)
+    matrix = np.multiply(sums, scale, dtype=np.float64)
+    np.fill_diagonal(matrix, 0.0)
+    return SecondMomentEstimate(matrix=matrix, sample_count=stop - start)
 
 
 def projected_third_moment(batch, basis, start=0, stop=None):

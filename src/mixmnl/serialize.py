@@ -200,7 +200,9 @@ def _canonical_dataset(raw):
     if raw.startswith(b"[]", start):
         end = start + 2
     else:
-        end = raw.find(b"]]]", start) + 3
+        # The tail holds no "]]]" (ground truth nests two deep), so the
+        # block's end is the last one; searching back skips the block.
+        end = raw.rfind(b"]]]", start) + 3
         if end < 3:
             return None
     block = raw[start:end]

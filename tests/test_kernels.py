@@ -34,6 +34,21 @@ class TestSignOuterProducts:
                 got = kernels.sign_outer_products(idx, values, n_pairs)
                 assert np.array_equal(got, x.T @ x)
 
+    @pytest.mark.parametrize("touches, dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_accumulation_type_boundary(self, touches, dtype):
+        # Pair 0 is in every row, so the largest touch count is the row
+        # count; the Gram's (0, 0) entry reaches it and must not wrap.
+        rng = np.random.default_rng(touches)
+        n_pairs = 8
+        others = rng.integers(1, n_pairs, touches)
+        idx = np.column_stack([np.zeros(touches, dtype=np.int64), others])
+        sgn = rng.choice([-1, 1], size=idx.shape).astype(np.int8)
+        for values in (sgn, np.abs(sgn)):
+            x = _dense(idx, values, n_pairs)
+            got = kernels.sign_outer_products(idx, values, n_pairs)
+            assert got.dtype == dtype
+            assert np.array_equal(got, x.T @ x)
+
     def test_index_width_changes_no_bit(self):
         rng = np.random.default_rng(3)
         idx, sgn, basis = _random_inputs(rng, count=500, n_pairs=20, ell=5)

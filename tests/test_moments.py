@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mixmnl import (
     MixedMNLModel,
+    ObservationBatch,
     ValidationError,
     empirical_second_moment,
+    erdos_renyi,
     exact_second_moment,
     exact_third_moment,
     incoherence_from_basis,
@@ -167,6 +171,28 @@ class TestEmpiricalSecondMoment:
             errors.append(np.mean(per_seed))
         slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
         assert -0.6 <= slope <= -0.4
+
+
+    def test_peak_memory_at_a_wide_shape(self):
+        # n = 150 at mean degree 12 draws 909 pairs, and 15,000 rows of 40
+        # pairs touch nearly every pair of pairs.  The integer Gram plus the
+        # float64 estimate make 1.25 N x N float64 arrays; a float64 Gram
+        # with its near-dense CSR product peaked at 3.3.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(150, 12.0, rng)
+        n, ell, count = graph.n_pairs, 40, 15_000
+        per = n // ell  # rows of distinct pairs cut from one permutation
+        rows = [rng.permutation(n)[: per * ell].reshape(per, ell) for _ in range(count // per + 1)]
+        idx = np.sort(np.concatenate(rows)[:count], axis=1)
+        batch = ObservationBatch(graph, idx, rng.choice([-1, 1], size=idx.shape))
+        tracemalloc.start()
+        try:
+            est = empirical_second_moment(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.matrix.dtype == np.float64 and est.matrix.flags.c_contiguous
+        assert peak < 2.0 * est.matrix.nbytes
 
 
 class TestProjectedThirdMoment:

@@ -254,6 +254,9 @@ class TestCanonicalRoute:
         ],
         "extra-key": ('"ell":3,', '"ell":3,"x":0,'),
         "truncated": ("]]],", "]],"),
+        # The block ends at the file's last "]]]"; these put another after it.
+        "triple-bracket-after-block": ("}}\n", '},"x":[[[0]]]}\n'),
+        "triple-bracket-in-truth": ('"q":[', '"q":[[[[0]]],'),
         "bom": ("", "\ufeff"),
     }
 
