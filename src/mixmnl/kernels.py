@@ -5,9 +5,11 @@ Both moment accumulators are products of one sparse matrix: the
 at its pair indices, ``ell`` entries per row.  The second-moment sums are
 X^T X, accumulated in the narrowest integer type that holds the largest
 per-pair touch count, so every partial sum is exact.  The third-moment
-sums come from ``offdiagonal_third_sums``, which also gives the
-exact-moment right-hand side (outcome means as rows, the mixture as
-weights), with no per-observation loop or cubic intermediate.
+sums are one expansion, which also gives the exact-moment right-hand side
+(``offdiagonal_third_sums``: outcome means as rows, the mixture as
+weights), with no per-observation loop or cubic intermediate.  The sampled
+statistic holds one float64 copy of the signs: its squares and cubes
+are |X| and X, so X's values turn absolute in place once X is used.
 """
 
 import numpy as np
@@ -71,11 +73,19 @@ def offdiagonal_third_sums(rows, squares, cubes, weights, basis):
     """
     y = rows @ basis
     weighted = y * weights[:, None]
-    planes = squares.T @ weighted  # (n_pairs, r)
+    return _combine(weighted, y, squares.T @ weighted, cubes.T @ weights, basis)
+
+
+def _combine(weighted, y, planes, diagonal, basis):
+    """The expansion of ``offdiagonal_third_sums`` from its partial sums.
+
+    ``weighted`` is Y with row t scaled by w_t, ``planes`` the (n_pairs, r)
+    sums sum_t w_t x_tk^2 y_t and ``diagonal`` the (n_pairs,) sums
+    sum_t w_t x_tk^3.
+    """
     cross = np.einsum("ka,kb,kc->abc", planes, basis, basis, optimize=True)
     out = np.einsum("ta,tb,tc->abc", weighted, y, y, optimize=True)
     out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
-    diagonal = cubes.T @ weights  # (n_pairs,)
     out += 2.0 * np.einsum("k,ka,kb,kc->abc", diagonal, basis, basis, basis, optimize=True)
     return out
 
@@ -86,11 +96,15 @@ def projected_third_moment_sums(pair_indices, signs, basis):
     For each observation with dense sign vector ``x`` and projection
     ``basis`` W (n_pairs, r) this accumulates the contraction of the
     off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
-    W, by ``offdiagonal_third_sums`` with unit weights.  Requires ``signs``
-    in {-1, +1}: then the squares of X are |X| and its cubes X itself.
-    |X| shares X's index arrays rather than copying them.
+    W, the expansion of ``offdiagonal_third_sums`` with unit weights.
+    Requires ``signs`` in {-1, +1}: then the cubes of X are X itself and
+    its squares |X|.  One float64 copy of the signs is held: Y = X W and
+    the column sums of X are taken first, then X's values are made
+    absolute in place for the plane sums.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
     x = _sign_matrix(pair_indices, signs, w.shape[0])
-    magnitudes = sparse.csr_matrix((np.abs(x.data), x.indices, x.indptr), shape=x.shape)
-    return offdiagonal_third_sums(x, magnitudes, x, np.ones(x.shape[0]), w)
+    y = x @ w
+    diagonal = np.asarray(x.sum(axis=0)).ravel()
+    np.abs(x.data, out=x.data)
+    return _combine(y, y, x.T @ y, diagonal, w)

@@ -19,10 +19,10 @@ from .errors import ValidationError, checked_array, checked_count
 from .graphs import ComparisonGraph
 
 # The sampler's chunk fixes the stream: each chunk of _CHUNK_FLOATS // N
-# rows draws its pair keys, then its outcome uniforms.  The keys themselves
-# are drawn _BLOCK_FLOATS at a time into one reusable buffer, which bounds
-# memory without moving any draw: a block of keys is the same words of the
-# stream as the matching rows of one chunk-sized draw.
+# rows draws its pair keys, then its outcome uniforms.  Both are drawn about
+# _BLOCK_FLOATS at a time into reusable buffers, which bounds memory without
+# moving any draw: a block is the same words of the stream as the matching
+# rows of one chunk-sized draw.
 _CHUNK_FLOATS = 4 << 20
 _BLOCK_FLOATS = 1 << 17
 
@@ -182,9 +182,11 @@ class MixedMNLModel:
         Consumption of ``rng`` is fixed (components, then per chunk the
         pair keys and the outcome uniforms), so a seeded generator
         reproduces the batch exactly.  The chunk size fixes that order; the
-        keys go through one block of about 1 MB, so scratch memory does not
-        grow with the chunk.  ``count`` >= 0 and ``ell`` in [1, n_pairs]
-        must be integers: a float such as 10.9 is refused, not truncated.
+        keys and the outcome uniforms each go through one block of about
+        1 MB, and the thresholds and int8 signs are taken per outcome
+        block, so scratch memory does not grow with the chunk.  ``count``
+        >= 0 and ``ell`` in [1, n_pairs] must be integers: a float such as
+        10.9 is refused, not truncated.
         """
         count = checked_count(count, "count")
         ell = checked_ell(graph, ell)
@@ -197,6 +199,8 @@ class MixedMNLModel:
         step = max(1, _CHUNK_FLOATS // n_pairs)
         rows = max(1, _BLOCK_FLOATS // n_pairs)
         keys = np.empty((min(rows, step, count), n_pairs))
+        outcome_rows = max(1, _BLOCK_FLOATS // ell)
+        uniforms = np.empty((min(outcome_rows, step, count), ell))
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             for start in range(lo, hi, rows):
@@ -205,9 +209,11 @@ class MixedMNLModel:
                 chosen = np.argpartition(block, ell - 1, axis=1)[:, :ell]
                 chosen.sort(axis=1)
                 idx[start:stop] = chosen
-            u = rng.random((hi - lo, ell))
-            thresholds = win[idx[lo:hi], components[lo:hi, None]]
-            sgn[lo:hi] = np.where(u < thresholds, 1, -1)
+            for start in range(lo, hi, outcome_rows):
+                stop = min(start + outcome_rows, hi)
+                u = rng.random(out=uniforms[: stop - start])
+                thresholds = win[idx[start:stop], components[start:stop, None]]
+                sgn[start:stop] = np.where(u < thresholds, np.int8(1), np.int8(-1))
         return _fresh_batch(graph, idx, sgn)
 
     def __repr__(self):

@@ -122,13 +122,21 @@ def dataset_from_dict(data):
     array that ``load_dataset`` decodes from a canonical file.  Either way
     ``ObservationBatch`` gets views of one integer array, range-checks them
     and keeps an int32 copy of the pair indices.  The header counts are
-    checked, and the two item counts compared, before the graph is built.
+    checked, the two item counts compared, and n bounded by twice the
+    number of listed pairs before the graph is built, so a file cannot ask
+    for memory beyond its own size.
     """
     try:
         n = checked_count(data["n"], "dataset n")
         if checked_count(data["graph"]["n"], "graph n") != n:
             raise ValidationError("dataset n and graph n disagree")
-        graph = ComparisonGraph(n, data["graph"]["edges"])
+        edges = data["graph"]["edges"]
+        if n > 2 * len(edges):
+            raise ValidationError(
+                f"dataset n = {n} exceeds twice the {len(edges)} listed pairs, "
+                "so some item is in no pair and cannot be ranked"
+            )
+        graph = ComparisonGraph(n, edges)
         ell = checked_ell(graph, data["ell"])
         observations = data["observations"]
     except (KeyError, TypeError) as err:
@@ -234,10 +242,11 @@ def _canonical_dataset(raw):
         return None
     if values.min() <= -_LARGEST_READ or values.max() >= _LARGEST_READ:
         return None
-    magnitudes = np.abs(values)
+    largest = max(int(values.max()), -int(values.min()))
     digits = values.size
-    for power in range(1, len(str(int(magnitudes.max())))):
-        digits += np.count_nonzero(magnitudes >= 10**power)
+    for power in range(1, len(str(largest))):
+        digits += np.count_nonzero(values >= 10**power)
+        digits += np.count_nonzero(values <= -(10**power))
     minus = block.count(b"-")
     if minus != np.count_nonzero(values < 0) or digits + minus != len(block) - len(skeleton):
         return None

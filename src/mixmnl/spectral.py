@@ -97,9 +97,14 @@ def estimate_components(batch, n_components, rng=None):
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
     completion_iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * count)))
 
-    second = empirical_second_moment(batch, lo2, hi2)
+    # No name holds the N x N estimate: it is freed when the completion
+    # returns, which keeps only S and V, before the third-moment stage.
     completion = _staged(
-        "completion", altmin_complete, second.matrix, n_components, completion_iterations
+        "completion",
+        altmin_complete,
+        empirical_second_moment(batch, lo2, hi2).matrix,
+        n_components,
+        completion_iterations,
     )
     # (S V^T + V S^T) / 2 = [S V] C [S V]^T with C = [[0, I], [I, 0]] / 2.
     factor = np.hstack([completion.solution, completion.basis])

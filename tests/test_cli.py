@@ -357,6 +357,19 @@ class TestNonIntegerDataset:
         assert result.exit_code == 2
         assert result.stderr == "error: dataset n and graph n disagree\n"
 
+    @pytest.mark.parametrize("n", [2**31, 2**63], ids=["2**31", "2**63"])
+    def test_huge_equal_item_counts_exit_2(self, runner, tmp_path, n):
+        data = generate_dataset(runner, tmp_path / "d.json", samples=40, n=6)
+        doc = json.loads(data.read_text())
+        doc["n"] = doc["graph"]["n"] = n
+        data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: dataset n = {n} exceeds twice the ")
+
     @pytest.mark.parametrize("ell", [-1, 0, 10**6])
     def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):
         data = generate_dataset(runner, tmp_path / "d.json")

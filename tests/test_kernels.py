@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -143,6 +145,25 @@ class TestProjectedThird:
         # another order than the brute force, so an entry can differ from
         # it by roundoff of the largest entry, not of its own size.
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+    def test_one_float_copy_of_the_signs_at_pilot_half_shape(self):
+        # 100,000 rows of 10 of 104 pairs, one half of the pilot benchmark:
+        # the float64 sign data is 8 MB, and the statistic holds one copy
+        # of it (|X| overwrites X) plus r-wide row products.
+        rng = np.random.default_rng(4)
+        count, n_pairs, ell = 100_000, 104, 10
+        idx = np.sort(
+            np.argsort(rng.random((count, n_pairs)), axis=1)[:, :ell], axis=1
+        ).astype(np.int32)
+        sgn = rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, ell))
+        basis = rng.standard_normal((n_pairs, 2))
+        tracemalloc.start()
+        try:
+            kernels.projected_third_moment_sums(idx, sgn, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * count * ell * 8
 
     def test_single_observation_single_pair_projection(self):
         # One observation touching one pair with +1 and a rank-1 basis

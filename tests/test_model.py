@@ -328,6 +328,20 @@ class TestSamplerStream:
         output = batch.pair_indices.nbytes + batch.signs.nbytes
         assert peak < output + (16 << 20)
 
+    def test_outcome_draws_go_through_a_block_at_pilot_shape(self):
+        # The outcome uniforms, thresholds and int8 signs of one chunk would
+        # be about 12 MB at this shape; through a block of about 1 MB the
+        # sampler's scratch stays well under 8 MB above its 9.5 MB output.
+        model, graph = sampled_instance(30, 8.0)
+        tracemalloc.start()
+        try:
+            batch = model.sample_batch(graph, 10, 200_000, np.random.default_rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = batch.pair_indices.nbytes + batch.signs.nbytes
+        assert peak < output + (8 << 20)
+
     @pytest.mark.parametrize(
         "n_items, mean_degree, ell, count, seed, expected",
         [

@@ -410,6 +410,24 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n", [2**31, 2**63], ids=["2**31", "2**63"])
+    def test_huge_equal_item_counts_rejected_before_the_graph_is_built(self, n):
+        # Both counts agree, but 15 pairs name at most 30 items: the rest
+        # would be in no pair.  A graph of n items would allocate O(n)
+        # degrees (16 GiB at 2**31; 2**63 overflows int64).
+        graph = complete_graph(6)
+        model = random_uniform_model(6, 2, np.random.default_rng(0))
+        doc = dataset_to_dict(model.sample_batch(graph, 3, 20, np.random.default_rng(1)), model)
+        doc["n"] = doc["graph"]["n"] = n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds twice the 15 listed pairs"):
+                dataset_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize(
         "key, index, value",
         [

@@ -321,6 +321,27 @@ class TestEmpiricalPath:
             tracemalloc.stop()
         assert peak <= 2.5 * batch.graph.n_pairs**2 * 8
 
+    def test_second_moment_freed_before_the_third_moment_stage(self, monkeypatch):
+        # The completion keeps only S and V, so on entry to the third-moment
+        # stage no N x N array is alive.  982 pairs: the estimate is 7.7 MB.
+        batch = sampled_instance(150, 12.0, 2, 3, count=4000, ell=10)
+        held = []
+        stage = spectral.whitened_third_moment_ls
+
+        def recorded(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return stage(*args)
+
+        monkeypatch.setattr(spectral, "whitened_third_moment_ls", recorded)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            estimate_components(batch, 2, rng=np.random.default_rng(0))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] - start < 0.1 * batch.graph.n_pairs**2 * 8
+
     def test_close_with_many_samples(self):
         # Full pipeline on a generous sample.  A wide dynamic range keeps
         # the signal well above the without-replacement scaling noise.
