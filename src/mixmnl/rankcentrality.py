@@ -13,12 +13,15 @@ bound of ``default_iteration_count``, taken at the largest weight range the
 bound allows for, only caps the number of steps.  The cap depends on the
 graph alone, so every chain of a fit shares it.
 
-The r components of a mixture are ranked in one block iteration: their
-transposed chains form one block-diagonal sparse matrix, applied to an
-(r, n_items) iterate whose rows are the components' distributions.  Each
-row keeps its own stop rule and is frozen once it stops, so every chain
-takes exactly the steps, and returns exactly the bits, it would on its own;
-a single chain is the one-row case of the same loop.
+The r components of a mixture are ranked in one block iteration.  Their
+chains are built once, in one pass, as one block-diagonal sparse matrix
+(``build_transition`` is the one-chain case of the same builder); the block
+is transposed once and applied to an (r, n_items) iterate whose rows are
+the components' distributions.  Each row keeps its own stop rule; once it
+stops, its last iterate is kept and its rows and columns are sliced out of
+the transposed block.  So every chain takes exactly the steps, and returns
+exactly the bits, it would on its own; a single chain is the one-row case
+of the same loop.
 """
 
 import math
@@ -74,21 +77,32 @@ def build_transition(graph, outcomes):
     with the complementary rate; leftover mass stays put.
     """
     v = _checked_outcomes(graph, outcomes)
+    return TransitionMatrix(matrix=_chains(graph, v[np.newaxis]))
+
+
+def _chains(graph, columns):
+    """The chains of outcome rows ``columns``, (r, n_pairs), as one CSR matrix.
+
+    Block a of the (r n, r n) block-diagonal result is the chain of row a,
+    entry for entry and in the same order as ``build_transition`` of that
+    row alone, which is the r = 1 case.
+    """
+    r = columns.shape[0]
     n = graph.n_items
     d_max = int(graph.degrees.max())
-    i = graph.edges[:, 0]
-    j = graph.edges[:, 1]
-    forward = (1.0 + v) / (2.0 * d_max)
-    backward = (1.0 - v) / (2.0 * d_max)
+    # (r, n_pairs) endpoints: block a holds items a n, ..., a n + n - 1.
+    i, j = graph.edges.T[:, np.newaxis] + n * np.arange(r)[:, np.newaxis]
+    # Rates of every i -> j move, then of every j -> i move.
+    rates = np.concatenate([1.0 + columns, 1.0 - columns], axis=None) / (2.0 * d_max)
     off = sp.coo_matrix(
-        (np.concatenate([forward, backward]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
+        (rates, (np.concatenate([i, j], axis=None), np.concatenate([j, i], axis=None))),
+        shape=(r * n, r * n),
     ).tocsr()
     hold = 1.0 - np.asarray(off.sum(axis=1)).ravel()
     hold = np.maximum(hold, 0.0)  # guard float residue when rates fill a row
     matrix = (off + sp.diags(hold)).tocsr()
     matrix.eliminate_zeros()  # zero-rate edges are not edges for reachability checks
-    return TransitionMatrix(matrix=matrix)
+    return matrix
 
 
 def power_stationary(transition, n_iterations):
@@ -98,28 +112,26 @@ def power_stationary(transition, n_iterations):
     ``n_iterations`` steps, whichever comes first.  ``n_iterations`` must
     be an integer of at least 1; a float such as 10.5 is refused.
     """
-    return _block_power([transition], n_iterations)[0]
+    return _block_power(transition.matrix, 1, n_iterations)[0]
 
 
-def _block_power(transitions, cap):
-    """``power_stationary`` of several chains over the same items at once.
+def _block_power(chains, r, cap):
+    """``power_stationary`` of the r chains of a ``_chains`` block at once.
 
-    Row a of the iterate belongs to ``transitions[a]``; every row is capped
-    at ``cap`` steps.  The rows still running are stepped together by one
-    block-diagonal product; a row that stops leaves the block, keeping its
-    last iterate.  Returns one ``PowerIterationResult`` per chain.
+    The block is transposed once.  Row a of the iterate belongs to block a;
+    every row is capped at ``cap`` steps.  The rows still running are
+    stepped together by one product; a row that stops keeps its last
+    iterate, and its rows and columns are sliced out of the transposed
+    block.  Returns one ``PowerIterationResult`` per chain.
     """
     cap = checked_count(cap, "n_iterations", low=1)
-    n = transitions[0].n_items
-    chains = [t.matrix.T.tocsr() for t in transitions]
-    results = [None] * len(chains)
-    running = np.arange(len(chains))
-    pi = np.full((len(chains), n), 1.0 / n)
-    block = None
+    n = chains.shape[0] // r
+    block = chains.T.tocsr()
+    results = [None] * r
+    running = np.arange(r)
+    pi = np.full((r, n), 1.0 / n)
     step = 0
     while running.size:
-        if block is None:
-            block = sp.block_diag([chains[a] for a in running], format="csr")
         step += 1
         nxt = (block @ pi.ravel()).reshape(pi.shape)
         nxt /= nxt.sum(axis=1, keepdims=True)
@@ -132,9 +144,10 @@ def _block_power(transitions, cap):
             results[running[row]] = PowerIterationResult(
                 distribution=pi[row], last_change=float(changes[row]), iterations=step
             )
+        kept = (n * np.flatnonzero(~stopped)[:, np.newaxis] + np.arange(n)).ravel()
+        block = block[kept][:, kept]
         running = running[~stopped]
         pi = pi[~stopped]
-        block = None
     return results
 
 
@@ -189,16 +202,18 @@ def rank_centrality(graph, outcomes):
 
     ``outcomes`` is one mean per graph pair, shape (n_pairs,), or one
     column of means per component, shape (n_pairs, r); the weights come
-    back as (n_items,) or (r, n_items) to match.  Each column is clipped
-    into [-1, 1] and turned into its comparison chain, and the chains are
-    power-iterated together from uniform until each one's iterates stop
-    changing, or for at most ``default_iteration_count`` steps.
+    back as (n_items,) or (r, n_items) to match.  The columns are clipped
+    into [-1, 1], their comparison chains are built once as one
+    block-diagonal matrix, and the chains are power-iterated together from
+    uniform until each one's iterates stop changing, or for at most
+    ``default_iteration_count`` steps; a chain that stops is sliced out of
+    the block.
     """
     projected = project_outcomes(outcomes)
     columns = np.atleast_2d(projected.T)
     if projected.ndim not in (1, 2) or columns.shape[0] == 0 or columns.shape[1] != graph.n_pairs:
         raise ValidationError("need outcomes of shape (n_pairs,) or (n_pairs, r), r >= 1")
     cap = _iteration_cap(graph)
-    transitions = [build_transition(graph, column) for column in columns]
-    weights = np.stack([res.distribution for res in _block_power(transitions, cap)])
+    results = _block_power(_chains(graph, columns), columns.shape[0], cap)
+    weights = np.stack([res.distribution for res in results])
     return weights[0] if projected.ndim == 1 else weights

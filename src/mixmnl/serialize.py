@@ -172,8 +172,7 @@ def save_dataset(path, batch, model=None):
 
 def load_dataset(path):
     with _collector_paused():
-        with open(path, "rb") as fh:
-            data = _canonical_dataset(fh.read())
+        data = _canonical_dataset(path)
         if data is None:
             data = load_json(path, "dataset")
         return dataset_from_dict(data)
@@ -188,7 +187,7 @@ _NUMBER_BYTES = b"0123456789-"
 _LARGEST_READ = 10**18
 
 
-def _canonical_dataset(raw):
+def _canonical_dataset(path):
     """The dataset dict of a byte-canonical file, or None for any other file.
 
     The observations come back as a (count, ell, 2) int64 array.  A file is
@@ -199,8 +198,12 @@ def _canonical_dataset(raw):
     integer in each slot.  The slot count, the count of ``-`` bytes and the
     count of digit bytes are all compared with the parsed values, which
     closes what ``np.fromstring`` would otherwise accept (``- 1``, ``01``,
-    ``-0``, a lone ``-`` or an empty slot).
+    ``-0``, a lone ``-`` or an empty slot).  The file's bytes are read here
+    and freed once the header and tail are checked, so only the block's
+    copy is held while it is parsed.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     key = raw.find(_BLOCK_START)
     if key < 0:
         return None
@@ -224,6 +227,7 @@ def _canonical_dataset(raw):
     head, tail = _framing(header, data.get("ground_truth"))
     if raw[:start] != head.encode() or raw[end:] != tail.encode():
         return None
+    del raw
     if block == b"[]":
         return data
     ell = data["ell"]
@@ -236,9 +240,16 @@ def _canonical_dataset(raw):
     count = values.size // (2 * ell)
     if count == 0 or values.size != 2 * ell * count:
         return None
-    row = b"[" + b",".join([b"[,]"] * ell) + b"]"
     skeleton = block.translate(None, _NUMBER_BYTES)
-    if skeleton != b"[" + b",".join([row] * count) + b"]":
+    minus = block.count(b"-")
+    number_bytes = len(block) - len(skeleton)
+    del block
+    # The block opens with "[" and closes with "]]]", so the skeleton is
+    # canonical if it is one byte longer at each end than the rows it should
+    # hold, and holds them from its second byte on (compared in place).
+    row = b"[" + b",".join([b"[,]"] * ell) + b"]"
+    rows = b",".join([row] * count)
+    if len(skeleton) != len(rows) + 2 or not skeleton.startswith(rows, 1):
         return None
     if values.min() <= -_LARGEST_READ or values.max() >= _LARGEST_READ:
         return None
@@ -247,8 +258,7 @@ def _canonical_dataset(raw):
     for power in range(1, len(str(largest))):
         digits += np.count_nonzero(values >= 10**power)
         digits += np.count_nonzero(values <= -(10**power))
-    minus = block.count(b"-")
-    if minus != np.count_nonzero(values < 0) or digits + minus != len(block) - len(skeleton):
+    if minus != np.count_nonzero(values < 0) or digits + minus != number_bytes:
         return None
     data["observations"] = values.reshape(count, ell, 2)
     return data
@@ -284,6 +294,8 @@ def load_results(path):
         diagnostics = results.get("diagnostics", {})
     except (KeyError, TypeError) as err:
         raise ValidationError(f"malformed results file: {err}") from err
+    if not isinstance(diagnostics, dict):
+        raise ValidationError("results diagnostics must be a JSON object")
     return ComponentEstimates(*arrays, diagnostics)
 
 

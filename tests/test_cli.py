@@ -267,6 +267,26 @@ class TestEvaluate:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "value", ["x", 5, None, [1, 2], True], ids=["string", "int", "null", "list", "bool"]
+    )
+    def test_diagnostics_not_an_object_exits_2(self, runner, tmp_path, value):
+        data = generate_dataset(runner, tmp_path / "d.json", samples=2000)
+        out = tmp_path / "r.json"
+        runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "2"]
+        )
+        doc = json.loads(out.read_text())
+        doc["diagnostics"] = value
+        out.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["evaluate", "--dataset", str(data), "--results", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "diagnostics" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_overflowing_weights_exit_2(self, runner, tmp_path):
         # Finite weights whose norms overflow make every matching cost inf.
         data = generate_dataset(runner, tmp_path / "d.json", samples=2000)

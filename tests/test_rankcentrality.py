@@ -322,13 +322,48 @@ class TestBlockIteration:
         steps = sorted(self.stop_steps(10**6))
         cap = (steps[1] + steps[2]) // 2
         assert steps[1] < cap < steps[2]  # two components stop, two hit the cap
-        transitions = [build_transition(self.GRAPH, column) for column in self.OUTCOMES.T]
-        results = rankcentrality._block_power(transitions, cap)
+        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
+        results = rankcentrality._block_power(chains, 4, cap)
         assert sorted(res.iterations for res in results) == steps[:2] + [cap, cap]
+        alone = [
+            power_stationary(build_transition(self.GRAPH, column), cap)
+            for column in self.OUTCOMES.T
+        ]
+        for res, single in zip(results, alone):
+            assert res.iterations == single.iterations
+            assert res.last_change == single.last_change
         block = np.stack([res.distribution for res in results])
-        columns = [power_stationary(t, cap).distribution for t in transitions]
-        assert np.array_equal(block, np.stack(columns))
+        assert np.array_equal(block, np.stack([single.distribution for single in alone]))
         assert np.array_equal(block, self.loop_reference([cap] * 4))
+
+    def test_chain_blocks_match_build_transition(self):
+        # Block a of the one-pass build holds exactly the entries, in the
+        # same order, that build_transition gives column a alone.
+        n = self.GRAPH.n_items
+        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
+        assert chains.shape == (4 * n, 4 * n)
+        for a, column in enumerate(self.OUTCOMES.T):
+            single = build_transition(self.GRAPH, column).matrix
+            indptr = chains.indptr[a * n : (a + 1) * n + 1]
+            entries = slice(indptr[0], indptr[-1])
+            assert np.array_equal(indptr - indptr[0], single.indptr)
+            assert np.array_equal(chains.indices[entries] - a * n, single.indices)
+            assert np.array_equal(chains.data[entries], single.data)
+
+    def test_chains_built_once_as_one_block(self, monkeypatch):
+        calls = []
+        chains = rankcentrality._chains
+        monkeypatch.setattr(
+            rankcentrality, "_chains", lambda *args: calls.append("_chains") or chains(*args)
+        )
+        for name in ("build_transition", "power_stationary"):
+            monkeypatch.setattr(rankcentrality, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(
+            rankcentrality.sp, "block_diag", lambda *args, **kw: calls.append("block_diag")
+        )
+        weights = rank_centrality(self.GRAPH, self.OUTCOMES)
+        assert calls == ["_chains"]
+        assert np.array_equal(weights, self.loop_reference([10**6] * 4))
 
     def test_one_dimensional_input_keeps_its_shape(self):
         pi = rank_centrality(self.GRAPH, self.OUTCOMES[:, 0])
@@ -413,7 +448,7 @@ def test_cap_never_below_an_estimated_range_cap(monkeypatch):
     monkeypatch.setattr(
         rankcentrality,
         "_block_power",
-        lambda transitions, cap: seen.append(cap) or block_power(transitions, cap),
+        lambda chains, r, cap: seen.append(cap) or block_power(chains, r, cap),
     )
     rank_centrality(graph, outcomes)
     assert seen == [cap]

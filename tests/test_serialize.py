@@ -188,7 +188,7 @@ class TestCanonicalRoute:
             batch = ObservationBatch(batch.graph, batch.pair_indices[:0], batch.signs[:0])
         path = tmp_path / "d.json"
         save_dataset(path, batch, model)
-        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert serialize._canonical_dataset(path) is not None
         assert_routes_agree(path)
         assert len(load_dataset(path)[0]) == len(batch)
 
@@ -198,7 +198,7 @@ class TestCanonicalRoute:
         batch, model = batch_and_model
         path = tmp_path_factory.mktemp("route") / "d.json"
         save_dataset(path, batch, model)
-        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert serialize._canonical_dataset(path) is not None
         assert_routes_agree(path)
 
     def test_canonical_file_skips_json_load(self, tmp_path, monkeypatch):
@@ -216,6 +216,24 @@ class TestCanonicalRoute:
 
         monkeypatch.setattr(serialize, "load_json", refuse)
         assert outcome(load_dataset, path) == expected
+
+    def test_load_peak_at_the_cli_shape(self, tmp_path):
+        # The int64 values alone are about 2.1 times the file.  Holding the
+        # file's bytes, the block and the expected skeleton twice through
+        # the parse reached 6.3 times the file.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng)
+        path = tmp_path / "d.json"
+        save_dataset(path, model.sample_batch(graph, 10, 20_000, rng), model)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * path.stat().st_size
 
     # Each edit applies to the text of a canonical file; "{p}" and "{s}"
     # stand for the values of the first observation entry.
@@ -274,7 +292,7 @@ class TestCanonicalRoute:
             assert old in text
             text = new + text if old == "" else text.replace(old, new, 1)
         path.write_bytes(text.encode())
-        assert serialize._canonical_dataset(path.read_bytes()) is None
+        assert serialize._canonical_dataset(path) is None
         assert_routes_agree(path)
 
     def test_large_value_in_range_of_the_canonical_route(self, dataset, tmp_path):
@@ -284,7 +302,7 @@ class TestCanonicalRoute:
         save_dataset(path, batch, model)
         first = '"observations":[[[' + str(batch.pair_indices[0, 0])
         path.write_text(path.read_text().replace(first, '"observations":[[[' + "9" * 18, 1))
-        assert serialize._canonical_dataset(path.read_bytes()) is not None
+        assert serialize._canonical_dataset(path) is not None
         assert assert_routes_agree(path) == (ValidationError, "pair index out of range")
 
 
@@ -576,6 +594,26 @@ class TestResults:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=words):
             load_results(path)
+
+    @pytest.mark.parametrize(
+        "value", ["x", 5, None, [1, 2], True], ids=["string", "int", "null", "list", "bool"]
+    )
+    def test_diagnostics_not_an_object_rejected(self, estimates, tmp_path, value):
+        path = tmp_path / "r.json"
+        save_results(path, estimates)
+        doc = json.loads(path.read_text())
+        doc["diagnostics"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="diagnostics"):
+            load_results(path)
+
+    def test_missing_diagnostics_read_as_empty(self, estimates, tmp_path):
+        path = tmp_path / "r.json"
+        save_results(path, estimates)
+        doc = json.loads(path.read_text())
+        del doc["diagnostics"]
+        path.write_text(json.dumps(doc))
+        assert load_results(path).diagnostics == {}
 
     def test_results_keys_are_named_in_serialize_only(self):
         # The results format has one home: no other module spells its keys.
