@@ -36,7 +36,7 @@ from .errors import checked_array, checked_count
 
 _RIDGE = 1e-12
 _TARGET = 1e-8
-_SYMMETRY_BLOCK = 128
+_TILE = 128
 
 
 @dataclass
@@ -124,18 +124,18 @@ def _top_eigenpairs(sym, rank, which):
 
 
 def _max_asymmetry(a):
-    """max |a - a^T|, one block of rows against its columns at a time.
+    """max |a - a^T|, each upper square tile against its mirrored lower tile.
 
-    The differences go through one (block, N) buffer, so no N x N
-    temporary is allocated.
+    Tile a[i:i+128, j:j+128] with j >= i is compared with
+    a[j:j+128, i:i+128]^T, so each off-diagonal pair is read once and the
+    only temporary is one tile of differences.
     """
     n = a.shape[0]
-    buffer = np.empty((min(_SYMMETRY_BLOCK, n), n))
     worst = 0.0
-    for lo in range(0, n, _SYMMETRY_BLOCK):
-        hi = min(lo + _SYMMETRY_BLOCK, n)
-        diff = np.subtract(a[lo:hi], a[:, lo:hi].T, out=buffer[: hi - lo])
-        worst = max(worst, np.abs(diff, out=diff).max())
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            diff = a[i : i + _TILE, j : j + _TILE] - a[j : j + _TILE, i : i + _TILE].T
+            worst = max(worst, np.abs(diff, out=diff).max())
     return worst
 
 

@@ -55,8 +55,9 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     touches = np.bincount(pair_indices.ravel(), minlength=1).max()
     dtype = next(t for t in (np.int16, np.int32, np.int64) if touches <= np.iinfo(t).max)
     x = _sign_matrix(pair_indices, signs, n_pairs, dtype)
-    # A CSR product densifies in C order, which the completion's in-place
-    # updates rely on; X^T in CSC would give a Fortran-ordered result.
+    # A CSR product densifies in C order.  X^T in CSC would give a
+    # Fortran-ordered result, which np.multiply in empirical_second_moment
+    # keeps, so altmin_complete's np.ascontiguousarray would copy it.
     return (x.T.tocsr() @ x).toarray()
 
 

@@ -90,7 +90,7 @@ class ObservationBatch:
         idx = np.array(idx, dtype=_INDEX_DTYPE, order="C")
         if not (idx[:, 1:] > idx[:, :-1]).all():
             raise ValidationError("pair indices must be strictly increasing per row")
-        if not (np.abs(sgn) == 1).all():
+        if not ((sgn == 1) | (sgn == -1)).all():
             raise ValidationError("signs must be -1 or +1")
         self._hold(graph, idx, sgn.astype(np.int8))
 

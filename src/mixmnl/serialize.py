@@ -3,9 +3,11 @@
 Datasets are JSON with fixed key order: ``n``, ``ell``, ``graph``
 (``n`` and sorted ``edges``), ``observations`` (a list of
 ``[pair_index, sign]`` entry lists), and optionally ``ground_truth``
-(``q`` and ``weights``).  Serialization is canonical: loading a dataset
-and saving it again reproduces the bytes, which keeps seeded pipelines
-reproducible at the file level.
+(``q`` and ``weights``).  A pair index is a position in ``edges``, so the
+edges must be listed as ``ComparisonGraph.edges`` holds them: sorted,
+each pair once as ``[i, j]`` with i < j.  Serialization is canonical:
+loading a dataset and saving it again reproduces the bytes, which keeps
+seeded pipelines reproducible at the file level.
 
 Results files hold ``q_hat``, ``w_hat``, ``p_hat`` and ``diagnostics``;
 ``save_results`` writes them and ``load_results`` reads them back.  Every
@@ -124,7 +126,8 @@ def dataset_from_dict(data):
     and keeps an int32 copy of the pair indices.  The header counts are
     checked, the two item counts compared, and n bounded by twice the
     number of listed pairs before the graph is built, so a file cannot ask
-    for memory beyond its own size.
+    for memory beyond its own size.  The listed edges must equal
+    ``graph.edges``, the order the pair indices refer to.
     """
     try:
         n = checked_count(data["n"], "dataset n")
@@ -137,6 +140,11 @@ def dataset_from_dict(data):
                 "so some item is in no pair and cannot be ranked"
             )
         graph = ComparisonGraph(n, edges)
+        if not np.array_equal(graph.edges, edges):
+            raise ValidationError(
+                "graph edges must be listed sorted, each pair once as [i, j] with i < j: "
+                "observation pair indices refer to positions in that order"
+            )
         ell = checked_ell(graph, data["ell"])
         observations = data["observations"]
     except (KeyError, TypeError) as err:

@@ -76,8 +76,9 @@ class TestCompletion:
     @pytest.mark.parametrize("negative", [False, True])
     @pytest.mark.parametrize("where", [(0, 1), (299, 3), (130, 257)])
     def test_rejects_asymmetry_in_any_block(self, where, negative):
-        # 300 rows span three blocks of the row-against-column check; the
-        # all-negative input takes its scale from its most negative entry.
+        # 300 rows span three tile rows of the symmetry check, so the three
+        # places fall in a diagonal tile, a lower tile and a partial tile;
+        # the all-negative input takes its scale from its most negative entry.
         hollow, _ = low_rank_offdiag(300, 2, 9)
         if negative:
             hollow = -np.abs(hollow)
@@ -90,14 +91,26 @@ class TestCompletion:
         hollow[299, 3] += 1e-10 * np.abs(hollow).max()
         altmin_complete(hollow, 2, n_iterations=1)
 
-    @pytest.mark.parametrize("n", [1, 5, 128, 129, 300])
+    @pytest.mark.parametrize("n", [1, 5, 127, 128, 129, 257, 300, 1000])
     def test_blocked_asymmetry_matches_dense(self, n):
         a = np.random.default_rng(n).standard_normal((n, n))
         assert altmin._max_asymmetry(a) == np.abs(a - a.T).max()
 
+    def test_symmetry_check_peak_is_one_tile(self):
+        # Each tile pair makes one 128 x 128 float64 difference (0.13 MB);
+        # a (128, N) slab would be 2.0 MB at N = 2000.
+        a = np.random.default_rng(12).standard_normal((2000, 2000))
+        tracemalloc.start()
+        try:
+            altmin._max_asymmetry(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6e6
+
     def test_symmetry_check_allocates_no_square_temporary(self):
         # A hollow input is used as it is, with no N x N copy; the symmetry
-        # check adds a (block, N) slab, 0.16 of the input here.
+        # check adds one 128 x 128 tile of differences at a time.
         hollow, _ = low_rank_offdiag(800, 2, 11)
         tracemalloc.start()
         try:

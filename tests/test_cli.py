@@ -31,6 +31,16 @@ def generate_dataset(runner, path, samples=400, n=8, ell=3, seed=0):
     return path
 
 
+def assert_out_matches_stdout(runner, args, out):
+    """``args --out out`` writes the JSON that ``args`` alone prints."""
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0, printed.output
+    written = runner.invoke(main, args + ["--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.output == f"wrote {out}\n"
+    assert json.loads(out.read_text()) == json.loads(printed.output)
+
+
 class TestGenerate:
     def test_writes_dataset(self, runner, tmp_path):
         path = generate_dataset(runner, tmp_path / "d.json")
@@ -225,6 +235,15 @@ class TestEvaluate:
         assert "max_mixture_error" in report
         assert "conditions" in report
 
+    def test_report_to_file(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json", samples=2000)
+        results = tmp_path / "r.json"
+        runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(results), "--r", "2"]
+        )
+        args = ["evaluate", "--dataset", str(data), "--results", str(results)]
+        assert_out_matches_stdout(runner, args, tmp_path / "report.json")
+
     def test_needs_ground_truth(self, runner, tmp_path):
         data = generate_dataset(runner, tmp_path / "d.json")
         out = tmp_path / "r.json"
@@ -390,6 +409,21 @@ class TestNonIntegerDataset:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: dataset n = {n} exceeds twice the ")
 
+    def test_rotated_edges_exit_2(self, runner, tmp_path):
+        # Observations index pairs by position in the listed edges, so a
+        # reordered listing would silently point them at other pairs.
+        data = generate_dataset(runner, tmp_path / "d.json")
+        doc = json.loads(data.read_text())
+        edges = doc["graph"]["edges"]
+        doc["graph"]["edges"] = edges[1:] + edges[:1]
+        data.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: graph edges must be listed sorted")
+
     @pytest.mark.parametrize("ell", [-1, 0, 10**6])
     def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):
         data = generate_dataset(runner, tmp_path / "d.json")
@@ -537,6 +571,12 @@ class TestCheck:
         report = json.loads(result.output)
         assert report["n_items"] == 8
         assert "sample_size_estimate" in report
+
+    def test_report_to_file(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json")
+        assert_out_matches_stdout(
+            runner, ["check", "--dataset", str(data)], tmp_path / "report.json"
+        )
 
     def test_flat_weights_exit_0(self, runner, tmp_path):
         # Equal weights make every outcome mean, and so the exact second

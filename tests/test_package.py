@@ -10,7 +10,8 @@ import pytest
 
 import mixmnl
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -99,3 +100,31 @@ def test_traced_replay_runs(name, monkeypatch, tmp_path):
     assert ops.attempted >= 2 and spans
     assert set(tracing.PER_LAYER) <= metrics.keys()
     assert math.isfinite(metrics["pipeline.mixture_error"])
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported_under_the_repo_config(tmp_path):
+    # Hypothesis imports libcst to report a failure, and libcst warns with a
+    # DeprecationWarning; the config's error filter must not turn that into
+    # an INTERNALERROR that ends the run before the next test.
+    (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

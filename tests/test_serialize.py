@@ -315,6 +315,43 @@ class TestCanonicalRoute:
         assert loaded.dtype == np.int32
         assert np.array_equal(loaded, batch.pair_indices)
 
+    def test_validator_peak_at_the_cli_shape(self, tmp_path):
+        # The canonical route hands over 8 MB of int64 entries.  Above them
+        # the validator holds the int32 indices, the float64 copy of the
+        # signs that checked_array makes and one-byte masks: about 7 MB.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng)
+        path = tmp_path / "d.json"
+        save_dataset(path, model.sample_batch(graph, 10, 50_000, rng), model)
+        data = serialize._canonical_dataset(path)
+        assert data["observations"].nbytes == 8_000_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dataset_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    @pytest.mark.parametrize("ell", ["0", "true"])
+    def test_canonical_file_with_unusable_ell(self, dataset, tmp_path, ell):
+        # The block is canonical for ell 3, but the header's ell cannot
+        # shape it; both routes give the validator's error.
+        _, model, batch = dataset
+        compact = tmp_path / "d.json"
+        save_dataset(compact, batch, model)
+        text = compact.read_text().replace('"ell":3,', f'"ell":{ell},', 1)
+        compact.write_text(text)
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(json.loads(text), indent=2))
+        assert serialize._canonical_dataset(compact) is None
+        error = assert_routes_agree(compact)
+        assert error[0] is ValidationError
+        assert outcome(load_dataset, pretty) == error
+
+
 class TestCollectorState:
     """The cyclic collector is paused inside load, and its state survives save and load."""
 
@@ -549,6 +586,38 @@ class TestValidation:
         doc["ell"] = 4
         with pytest.raises(ValidationError):
             dataset_from_dict(doc)
+
+
+class TestEdgeOrder:
+    """Pair indices refer to positions in ``graph.edges``; any other listing is refused."""
+
+    LISTINGS = {
+        "rotated": [[1, 2], [0, 1], [0, 2]],
+        "repeated": [[0, 1], [0, 1], [1, 2], [0, 2]],
+        "reversed": [[1, 0], [2, 1], [2, 0]],
+    }
+
+    @staticmethod
+    def write(tmp_path, doc):
+        """A compact copy, which takes the canonical route, and a pretty-printed one."""
+        compact = tmp_path / "d.json"
+        compact.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        pretty = tmp_path / "pretty.json"
+        pretty.write_text(json.dumps(doc, indent=2))
+        assert serialize._canonical_dataset(compact) is not None
+        return compact, pretty
+
+    @pytest.mark.parametrize("name", sorted(LISTINGS))
+    def test_small_listing_rejected(self, tmp_path, name):
+        doc = {
+            "n": 3,
+            "ell": 2,
+            "graph": {"n": 3, "edges": self.LISTINGS[name]},
+            "observations": [[[0, 1], [1, -1]], [[0, -1], [2, 1]], [[1, 1], [2, -1]]],
+        }
+        for path in self.write(tmp_path, doc):
+            with pytest.raises(ValidationError, match="pair indices refer to positions"):
+                load_dataset(path)
 
 
 class TestResults:
