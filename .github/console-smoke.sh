@@ -2,8 +2,13 @@
 # directory by `bash -eo pipefail .github/console-smoke.sh`.  Tier-1 calls
 # cli.main in process; this checks the entry point itself: two fits with
 # one seed write the same bytes, evaluate reads them, and an empty dataset
-# exits 2.
+# exits 2.  The n = 300 dataset (1,905 pairs) is drawn twice: its sampler
+# selects each row's pairs from the keys below a threshold, and both draws
+# must write the same bytes.
 set -eo pipefail
+mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
+mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
+cmp s1.json s2.json
 mixmnl generate --n 30 --ell 10 --samples 20000 --seed 3 --out d.json
 mixmnl learn --dataset d.json --out r1.json --r 2 --seed 1
 mixmnl learn --dataset d.json --out r2.json --r 2 --seed 1

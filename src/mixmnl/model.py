@@ -22,9 +22,16 @@ from .graphs import ComparisonGraph
 # rows draws its pair keys, then its outcome uniforms.  Both are drawn about
 # _BLOCK_FLOATS at a time into reusable buffers, which bounds memory without
 # moving any draw: a block is the same words of the stream as the matching
-# rows of one chunk-sized draw.
+# rows of one chunk-sized draw.  Each key block's selection draws nothing,
+# so which path _smallest_keys takes moves no draw either.
 _CHUNK_FLOATS = 4 << 20
 _BLOCK_FLOATS = 1 << 17
+
+# _smallest_keys selects from the keys below its threshold tau only when tau
+# is at most this.  Candidates cost less than a full-row argpartition at
+# every tau measured up to 0.21, but not always from 0.22 on: twice as much
+# at pilot's and cli's 0.256 (sweep of N at ell 10, 20 and 40 in CHANGES.md).
+_SPARSE_TAU = 0.2
 
 # Pair indices are stored as int32, the one place their width is chosen: a
 # batch holds count * ell of them, and the sparse kernels use int32 indices
@@ -80,7 +87,10 @@ class ObservationBatch:
         if not isinstance(graph, ComparisonGraph):
             raise ValidationError("batch needs a ComparisonGraph")
         idx = checked_array(pair_indices, "pair indices", integers=True)
-        sgn = checked_array(signs, "signs")
+        # An integer ndarray is compared with +-1 as it is: checked_array would
+        # copy it to float64.
+        integer = isinstance(signs, np.ndarray) and signs.dtype.kind in "iu"
+        sgn = signs if integer else checked_array(signs, "signs")
         if idx.ndim != 2 or sgn.shape != idx.shape:
             raise ValidationError("pair_indices and signs must both be (count, ell)")
         count, ell = idx.shape
@@ -114,6 +124,46 @@ class ObservationBatch:
     def __iter__(self):
         for t in range(len(self)):
             yield self[t]
+
+
+def _smallest_keys(keys, ell):
+    """Columns of each row's ``ell`` smallest keys, ascending: (rows, ell) intp.
+
+    Always equal to ``argpartition`` then ``sort`` along the rows, ties
+    included.  The keys are uniform on [0, 1), so a row holds on average
+    (sqrt(ell) + 2)**2 candidates, keys below tau = (sqrt(ell) + 2)**2 / N,
+    at least 3 standard deviations more than ``ell`` for ell >= 4.  When tau
+    <= ``_SPARSE_TAU`` the candidates are found in flat order, row by row
+    with columns ascending; a partition of the few per row gives each row's
+    ``ell``-th smallest, and the candidates at or below it are kept in that
+    order, so nothing is sorted.  A block with a row of fewer than ``ell``
+    candidates (about 1 block in 360 at 1,759 pairs and ell 40), or with a
+    key tied with a row's ``ell``-th, takes the full-row ``argpartition``
+    and ``sort``, as does every block of a denser shape.
+    """
+    rows, n = keys.shape
+    tau = (ell**0.5 + 2) ** 2 / n
+    if tau <= _SPARSE_TAU:
+        flat = np.flatnonzero(keys < tau)
+        starts = np.searchsorted(flat, np.arange(0, rows * n + 1, n))
+        counts = np.diff(starts)
+        if counts.min() >= ell:
+            width = counts.max()
+            row = np.repeat(np.arange(rows), counts)
+            values = keys.ravel().take(flat)
+            packed = np.full((rows, width), 2.0)  # padding above every key
+            shift = np.arange(0, rows * width, width) - starts[:-1]
+            packed.ravel()[np.arange(flat.size) + shift[row]] = values
+            kth = np.partition(packed, ell - 1, axis=1)[:, ell - 1]
+            chosen = flat[values <= kth[row]]
+            # Each row keeps at least ell, so rows * ell means exactly ell each.
+            if chosen.size == rows * ell:
+                chosen = chosen.reshape(rows, ell)
+                chosen -= np.arange(0, rows * n, n)[:, None]
+                return chosen
+    chosen = np.argpartition(keys, ell - 1, axis=1)[:, :ell]
+    chosen.sort(axis=1)
+    return chosen
 
 
 def _fresh_batch(graph, idx, sgn):
@@ -178,21 +228,22 @@ class MixedMNLModel:
         """Draw ``count`` independent observations of ``ell`` distinct pairs.
 
         Pair subsets are uniform without replacement over the graph's
-        pairs: each row keeps the ``ell`` smallest of N uniform keys.
-        Consumption of ``rng`` is fixed (components, then per chunk the
-        pair keys and the outcome uniforms), so a seeded generator
-        reproduces the batch exactly.  The chunk size fixes that order; the
-        keys and the outcome uniforms each go through one block of about
-        1 MB, and the thresholds and int8 signs are taken per outcome
-        block, so scratch memory does not grow with the chunk.  ``count``
-        >= 0 and ``ell`` in [1, n_pairs] must be integers: a float such as
-        10.9 is refused, not truncated.
+        pairs: each row keeps the ``ell`` smallest of N uniform keys, found
+        among the few below a threshold where N is large next to ``ell``
+        (``_smallest_keys``).  Consumption of ``rng`` is fixed (components,
+        then per chunk the pair keys and the outcome uniforms), so a seeded
+        generator reproduces the batch exactly.  The chunk size fixes that
+        order; the keys and the outcome uniforms each go through one block
+        of about 1 MB, and the thresholds and int8 signs are taken per
+        outcome block, so scratch memory does not grow with the chunk.
+        ``count`` >= 0 and ``ell`` in [1, n_pairs] must be integers: a
+        float such as 10.9 is refused, not truncated.
         """
         count = checked_count(count, "count")
         ell = checked_ell(graph, ell)
         n_pairs = graph.n_pairs
-        p_matrix = self.expected_outcomes(graph)
-        win = (1.0 + p_matrix) / 2.0  # P(sign = +1 | pair, component)
+        # P(sign = +1 | pair k, component a) at a * N + k
+        win = ((1.0 + self.expected_outcomes(graph).T) / 2.0).ravel()
         components = rng.choice(self.n_components, size=count, p=self.mixture)
         idx = np.empty((count, ell), dtype=_INDEX_DTYPE)
         sgn = np.empty((count, ell), dtype=np.int8)
@@ -205,15 +256,14 @@ class MixedMNLModel:
             hi = min(lo + step, count)
             for start in range(lo, hi, rows):
                 stop = min(start + rows, hi)
-                block = rng.random(out=keys[: stop - start])
-                chosen = np.argpartition(block, ell - 1, axis=1)[:, :ell]
-                chosen.sort(axis=1)
-                idx[start:stop] = chosen
+                idx[start:stop] = _smallest_keys(rng.random(out=keys[: stop - start]), ell)
             for start in range(lo, hi, outcome_rows):
                 stop = min(start + outcome_rows, hi)
                 u = rng.random(out=uniforms[: stop - start])
-                thresholds = win[idx[start:stop], components[start:stop, None]]
-                sgn[start:stop] = np.where(u < thresholds, np.int8(1), np.int8(-1))
+                thresholds = win.take(components[start:stop, None] * n_pairs + idx[start:stop])
+                sgn[start:stop] = u < thresholds
+        sgn *= 2  # 1 where the larger-index item won, else 0, to +1 or -1
+        sgn -= 1
         return _fresh_batch(graph, idx, sgn)
 
     def __repr__(self):

@@ -128,6 +128,33 @@ class TestCallerArrays:
         with pytest.raises(ValidationError, match="integers"):
             checked_array(edges.astype(float), "edges", integers=True)
 
+    @pytest.mark.parametrize(
+        "signs, words",
+        [
+            (np.array([[1, 2]]), "-1 or \\+1"),
+            (np.array([[1, 255]], dtype=np.uint8), "-1 or \\+1"),
+            (np.array([[1.0, -2.0]]), "-1 or \\+1"),
+            (np.array([[1.0, np.nan]]), "finite"),
+            (np.array([[True, False]]), "numbers"),
+        ],
+    )
+    def test_rejected_sign_arrays(self, signs, words):
+        with pytest.raises(ValidationError, match=words):
+            ObservationBatch(_FOUR, [[0, 1]], signs)
+
+    def test_signs_of_any_number_type_give_the_same_int8(self):
+        expected = np.array([[1, -1]], dtype=np.int8)
+        for signs in (
+            [[1, -1]],
+            [[1.0, -1.0]],
+            np.array([[1.0, -1.0]]),
+            np.array([[1, -1]], dtype=np.int8),
+            np.array([[1, -1]]),
+        ):
+            got = ObservationBatch(_FOUR, [[0, 1]], signs).signs
+            assert got.dtype == np.int8
+            assert np.array_equal(got, expected)
+
     def test_numbers_pass(self):
         np.testing.assert_array_equal(checked_array([[1, 2.5]], "weights"), [[1.0, 2.5]])
         for value in (np.float32(0.5), 1, np.int64(1), [1, 2], np.array([1], dtype=np.uint8)):
@@ -247,6 +274,84 @@ def reference_sample(model, graph, ell, count, rng, chunk_floats):
     return idx, sgn
 
 
+def sorted_argpartition(keys, ell):
+    """Columns of each row's ell smallest keys, ascending, as the sampler first chose them."""
+    chosen = np.argpartition(keys, ell - 1, axis=1)[:, :ell]
+    chosen.sort(axis=1)
+    return chosen
+
+
+@pytest.fixture
+def argpartition_calls(monkeypatch):
+    """Counts np.argpartition calls, that is, _smallest_keys' full-row fallbacks."""
+    calls = []
+    real = np.argpartition
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", spy)
+    return calls
+
+
+def assert_selects_like_argpartition(calls, keys, ell, fallbacks):
+    """``_smallest_keys`` equals the reference, with ``fallbacks`` argpartition calls."""
+    expected = sorted_argpartition(keys, ell)
+    calls.clear()
+    assert np.array_equal(model_module._smallest_keys(keys, ell), expected)
+    assert calls == [keys.shape] * fallbacks
+
+
+def sparse_block(rows=6, n=400, ell=10, seed=0):
+    """Uniform keys whose threshold (sqrt(ell) + 2)**2 / n is below _SPARSE_TAU."""
+    tau = (ell**0.5 + 2) ** 2 / n
+    assert tau <= model_module._SPARSE_TAU
+    return np.random.default_rng(seed).random((rows, n)), tau
+
+
+class TestSmallestKeys:
+    @pytest.mark.parametrize(
+        "rows, n, ell, seed",
+        # (6, 400, 10, 0) is the block the fallback tests below alter
+        [(74, 1759, 40, 1), (13, 9889, 40, 2), (6, 400, 10, 0), (3, 400, 1, 4), (1, 50, 1, 5)],
+    )
+    def test_sparse_blocks_take_the_candidates(self, argpartition_calls, rows, n, ell, seed):
+        keys, _ = sparse_block(rows, n, ell, seed)
+        assert_selects_like_argpartition(argpartition_calls, keys, ell, 0)
+
+    @pytest.mark.parametrize("short", [3, 9])
+    def test_short_row_falls_back(self, argpartition_calls, short):
+        keys, tau = sparse_block()
+        keys[2] = tau + (1.0 - tau) * keys[2]  # no candidate in row 2 ...
+        keys[2, 7 : 7 + short] = np.linspace(0.1, 0.9, short) * tau  # ... but `short`
+        # A tie at row 4's 10th key keeps 11 there; with 9 in row 2 the
+        # total is still 6 * 10.
+        order = np.argsort(keys[4])
+        keys[4, order[10]] = keys[4, order[9]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+
+    def test_tie_at_the_ell_th_key_falls_back(self, argpartition_calls):
+        # Row 4's 10th and 11th smallest keys are equal: argpartition picks
+        # one of them, and the fallback keeps its choice.
+        keys, _ = sparse_block()
+        order = np.argsort(keys[4])
+        keys[4, order[10]] = keys[4, order[9]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+
+    def test_ties_below_the_ell_th_key_keep_the_candidates(self, argpartition_calls):
+        keys, _ = sparse_block()
+        order = np.argsort(keys[1])
+        keys[1, order[3]] = keys[1, order[2]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 0)
+
+    @pytest.mark.parametrize("n, ell", [(104, 10), (60, 60), (1, 1), (300, 300)])
+    def test_dense_blocks_take_argpartition(self, argpartition_calls, n, ell):
+        # tau = (sqrt(ell) + 2)**2 / n above _SPARSE_TAU, ell = N included
+        keys = np.random.default_rng(n).random((5, n))
+        assert_selects_like_argpartition(argpartition_calls, keys, ell, 1)
+
+
 def sampled_instance(n_items, mean_degree, seed=0):
     rng = np.random.default_rng(seed)
     graph = erdos_renyi(n_items, mean_degree, rng)
@@ -288,12 +393,22 @@ class TestSamplerStream:
         assert np.array_equal(batch.pair_indices, idx)
         assert np.array_equal(batch.signs, sgn)
 
-    @pytest.mark.parametrize("ell, count", [(40, 5000), (1, 2385), (1759, 3)])
-    def test_matches_reference_at_default_sizes(self, ell, count):
-        # 1,759 pairs: chunks of 2,384 rows, blocks of 74, neither dividing
-        # the count
-        model, graph = sampled_instance(300, 12.0)
-        assert graph.n_pairs == 1759
+    @pytest.mark.parametrize(
+        "n_items, mean_degree, n_pairs, ell, count",
+        [
+            # 1,759 pairs: chunks of 2,384 rows, blocks of 74, neither
+            # dividing the count
+            pytest.param(300, 12.0, 1759, 40, 5000, id="40-5000"),
+            pytest.param(300, 12.0, 1759, 1, 2385, id="1-2385"),
+            pytest.param(300, 12.0, 1759, 1759, 3, id="1759-3"),
+            # 9,889 pairs, where candidates are sparsest: chunks of 424
+            # rows, blocks of 13
+            pytest.param(1000, 20.0, 9889, 40, 500, id="9889-pairs-40-500"),
+        ],
+    )
+    def test_matches_reference_at_default_sizes(self, n_items, mean_degree, n_pairs, ell, count):
+        model, graph = sampled_instance(n_items, mean_degree)
+        assert graph.n_pairs == n_pairs
         batch = model.sample_batch(graph, ell, count, np.random.default_rng(8))
         idx, sgn = reference_sample(
             model, graph, ell, count, np.random.default_rng(8), model_module._CHUNK_FLOATS
