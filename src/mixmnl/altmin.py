@@ -99,15 +99,14 @@ def default_iteration_count(offdiag):
     return max(1, math.ceil(math.log2(2.0 * norm / _TARGET)))
 
 
-def _top_eigenpairs(sym, rank, which):
-    """The ``rank`` eigenpairs of a symmetric matrix that ``which`` ranks first.
+def _top_eigenpairs(sym, rank):
+    """The ``rank`` largest-magnitude eigenpairs of a symmetric matrix.
 
-    ``which`` is "LM" (largest magnitude) or "LA" (algebraically largest);
-    pairs come back in that order, descending.  ARPACK starts from a fixed
-    seeded vector, so repeated calls are bit-identical.  Dense ``eigh`` runs
-    only for rank >= N - 1, where ARPACK's Krylov space would be the whole
-    space (and scipy refuses rank N).  Solver failures raise
-    ``NumericalError``.
+    Pairs come back by descending magnitude; they seed the completion.
+    ARPACK starts from a fixed seeded vector, so repeated calls are
+    bit-identical.  Dense ``eigh`` runs only for rank >= N - 1, where
+    ARPACK's Krylov space would be the whole space (and scipy refuses rank
+    N).  Solver failures raise ``NumericalError``.
     """
     n = sym.shape[0]
     if rank >= n - 1:
@@ -115,11 +114,10 @@ def _top_eigenpairs(sym, rank, which):
     else:
         start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:
-            values, vectors = eigsh(sym, k=rank, which=which, v0=start)
+            values, vectors = eigsh(sym, k=rank, which="LM", v0=start)
         except ArpackError as err:
             raise NumericalError(f"eigensolver failed: {err}") from err
-    key = np.abs(values) if which == "LM" else values
-    order = np.argsort(-key, kind="stable")[:rank]
+    order = np.argsort(-np.abs(values), kind="stable")[:rank]
     return values[order], vectors[:, order]
 
 
@@ -168,7 +166,7 @@ def altmin_complete(offdiag, rank, n_iterations=None):
         n_iterations = default_iteration_count(a)
     n_iterations = checked_count(n_iterations, "n_iterations", low=1)
 
-    _, basis = _top_eigenpairs(a, rank, "LM")
+    _, basis = _top_eigenpairs(a, rank)
 
     norm_sq = float(np.vdot(a, a))
     result = AltMinResult(solution=None, basis=None)
@@ -194,54 +192,57 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     return result
 
 
-def whitening_basis(values, vectors, rank, spectrum):
-    """Whitening basis from candidate eigenpairs of a symmetric N x N matrix.
+def numerical_rank(values, n):
+    """How many ``values`` exceed the floor n * eps * max |values|.
 
-    Keeps the ``rank`` largest ``values`` (descending; candidates beyond
-    those given count as 0) with their columns of the (N, k) ``vectors``,
-    each signed so that its largest-magnitude entry is positive.  Raises
-    ``RankDeficiencyError`` unless all kept values exceed the numerical-rank
-    floor N * eps * max |lambda| over the given ``values``, so that the
-    roundoff of a negative semidefinite matrix is not kept; the error
-    carries the full spectrum, descending and zero-padded to N, which the
-    zero-argument callable ``spectrum`` is asked for only then.
+    ``values`` is the spectrum of a symmetric n x n matrix, the eigenvalues
+    not given being 0; values at or below the floor are the roundoff of
+    its eigensolve, so they do not count as positive.
+    """
+    floor = n * np.finfo(float).eps * np.abs(values).max(initial=0.0)
+    return int((values > floor).sum())
+
+
+def whitening_basis(values, vectors, rank):
+    """Whitening basis from the spectrum of a symmetric N x N matrix.
+
+    ``values`` are its eigenvalues, every one not given being 0, and the
+    (N, k) ``vectors`` their eigenvectors.  Keeps the ``rank`` largest values
+    (descending) with their columns, each signed so that its
+    largest-magnitude entry is positive.  Raises ``RankDeficiencyError``
+    unless ``numerical_rank`` counts at least ``rank`` positive values, so
+    that the roundoff of a negative semidefinite matrix is not kept; the
+    error carries the spectrum, descending and zero-padded to N.
     """
     n = vectors.shape[0]
-    floor = n * np.finfo(float).eps * np.abs(values).max(initial=0.0)
-    order = np.argsort(-values, kind="stable")[:rank]
-    values = np.concatenate([values[order], np.zeros(rank - order.size)])
-    if values[-1] <= floor:
-        full = spectrum()
+    positive = numerical_rank(values, n)
+    if positive < rank:
         raise RankDeficiencyError(
-            f"only {int((values > floor).sum())} of the requested {rank} eigenvalues "
-            "are numerically positive",
-            spectrum=np.sort(np.concatenate([full, np.zeros(n - full.size)]))[::-1],
+            f"only {positive} of the requested {rank} eigenvalues are numerically positive",
+            spectrum=np.sort(np.concatenate([values, np.zeros(n - values.size)]))[::-1],
         )
+    order = np.argsort(-values, kind="stable")[:rank]
     vectors = vectors[:, order]
     # No solver fixes an eigenvector's sign; make each largest-magnitude
     # entry positive so the basis depends on the matrix alone.
     peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
     vectors = vectors * np.where(peaks < 0, -1.0, 1.0)[None, :]
-    return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values)
+    return WhiteningBasis(vectors=np.ascontiguousarray(vectors), values=values[order])
 
 
 def symmetrize_and_eig(matrix, rank):
-    """Whitening basis from the top-rank eigenpairs of (M + M^T) / 2.
+    """Whitening basis from one dense ``eigh`` of (M + M^T) / 2.
 
-    Takes the ``rank`` algebraically largest eigenvalues under the rules of
-    ``whitening_basis``.  A negative largest-magnitude eigenpair is passed
-    as one more candidate: it is never kept, but it sets the numerical-rank
-    floor, so a negative semidefinite matrix raises instead of whitening
-    with its roundoff.
+    The whole spectrum goes to ``whitening_basis``, which keeps the
+    ``rank`` algebraically largest eigenpairs; a negative eigenvalue is
+    never kept, but it raises the numerical-rank floor, so a negative
+    semidefinite matrix raises instead of whitening with its roundoff.
+    O(N^3) time and O(N^2) memory: the dense reference for small N, which
+    ``components_from_exact_moments`` uses.
     """
     m = checked_array(matrix, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix must be square")
     rank = checked_count(rank, "rank", low=1, high=m.shape[0])
-    sym = 0.5 * (m + m.T)
-    values, vectors = _top_eigenpairs(sym, rank, "LA")
-    extreme, extreme_vector = _top_eigenpairs(sym, 1, "LM")
-    if extreme[0] < 0:
-        values = np.concatenate([values, extreme])
-        vectors = np.concatenate([vectors, extreme_vector], axis=1)
-    return whitening_basis(values, vectors, rank, lambda: np.linalg.eigvalsh(sym))
+    values, vectors = np.linalg.eigh(0.5 * (m + m.T))
+    return whitening_basis(values, vectors, rank)

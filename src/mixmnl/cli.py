@@ -41,8 +41,7 @@ def _friendly_errors(fn):
             click.echo(f"error: {err}", err=True)
             sys.exit(2)
         except NumericalError as err:
-            stage = getattr(err, "stage", None)
-            prefix = f"numerical failure in {stage}" if stage else "numerical failure"
+            prefix = f"numerical failure in {err.stage}" if err.stage else "numerical failure"
             click.echo(f"{prefix}: {err}", err=True)
             sys.exit(3)
 

@@ -22,7 +22,13 @@ class ValidationError(MixMNLError):
 
 
 class NumericalError(MixMNLError):
-    """A numerical stage failed on otherwise well-formed input."""
+    """A numerical stage failed on otherwise well-formed input.
+
+    ``stage`` names the fit stage that failed, once the moment phase has
+    attached it; it stays None for failures outside those stages.
+    """
+
+    stage = None
 
 
 class GraphGenerationError(NumericalError):

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+from .altmin import numerical_rank
 from .errors import MixMNLError, ValidationError, checked_array, checked_count
 from .graphs import erdos_renyi, erdos_renyi_arguments
 from .model import checked_ell, component_count, random_uniform_model
@@ -99,9 +100,11 @@ def learn_mixed_mnl(batch, config, model=None):
     With ``config.exact_moments`` the moment phase runs on the population
     moments of ``model`` (debug path, requires the generating model), taken
     from their factors by ``components_from_factors`` at any number of
-    pairs; otherwise everything comes from the batch.  A comparison graph
-    that Rank Centrality rejects (disconnected or bipartite) raises
-    ``ValidationError`` before the moment phase runs.
+    pairs; otherwise everything comes from the batch, and a batch of
+    ell < 3 pairs per row raises ``ValidationError`` before the second
+    moment is estimated.  A comparison graph that Rank Centrality rejects
+    (disconnected or bipartite) raises ``ValidationError`` before the
+    moment phase runs.
     """
     graph = batch.graph
     ergodic_diagnostics(graph)
@@ -206,15 +209,15 @@ def check_conditions(model, graph, ell=None):
 
     at delta = eps = 0.1, with all universal constants omitted, alongside
     the largest recovery accuracy the theory tolerates.  Everything is
-    reported, not asserted.  ``ell``, when given, must be an integer in
-    [1, n_pairs]; a float is refused, not truncated.
+    reported, not asserted; ``numerical_rank`` counts the eigenvalues above
+    the roundoff floor of ``altmin.numerical_rank``.  ``ell``, when given,
+    must be an integer in [1, n_pairs]; a float is refused, not truncated.
     """
     r = model.n_components
     n_pairs = graph.n_pairs
     values, basis = second_moment_spectrum(model, graph)
     sigma_1 = float(values[0])
     sigma_r = float(values[-1])
-    tol = n_pairs * np.finfo(float).eps * sigma_1
     diag = graph.diagnostics()
     q_min = float(model.mixture.min())
     q_max = float(model.mixture.max())
@@ -224,7 +227,7 @@ def check_conditions(model, graph, ell=None):
         "n_pairs": n_pairs,
         "n_components": r,
         "second_moment_values": [float(v) for v in values],
-        "numerical_rank": int((values > tol).sum()),
+        "numerical_rank": numerical_rank(values, n_pairs),
         "sigma_1": sigma_1,
         "sigma_r": sigma_r,
         "condition_ratio": sigma_1 / sigma_r if sigma_r > 0 else float("inf"),
@@ -281,9 +284,11 @@ def run_sweep(
 ):
     """Error decay sweep over observation counts.
 
-    For each seed the model and graph are drawn once (so error decay per
-    seed is attributable to sample size alone), then one run per sample
-    size generates observations, learns, and records matched errors.
+    Each run draws the graph and model from its seed alone, so every sample
+    size of a seed sees the same graph and model, redrawn bit for bit (error
+    decay per seed is attributable to sample size alone); the observations
+    come from the seed and the sample size.  Each run learns and records
+    matched errors.
     Median rows per sample size are appended.  Returns the rows; writes
     CSV with the columns of ``_SWEEP_FIELDS`` when ``out_path`` is given.
     Configuration errors raise before any run: a count (n_items >= 2,

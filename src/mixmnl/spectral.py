@@ -22,6 +22,7 @@ from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whiteni
 from .errors import NumericalError, ValidationError, checked_array, checked_count
 from .model import component_count
 from .moments import (
+    check_ell,
     empirical_second_moment,
     incoherence_from_basis,
     spectrum_from_factors,
@@ -87,12 +88,15 @@ def estimate_components(batch, n_components, rng=None):
     """Moment-phase estimate from an observation batch.
 
     The batch is split in half (first half second moments, second half
-    third moments).  Completion runs ceil(log(n_pairs * count)) solves; the
-    whitening reads the symmetric part of its S V^T from the factors.
-    ``rng`` seeds the power-iteration restarts only; all estimation from
-    the data is deterministic.
+    third moments).  A batch of ell < 3 pairs per row carries no third
+    moment and raises ``ValidationError`` before any stage runs.
+    Completion runs ceil(log(n_pairs * count)) solves; the whitening reads
+    the symmetric part of its S V^T from the factors.  ``rng`` seeds the
+    power-iteration restarts only; all estimation from the data is
+    deterministic.
     """
     n_components = component_count(n_components)
+    check_ell(batch.ell, 3)
     count = len(batch)
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
     completion_iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * count)))
@@ -110,7 +114,7 @@ def estimate_components(batch, n_components, rng=None):
     factor = np.hstack([completion.solution, completion.basis])
     core = np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(n_components))
     values, vectors = spectrum_from_factors(factor, core)
-    basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
+    basis = _staged("whitening", whitening_basis, values, vectors, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls, batch, basis, lo3, hi3)
     return _decompose(
         basis,
@@ -125,10 +129,11 @@ def estimate_components(batch, n_components, rng=None):
 def components_from_exact_moments(second_moment, third_moment, n_components, rng=None):
     """Moment-phase recovery from exact population moments.
 
-    Bypasses estimation noise: eigendecomposes the second moment directly
-    (it must have rank at least ``n_components``), whitens the exact third
-    moment, and decomposes.  Up to component order, the output matches the
-    generating model to solver precision.
+    Bypasses estimation noise: whitens with ``symmetrize_and_eig``, one
+    dense O(N^3) ``eigh`` of the second moment (it must have rank at least
+    ``n_components``), whitens the exact third moment, and decomposes.  Up
+    to component order, the output matches the generating model to solver
+    precision.
     """
     n_components = component_count(n_components)
     second_moment = checked_array(second_moment, "second_moment")
@@ -144,7 +149,7 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
     ``mixture`` the (r,) proportions q.  M2 = P diag(q) P^T and
     M3 = sum_a q_a p_a^{x3} are never formed: the whitening comes from
     ``spectrum_from_factors(P, diag(q))``, a thin QR of P and an r x r
-    eigenproblem, under the rules of ``symmetrize_and_eig``, and the
+    eigenproblem, under the rules of ``whitening_basis``, and the
     whitened right-hand side from W^T P and per-pair powers of P.
     With m = r(r+1)(r+2)/6, time is O(n_pairs m^2) and memory
     O(n_pairs (r^2 + m)), so any number of pairs works.  Up to
@@ -159,6 +164,6 @@ def components_from_factors(outcome_matrix, mixture, n_components, rng=None):
         raise ValidationError("mixture must be nonnegative")
     n_components = checked_count(n_components, "n_components", low=1, high=p.shape[0])
     values, vectors = spectrum_from_factors(p, np.diag(q))
-    basis = _staged("whitening", whitening_basis, values, vectors, n_components, lambda: values)
+    basis = _staged("whitening", whitening_basis, values, vectors, n_components)
     ls_result = _staged("tensor", whitened_third_moment_ls_factored, p, q, basis)
     return _decompose(basis, ls_result, n_components, rng)

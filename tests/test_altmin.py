@@ -257,7 +257,7 @@ class TestSymmetrizeAndEig:
         vectors = np.eye(5)[:, :2]
         values = np.array([2.0, -1.0])
         with pytest.raises(RankDeficiencyError) as info:
-            altmin.whitening_basis(values, vectors, 2, lambda: values)
+            altmin.whitening_basis(values, vectors, 2)
         np.testing.assert_array_equal(info.value.spectrum, [2.0, 0.0, 0.0, 0.0, -1.0])
 
     def test_whitening_identities(self):
@@ -271,12 +271,13 @@ class TestSymmetrizeAndEig:
         np.testing.assert_allclose(w.T @ m @ w, np.eye(3), atol=1e-8)
 
     def test_sign_independent_of_solver(self):
-        # rank N runs dense eigh, rank N - 2 and below runs ARPACK; on this
-        # matrix the two solvers return all three leading vectors with
-        # opposite signs unless the sign is fixed.
+        # symmetrize_and_eig runs dense eigh; _top_eigenpairs runs ARPACK at
+        # rank N - 2 and below.  On this positive definite matrix the two
+        # solvers return all three leading vectors with opposite signs
+        # unless the whitening fixes the sign.
         m = planted_spectrum(12, np.linspace(12.0, 1.0, 12), 13)
         dense = symmetrize_and_eig(m, 12)
-        arpack = symmetrize_and_eig(m, 3)
+        arpack = altmin.whitening_basis(*_top_eigenpairs(m, 3), 3)
         assert np.abs(dense.vectors[:, :3] - arpack.vectors).max() <= 1e-10
         for vectors in (dense.vectors, arpack.vectors):
             peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
@@ -304,13 +305,19 @@ def sin_theta(u, v):
 
 
 class TestTopEigenpairs:
-    # A dominant negative eigenvalue: "LM" must pick it, "LA" must not.
+    # A dominant negative eigenvalue: the completion's seed ("LM", largest
+    # magnitude) must pick it, the whitening ("LA", algebraically largest)
+    # must not.
     MATRIX = planted_spectrum(80, [-50.0, 20.0, 10.0, 6.0], 11)
 
     @pytest.mark.parametrize("which", ["LM", "LA"])
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_matches_dense_eigh(self, which, rank):
-        values, vectors = _top_eigenpairs(self.MATRIX, rank, which)
+        if which == "LM":
+            values, vectors = _top_eigenpairs(self.MATRIX, rank)
+        else:
+            basis = symmetrize_and_eig(self.MATRIX, rank)
+            values, vectors = basis.values, basis.vectors
         dense_values, dense_vectors = np.linalg.eigh(self.MATRIX)
         key = np.abs(dense_values) if which == "LM" else dense_values
         order = np.argsort(-key)[:rank]
@@ -319,10 +326,12 @@ class TestTopEigenpairs:
         assert sin_theta(vectors, dense_vectors[:, order]) <= 1e-10
         if which == "LM":
             assert values[0] == pytest.approx(-50.0)
+        else:
+            np.testing.assert_allclose(values, [20.0, 10.0, 6.0][:rank], rtol=1e-12)
 
     def test_repeated_call_bit_identical(self):
-        a_values, a_vectors = _top_eigenpairs(self.MATRIX, 2, "LA")
-        b_values, b_vectors = _top_eigenpairs(self.MATRIX, 2, "LA")
+        a_values, a_vectors = _top_eigenpairs(self.MATRIX, 2)
+        b_values, b_vectors = _top_eigenpairs(self.MATRIX, 2)
         assert np.array_equal(a_values, b_values)
         assert np.array_equal(a_vectors, b_vectors)
 
@@ -336,7 +345,8 @@ class TestTopEigenpairs:
         np.testing.assert_allclose(basis.values, [6.0, 5.0, 4.0, 3.0, 2.5, 2.0][:rank])
 
     def test_zero_matrix_raises_numerical_error(self):
-        # ARPACK stops with error -9 (zero starting residual) on a zero matrix.
+        # ARPACK stops with error -9 (zero starting residual) on a zero
+        # matrix; the whitening finds no eigenvalue above the floor.
         with pytest.raises(NumericalError):
             altmin_complete(np.zeros((10, 10)), 2)
         with pytest.raises(NumericalError):
@@ -348,4 +358,17 @@ class TestTopEigenpairs:
 
         monkeypatch.setattr(altmin, "eigsh", stalled)
         with pytest.raises(NumericalError):
-            symmetrize_and_eig(self.MATRIX, 2)
+            altmin_complete(self.MATRIX, 2)
+
+    def test_whitening_runs_no_arpack(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("symmetrize_and_eig called ARPACK")
+
+        monkeypatch.setattr(altmin, "eigsh", unavailable)
+        basis = symmetrize_and_eig(self.MATRIX, 3)
+        np.testing.assert_allclose(basis.values, [20.0, 10.0, 6.0], rtol=1e-12)
+        factor = np.random.default_rng(0).standard_normal((80, 2))
+        with pytest.raises(RankDeficiencyError):
+            symmetrize_and_eig(-factor @ factor.T, 2)
+        with pytest.raises(RankDeficiencyError):
+            symmetrize_and_eig(np.zeros((10, 10)), 2)

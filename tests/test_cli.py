@@ -73,6 +73,9 @@ class TestGenerate:
             ],
         )
         assert result.exit_code == 3
+        # No fit stage ran, so the message names none.
+        assert "numerical failure: " in result.output
+        assert "numerical failure in" not in result.output
 
 
 class TestLearn:
@@ -158,6 +161,15 @@ class TestLearn:
         assert len(doc["w_hat"]) == 2
         assert len(doc["p_hat"]) > 300
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_ell_two_dataset_exits_2(self, runner, tmp_path):
+        data = generate_dataset(runner, tmp_path / "d.json", ell=2)
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert "error: third-moment estimation needs ell >= 3" in result.output
 
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         # asking for far more components than the data supports dies in a

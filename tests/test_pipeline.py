@@ -315,6 +315,17 @@ class TestConditions:
         report = check_conditions(model, graph, ell=3)
         assert report["condition_ratio"] > 1e6
 
+    def test_equal_components_lose_one_numerical_rank(self):
+        # Two equal components make P diag(q) P^T rank r - 1; its third
+        # eigenvalue is roundoff, below the floor the whitening uses.
+        w = np.random.default_rng(14).uniform(1.0, 4.0, 8)
+        distinct = MixedMNLModel(np.vstack([w, w**2, w[::-1]]), [0.3, 0.3, 0.4])
+        equal = MixedMNLModel(np.vstack([w, w, w[::-1]]), [0.3, 0.3, 0.4])
+        assert check_conditions(distinct, complete_graph(8))["numerical_rank"] == 3
+        report = check_conditions(equal, complete_graph(8))
+        assert report["n_components"] == 3
+        assert report["numerical_rank"] == 2
+
     def test_vanishing_second_moment_reports_infinity(self):
         # Equal weights give all-zero outcome means: sigma_1 = sigma_r = 0.
         model = MixedMNLModel(np.ones((2, 8)), [0.5, 0.5])

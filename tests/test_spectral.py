@@ -373,6 +373,20 @@ class TestEmpiricalPath:
         with pytest.raises(ValidationError):
             estimate_components(batch, 2)
 
+    def test_ell_below_three_refused_before_any_stage(self, monkeypatch):
+        # An ell-2 batch carries no third moment; the fit refuses it before
+        # estimating the second moment, not after completing and whitening.
+        graph = complete_graph(6)
+        model = random_uniform_model(6, 2, np.random.default_rng(17))
+        batch = model.sample_batch(graph, 2, 200, np.random.default_rng(18))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("second moment estimated for an ell-2 batch")
+
+        monkeypatch.setattr(spectral, "empirical_second_moment", unreachable)
+        with pytest.raises(ValidationError, match="third-moment estimation needs ell >= 3"):
+            estimate_components(batch, 2)
+
     def test_stage_attached_to_numerical_failures(self):
         # Starved of samples and asked for too many components, the run
         # dies inside a named stage rather than with a bare error.
