@@ -4,11 +4,16 @@
 # one seed write the same bytes, evaluate reads them, and an empty dataset
 # exits 2.  The n = 300 dataset (1,905 pairs) is drawn twice: its sampler
 # selects each row's pairs from the keys below a threshold, and both draws
-# must write the same bytes.
+# must write the same bytes.  It is also learned twice: its second-moment
+# product is sized by a bound of 1.6M entries, below N^2 = 3.6M, through
+# scipy's private csr_matmat, so the installed scipy must provide it.
 set -eo pipefail
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
 cmp s1.json s2.json
+mixmnl learn --dataset s1.json --out t1.json --r 2 --seed 1
+mixmnl learn --dataset s1.json --out t2.json --r 2 --seed 1
+cmp t1.json t2.json
 mixmnl generate --n 30 --ell 10 --samples 20000 --seed 3 --out d.json
 mixmnl learn --dataset d.json --out r1.json --r 2 --seed 1
 mixmnl learn --dataset d.json --out r2.json --r 2 --seed 1

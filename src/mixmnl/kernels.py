@@ -2,9 +2,14 @@
 
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
-at its pair indices, ``ell`` entries per row.  The second-moment sums are
-X^T X, accumulated in the narrowest integer type that holds the largest
-per-pair touch count, so every partial sum is exact.  The third-moment
+at its pair indices, ``ell`` entries per row.  Both kernels refuse a pair
+index outside [0, n_pairs) before X is built: scipy's C loops write
+through the indices unchecked.  The second-moment sums are X^T X,
+accumulated in the narrowest integer type that holds the largest per-pair
+touch count, so every partial sum is exact.  They come from one numeric
+pass of scipy's private ``csr_matmat`` kernel into arrays sized from the
+touch counts: every public sparse product first runs a symbolic pass
+over the same loops only to size its output.  The third-moment
 sums are one expansion, which also gives the exact-moment right-hand side
 (``offdiagonal_third_sums``: outcome means as rows, the mixture as
 weights), with no per-observation loop or cubic intermediate.  The sampled
@@ -14,19 +19,30 @@ are |X| and X, so X's values turn absolute in place once X is used.
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
+
+from .errors import ValidationError
 
 
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+def _checked_indices(pair_indices, n_pairs):
+    """``pair_indices`` as an array; ``ValidationError`` unless each lies in [0, n_pairs)."""
+    pair_indices = np.asarray(pair_indices)
+    if pair_indices.size and (pair_indices.min() < 0 or pair_indices.max() >= n_pairs):
+        raise ValidationError(f"pair indices must lie in [0, {n_pairs})")
+    return pair_indices
+
+
 def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
     """The (count, n_pairs) CSR matrix X with ``dtype`` values.
 
-    ``pair_indices`` may be any integer array.  int32 indices, the width
-    batches hold, go into X without a copy, with an int32 indptr whenever
-    count * ell fits; scipy converts other widths.
+    ``pair_indices`` may be any integer array, already checked to lie in
+    [0, n_pairs).  int32 indices, the width batches hold, go into X
+    without a copy, with an int32 indptr whenever count * ell fits; scipy
+    converts other widths.
     """
-    pair_indices = np.asarray(pair_indices)
     count, ell = pair_indices.shape
     nnz = count * ell
     indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
@@ -50,15 +66,45 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     times one index occurs in ``pair_indices``.  So X, and the result, are
     int16 when that count is at most 32767, int32 (int64 past that)
     otherwise: the sums are exact and do not depend on summation order.
+
+    The product is one call of scipy's numeric sparse product kernel
+    ``csr_matmat`` on X^T and X.  scipy's public ``@`` first runs a
+    symbolic pass over the same loops only to size its output, and no
+    public sparse product skips it.  Here the touch counts size it: row i
+    of X^T X gathers the columns of the touches_i rows of X that hold i,
+    each i itself and at most ell - 1 others, so it has at most
+    min(n_pairs, (ell - 1) * touches_i + 1) entries, and none when i is
+    never touched.  The kernel checks no bound as it writes, so the
+    indices are checked first and every index array has one width, int32
+    when the bound, nnz(X) and n_pairs fit.  X and X^T are freed before
+    the product's first ``Cp[-1]`` entries are made dense by
+    ``csr_todense``, the loop behind scipy's ``toarray``.
     """
-    pair_indices = np.asarray(pair_indices)
-    touches = np.bincount(pair_indices.ravel(), minlength=1).max()
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if touches <= np.iinfo(t).max)
-    x = _sign_matrix(pair_indices, signs, n_pairs, dtype)
-    # A CSR product densifies in C order.  X^T in CSC would give a
-    # Fortran-ordered result, which np.multiply in empirical_second_moment
-    # keeps, so altmin_complete's np.ascontiguousarray would copy it.
-    return (x.T.tocsr() @ x).toarray()
+    n = int(n_pairs)
+    pair_indices = _checked_indices(pair_indices, n)
+    count, ell = pair_indices.shape
+    touches = np.bincount(pair_indices.ravel(), minlength=n)
+    largest = touches.max(initial=0)
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+    bound = int(np.minimum(n, (ell - 1) * touches + (touches > 0)).sum())
+    index = np.int32 if max(bound, count * ell, n) <= _INT32_MAX else np.int64
+    x = _sign_matrix(pair_indices, signs, n, dtype)
+    xt = x.tocsc()  # X in CSC holds the CSR arrays of X^T
+    operands = []
+    for m in (xt, x):
+        operands += [m.indptr.astype(index, copy=False), m.indices.astype(index, copy=False), m.data]
+    del x, xt
+    cp = np.empty(n + 1, dtype=index)
+    cj = np.empty(bound, dtype=index)
+    cx = np.empty(bound, dtype=dtype)
+    _sparsetools.csr_matmat(n, n, *operands, cp, cj, cx)
+    del operands
+    # C order: np.multiply in empirical_second_moment keeps it, so
+    # altmin_complete's np.ascontiguousarray does not copy the estimate.
+    out = np.zeros((n, n), dtype=dtype)
+    nnz = int(cp[-1])
+    _sparsetools.csr_todense(n, n, cp, cj[:nnz], cx[:nnz], out)
+    return out
 
 
 def offdiagonal_third_sums(rows, squares, cubes, weights, basis):
@@ -104,7 +150,7 @@ def projected_third_moment_sums(pair_indices, signs, basis):
     absolute in place for the plane sums.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
-    x = _sign_matrix(pair_indices, signs, w.shape[0])
+    x = _sign_matrix(_checked_indices(pair_indices, w.shape[0]), signs, w.shape[0])
     y = x @ w
     diagonal = np.asarray(x.sum(axis=0)).ravel()
     np.abs(x.data, out=x.data)

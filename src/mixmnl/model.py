@@ -28,9 +28,11 @@ _CHUNK_FLOATS = 4 << 20
 _BLOCK_FLOATS = 1 << 17
 
 # _smallest_keys selects from the keys below its threshold tau only when tau
-# is at most this.  Candidates cost less than a full-row argpartition at
-# every tau measured up to 0.21, but not always from 0.22 on: twice as much
-# at pilot's and cli's 0.256 (sweep of N at ell 10, 20 and 40 in CHANGES.md).
+# is at most this, and compares full rows with each row's ell-th key above
+# it.  Median per fresh 1 MB block, candidates against full rows: 0.47
+# against 0.69 ms at tau 0.04 (1,759 pairs, ell 40); at tau 0.2, 1.04
+# against 1.15 ms at ell 10 but 0.98 against 0.82 ms at ell 40; at pilot's
+# and cli's 0.256, 1.23 against 1.02 ms.
 _SPARSE_TAU = 0.2
 
 # Pair indices are stored as int32, the one place their width is chosen: a
@@ -130,20 +132,27 @@ def _smallest_keys(keys, ell):
     """Columns of each row's ``ell`` smallest keys, ascending: (rows, ell) intp.
 
     Always equal to ``argpartition`` then ``sort`` along the rows, ties
-    included.  The keys are uniform on [0, 1), so a row holds on average
-    (sqrt(ell) + 2)**2 candidates, keys below tau = (sqrt(ell) + 2)**2 / N,
-    at least 3 standard deviations more than ``ell`` for ell >= 4.  When tau
-    <= ``_SPARSE_TAU`` the candidates are found in flat order, row by row
-    with columns ascending; a partition of the few per row gives each row's
-    ``ell``-th smallest, and the candidates at or below it are kept in that
-    order, so nothing is sorted.  A block with a row of fewer than ``ell``
-    candidates (about 1 block in 360 at 1,759 pairs and ell 40), or with a
-    key tied with a row's ``ell``-th, takes the full-row ``argpartition``
-    and ``sort``, as does every block of a denser shape.
+    included.  Each path finds each row's ``ell``-th smallest key and keeps
+    the keys at or below it in flat order, row by row with columns
+    ascending, so nothing is sorted.  The keys are uniform on [0, 1), so a
+    row holds on average (sqrt(ell) + 2)**2 candidates, keys below tau =
+    (sqrt(ell) + 2)**2 / N, at least 3 standard deviations more than
+    ``ell`` for ell >= 4.  When tau <= ``_SPARSE_TAU`` the candidates are
+    found in one flat scan and a partition of the few per row gives the
+    ``ell``-th smallest; a denser block partitions its full rows and
+    compares every key with the row's ``ell``-th.  A block with a key tied
+    with a row's ``ell``-th, or on the candidate path a row of fewer than
+    ``ell`` candidates (about 1 block in 360 at 1,759 pairs and ell 40),
+    takes the full-row ``argpartition`` and ``sort``.
     """
     rows, n = keys.shape
     tau = (ell**0.5 + 2) ** 2 / n
-    if tau <= _SPARSE_TAU:
+    if tau > _SPARSE_TAU:
+        kth = np.partition(keys, ell - 1, axis=1)[:, ell - 1]
+        chosen = _exactly_ell_per_row(np.flatnonzero(keys <= kth[:, None]), rows, n, ell)
+        if chosen is not None:
+            return chosen
+    else:
         flat = np.flatnonzero(keys < tau)
         starts = np.searchsorted(flat, np.arange(0, rows * n + 1, n))
         counts = np.diff(starts)
@@ -155,14 +164,25 @@ def _smallest_keys(keys, ell):
             shift = np.arange(0, rows * width, width) - starts[:-1]
             packed.ravel()[np.arange(flat.size) + shift[row]] = values
             kth = np.partition(packed, ell - 1, axis=1)[:, ell - 1]
-            chosen = flat[values <= kth[row]]
-            # Each row keeps at least ell, so rows * ell means exactly ell each.
-            if chosen.size == rows * ell:
-                chosen = chosen.reshape(rows, ell)
-                chosen -= np.arange(0, rows * n, n)[:, None]
+            chosen = _exactly_ell_per_row(flat[values <= kth[row]], rows, n, ell)
+            if chosen is not None:
                 return chosen
     chosen = np.argpartition(keys, ell - 1, axis=1)[:, :ell]
     chosen.sort(axis=1)
+    return chosen
+
+
+def _exactly_ell_per_row(flat, rows, n, ell):
+    """Flat indices into a (rows, n) block as (rows, ell) columns, or None.
+
+    ``flat`` is ascending and holds at least ``ell`` indices in every row,
+    so ``rows * ell`` of them means exactly ``ell`` each; more means a tie
+    at some row's ``ell``-th key, and None is returned.
+    """
+    if flat.size != rows * ell:
+        return None
+    chosen = flat.reshape(rows, ell)
+    chosen -= np.arange(0, rows * n, n)[:, None]
     return chosen
 
 

@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse._compressed
 from scipy import sparse
 
-from mixmnl import kernels
+from mixmnl import LearnConfig, ValidationError, erdos_renyi, kernels, learn_mixed_mnl
+from mixmnl import random_uniform_model
 
 
 def _random_inputs(rng, count=300, n_pairs=12, ell=4, r=3):
@@ -76,6 +78,155 @@ class TestSignOuterProducts:
         out = kernels.sign_outer_products(idx, sgn, 3)
         assert out[0, 0] == 2.0 and out[1, 1] == 1.0 and out[2, 2] == 1.0
         assert out[0, 2] == -1.0 and out[0, 1] == 1.0
+
+
+def _public_gram(idx, values, n_pairs):
+    """X^T X from scipy's public sparse product, the reference."""
+    x = sparse.csr_matrix(_dense(idx, values, n_pairs).astype(np.int64))
+    return (x.T @ x).toarray()
+
+
+@pytest.fixture
+def matmat_calls(monkeypatch):
+    """Records the arguments of each ``csr_matmat`` call the kernels make."""
+    calls = []
+    real = kernels._sparsetools.csr_matmat
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels._sparsetools, "csr_matmat", spy)
+    return calls
+
+
+def _one_call_of_one_width(calls, index, values):
+    """The single recorded call's output length, after checking its array types.
+
+    Its arguments are n, n, then X^T's, X's and the output's (indptr,
+    indices, data), all six index arrays ``index`` and all three data
+    arrays ``values``.
+    """
+    [(_, _, *arrays)] = calls
+    assert [a.dtype for a in arrays] == [np.dtype(index), np.dtype(index), np.dtype(values)] * 3
+    return arrays[-1].size
+
+
+class TestOneNumericPass:
+    @pytest.mark.parametrize(
+        "count, n_pairs, ell, seed, bound",
+        [
+            (5, 60, 4, 0, None),  # few rows: the bound is far below N^2
+            (1, 30, 6, 1, 36),  # one row: the bound, ell^2, is reached
+            (300, 12, 4, 2, 144),  # every row of X^T X is full: N^2
+            (50, 1, 1, 3, 1),  # a single pair
+        ],
+    )
+    def test_matches_public_product(self, matmat_calls, count, n_pairs, ell, seed, bound):
+        rng = np.random.default_rng(seed)
+        idx, sgn, _ = _random_inputs(rng, count=count, n_pairs=n_pairs, ell=ell)
+        for values in (sgn, np.abs(sgn)):
+            matmat_calls.clear()
+            got = kernels.sign_outer_products(idx, values, n_pairs)
+            assert np.array_equal(got, _public_gram(idx, values, n_pairs))
+            assert got.dtype == np.int16 and got.flags.c_contiguous
+            size = _one_call_of_one_width(matmat_calls, np.int32, np.int16)
+            assert np.count_nonzero(got) <= size
+            assert size < n_pairs**2 if bound is None else size == bound
+        if count == 1:  # no sum cancels in one row: each entry is +-1
+            assert np.count_nonzero(got) == bound
+
+    def test_bound_is_reached_when_rows_share_a_pair(self, matmat_calls):
+        # Pair 0 meets 1-4 in two rows: its row of X^T X has 1 + 2 * 2
+        # entries, each other pair's 3, all nonzero: 17 in all.
+        idx = np.array([[0, 1, 2], [0, 3, 4]])
+        sgn = np.array([[1, -1, 1], [-1, 1, 1]], dtype=np.int8)
+        got = kernels.sign_outer_products(idx, sgn, 10)
+        assert np.array_equal(got, _public_gram(idx, sgn, 10))
+        assert _one_call_of_one_width(matmat_calls, np.int32, np.int16) == 17
+        assert np.count_nonzero(got) == 17
+
+    def test_int64_index_path(self, monkeypatch, matmat_calls):
+        # The index width switches on kernels._INT32_MAX; past it, all six
+        # index arrays are int64.
+        rng = np.random.default_rng(7)
+        idx, sgn, _ = _random_inputs(rng, count=200, n_pairs=15, ell=5)
+        monkeypatch.setattr(kernels, "_INT32_MAX", 100)
+        got = kernels.sign_outer_products(idx.astype(np.int32), sgn, 15)
+        assert np.array_equal(got, _public_gram(idx, sgn, 15))
+        assert _one_call_of_one_width(matmat_calls, np.int64, np.int16) == 15**2
+
+    def test_sampled_fit_runs_no_symbolic_pass(self, monkeypatch):
+        calls = []
+        real = kernels._sparsetools.csr_matmat_maxnnz
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        # scipy's product calls the symbolic pass through the module or
+        # through a name imported from it, depending on the version.
+        monkeypatch.setattr(kernels._sparsetools, "csr_matmat_maxnnz", spy)
+        monkeypatch.setattr(scipy.sparse._compressed, "csr_matmat_maxnnz", spy, raising=False)
+        x = sparse.csr_matrix(np.eye(3))
+        x @ x  # the spy sees the public product's symbolic pass
+        assert len(calls) == 1
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(20, 6.0, rng)
+        model = random_uniform_model(20, 2, rng, 1.0, 8.0)
+        batch = model.sample_batch(graph, 8, 20_000, np.random.default_rng(1))
+        learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=0))
+        assert len(calls) == 1
+
+    def test_peak_at_wide_half_shape(self):
+        # 30,000 rows of 40 of 1,759 pairs, one half of the wide benchmark.
+        # At the product, X's int16 values, X^T's values and int32 indices
+        # and the output's N^2 int32 indices and int16 values are live:
+        # 28.3 MB measured, as with scipy's public product.  Freeing X and
+        # X^T before the dense result is allocated keeps it there; without
+        # that the peak is about 34.5 MB.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(300, 12.0, rng)
+        model = random_uniform_model(300, 2, rng, 1.0, 8.0)
+        batch = model.sample_batch(graph, 40, 30_000, np.random.default_rng(1))
+        n, nnz = graph.n_pairs, batch.pair_indices.size
+        assert n == 1759
+        tracemalloc.start()
+        try:
+            kernels.sign_outer_products(batch.pair_indices, batch.signs, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nnz * 2 + nnz * 4 + n * n * (4 + 2) + (1 << 20)
+
+
+class TestPairIndexRange:
+    # scipy's C loops write through the indices unchecked.  Unrefused, an
+    # index of N = 3 corrupted the heap in both kernels; 5 and 7 were
+    # dropped from the Gram and made the statistic nan or inf, or crashed
+    # the process; -1 failed inside numpy or corrupted the heap.
+    @pytest.mark.parametrize("bad", [-1, 3, 5, 7])
+    def test_refused_by_both_kernels(self, bad):
+        idx = np.array([[0, 1, 2], [bad, 1, 2]])
+        ones = np.ones(idx.shape, dtype=np.int8)
+        with pytest.raises(ValidationError, match=r"pair indices must lie in \[0, 3\)"):
+            kernels.sign_outer_products(idx, ones, 3)
+        with pytest.raises(ValidationError, match=r"pair indices must lie in \[0, 3\)"):
+            kernels.projected_third_moment_sums(idx, ones, np.ones((3, 2)))
+
+    def test_both_ends_of_the_range_accepted(self):
+        idx = np.array([[0, 2, 1], [2, 0, 1]], dtype=np.int32)
+        sgn = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+        assert np.array_equal(
+            kernels.sign_outer_products(idx, sgn, 3), _public_gram(idx, sgn, 3)
+        )
+        basis = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_allclose(
+            kernels.projected_third_moment_sums(idx, sgn, basis),
+            _brute_offdiagonal(_dense(idx, sgn, 3), np.ones(2), basis),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def _brute_offdiagonal(x, weights, basis):

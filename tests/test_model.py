@@ -347,9 +347,23 @@ class TestSmallestKeys:
 
     @pytest.mark.parametrize("n, ell", [(104, 10), (60, 60), (1, 1), (300, 300)])
     def test_dense_blocks_take_argpartition(self, argpartition_calls, n, ell):
-        # tau = (sqrt(ell) + 2)**2 / n above _SPARSE_TAU, ell = N included
+        # tau = (sqrt(ell) + 2)**2 / n above _SPARSE_TAU, ell = N included:
+        # each row's ell-th key is a threshold on the full row, and no
+        # argpartition runs
         keys = np.random.default_rng(n).random((5, n))
-        assert_selects_like_argpartition(argpartition_calls, keys, ell, 1)
+        assert_selects_like_argpartition(argpartition_calls, keys, ell, 0)
+
+    def test_dense_tie_at_the_ell_th_key_falls_back(self, argpartition_calls):
+        keys = np.random.default_rng(104).random((5, 104))
+        order = np.argsort(keys[3])
+        keys[3, order[10]] = keys[3, order[9]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+
+    def test_dense_ties_below_the_ell_th_key_keep_the_threshold(self, argpartition_calls):
+        keys = np.random.default_rng(104).random((5, 104))
+        order = np.argsort(keys[3])
+        keys[3, order[5]] = keys[3, order[4]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 0)
 
 
 def sampled_instance(n_items, mean_degree, seed=0):
