@@ -1,12 +1,14 @@
 # Smoke test of the installed `mixmnl` console script, run in the current
 # directory by `bash -eo pipefail .github/console-smoke.sh`.  Tier-1 calls
 # cli.main in process; this checks the entry point itself: two fits with
-# one seed write the same bytes, evaluate reads them, and an empty dataset
-# exits 2.  The n = 300 dataset (1,905 pairs) is drawn twice: its sampler
-# selects each row's pairs from the keys below a threshold, and both draws
-# must write the same bytes.  It is also learned twice: its second-moment
-# product is sized by a bound of 1.6M entries, below N^2 = 3.6M, through
-# scipy's private csr_matmat, so the installed scipy must provide it.
+# one seed write the same bytes, evaluate reads them, an empty dataset
+# exits 2, and 40 components of the n = 30 dataset exit 3 with the failing
+# stage named: whitening, which runs after the unchecked completion.  The
+# n = 300 dataset (1,905 pairs) is drawn twice: its sampler selects each
+# row's pairs from the keys below a threshold, and both draws must write
+# the same bytes.  It is also learned twice: its second-moment product is
+# sized by a bound of 1.6M entries, below N^2 = 3.6M, through scipy's
+# private csr_matmat, so the installed scipy must provide it.
 set -eo pipefail
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
@@ -23,3 +25,7 @@ echo '{}' > empty.json
 status=0
 mixmnl learn --dataset empty.json --out e.json --r 2 || status=$?
 test "$status" -eq 2
+status=0
+mixmnl learn --dataset d.json --out x.json --r 40 2> x.err || status=$?
+test "$status" -eq 3
+grep -q "numerical failure in whitening" x.err

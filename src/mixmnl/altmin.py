@@ -23,6 +23,11 @@ clamped at zero, where ||A||^2 is taken once and the last term removes
 the diagonal of S V^T.  The terms cancel as the fit converges, so J bottoms
 out at a roundoff floor of a few ulps of ||A||^2 (about 1e-16 ||A||^2)
 instead of reaching zero.
+
+``altmin_complete`` checks its input and hands it to ``_complete``, which
+reads A only for ||A||^2, the ARPACK seed and the products A V.  The fit
+calls ``_complete`` directly: its second moment is symmetric, finite and
+hollow by construction.
 """
 
 import math
@@ -140,16 +145,14 @@ def _max_asymmetry(a):
 def altmin_complete(offdiag, rank, n_iterations=None):
     """Alternating least-squares completion of a symmetric off-diagonal matrix.
 
-    ``offdiag`` is square and symmetric with the diagonal treated as
-    unobserved (any diagonal values are ignored).  It is read, never
-    written: a zero-diagonal C-ordered float64 input is used as it is, any
-    other is copied.  Starts from the eigenvectors of the ``rank``
-    largest-magnitude eigenvalues and runs ``n_iterations`` solves (default
-    scales with log of the input norm).  ``rank`` in [1, N] and
-    ``n_iterations`` >= 1 must be integers; a float or a string is refused,
-    not truncated.
-    Singular row systems fall back to a ridge of 1e-12 and are flagged in
-    the result's ``ridge_steps``.
+    The checked boundary of ``_complete``.  ``offdiag`` must be a square,
+    finite array, symmetric to 1e-8 of its largest magnitude, with the
+    diagonal treated as unobserved (any diagonal values are ignored).  It
+    is read, never written: a zero-diagonal C-ordered float64 input is
+    used as it is, any other is copied.  ``rank`` in [1, N] and
+    ``n_iterations`` >= 1 must be integers; a float or a string is
+    refused, not truncated.  ``n_iterations`` defaults to
+    ``default_iteration_count`` of the input.
     """
     a = np.ascontiguousarray(checked_array(offdiag, "offdiag"))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -165,12 +168,22 @@ def altmin_complete(offdiag, rank, n_iterations=None):
     if n_iterations is None:
         n_iterations = default_iteration_count(a)
     n_iterations = checked_count(n_iterations, "n_iterations", low=1)
+    return _complete(a, rank, n_iterations)
 
+
+def _complete(a, rank, n_iterations):
+    """``altmin_complete`` unchecked: ``a`` is symmetric, finite and hollow.
+
+    ``a`` is C-ordered float64, ``rank`` an int in [1, N] and
+    ``n_iterations`` an int >= 1.  Starts from the eigenvectors of the
+    ``rank`` largest-magnitude eigenvalues and runs ``n_iterations`` solves.
+    Singular row systems fall back to a ridge of 1e-12 and are flagged in
+    the result's ``ridge_steps``.
+    """
     _, basis = _top_eigenpairs(a, rank)
 
     norm_sq = float(np.vdot(a, a))
     result = AltMinResult(solution=None, basis=None)
-    eye = np.eye(rank)
     for step in range(n_iterations):
         gram = basis.T @ basis
         rhs = a @ basis  # diagonal of a is zero, so row sums need no correction
@@ -178,9 +191,8 @@ def altmin_complete(offdiag, rank, n_iterations=None):
         try:
             solution = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            solution = np.linalg.solve(systems + _RIDGE * eye[None, :, :], rhs[:, :, None])[
-                :, :, 0
-            ]
+            ridged = systems + _RIDGE * np.eye(rank)
+            solution = np.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
             result.ridge_steps.append(step)
         result.solution, result.basis = solution, basis
         fit = float(np.vdot(solution, rhs))

@@ -3,18 +3,19 @@
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
 at its pair indices, ``ell`` entries per row.  Both kernels refuse a pair
-index outside [0, n_pairs) before X is built: scipy's C loops write
-through the indices unchecked.  The second-moment sums are X^T X,
-accumulated in the narrowest integer type that holds the largest per-pair
-touch count, so every partial sum is exact.  They come from one numeric
-pass of scipy's private ``csr_matmat`` kernel into arrays sized from the
-touch counts: every public sparse product first runs a symbolic pass
-over the same loops only to size its output.  The third-moment
-sums are one expansion, which also gives the exact-moment right-hand side
-(``offdiagonal_third_sums``: outcome means as rows, the mixture as
-weights), with no per-observation loop or cubic intermediate.  The sampled
-statistic holds one float64 copy of the signs: its squares and cubes
-are |X| and X, so X's values turn absolute in place once X is used.
+index outside [0, n_pairs) before X is built, since scipy's C loops write
+through the indices unchecked, and a row that repeats an index once X is
+built.  The second-moment sums are X^T X, accumulated in the narrowest
+integer type that holds the largest per-pair touch count, so every
+partial sum is exact.  They come from one numeric pass of scipy's private
+``csr_matmat`` kernel into arrays sized from the touch counts: every
+public sparse product first runs a symbolic pass over the same loops
+only to size its output.  The third-moment sums are one expansion, which
+also gives the exact-moment right-hand side (``offdiagonal_third_sums``:
+outcome means as rows, the mixture as weights), with no per-observation
+loop or cubic intermediate.  The sampled statistic holds one float64 copy
+of the signs: its squares and cubes are |X| and X, so X's values turn
+absolute in place once X is used.
 """
 
 import numpy as np
@@ -41,22 +42,31 @@ def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
     ``pair_indices`` may be any integer array, already checked to lie in
     [0, n_pairs).  int32 indices, the width batches hold, go into X
     without a copy, with an int32 indptr whenever count * ell fits; scipy
-    converts other widths.
+    converts other widths.  A row that repeats an index raises
+    ``ValidationError``: the kernels' sums count each index once per row.
+    Rows sorted strictly increasing, as batches hold them, pass scipy's C
+    canonical-format check; only other input is sorted, on a copy.
     """
     count, ell = pair_indices.shape
     nnz = count * ell
     indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
-    return sparse.csr_matrix(
+    x = sparse.csr_matrix(
         (np.asarray(values, dtype=dtype).ravel(), pair_indices.ravel(), indptr),
         shape=(count, int(n_pairs)),
     )
+    if not x.has_canonical_format:
+        ordered = np.sort(pair_indices, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValidationError("pair indices must be distinct within each row")
+    return x
 
 
 def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
-    ``pair_indices`` is (count, ell) integer with distinct entries per row and
-    ``signs`` the matching integer array of signs or counts in {-1, 0, 1}.
+    ``pair_indices`` is (count, ell) integer with distinct entries per row
+    (a repeat raises ``ValidationError``) and ``signs`` the matching
+    integer array of signs or counts in {-1, 0, 1}.
     Returns the dense (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t``
     is the dense vector with ``signs[t]`` scattered into ``pair_indices[t]``,
     i.e. X^T X.  Diagonal entries count touches.
@@ -99,8 +109,8 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     cx = np.empty(bound, dtype=dtype)
     _sparsetools.csr_matmat(n, n, *operands, cp, cj, cx)
     del operands
-    # C order: np.multiply in empirical_second_moment keeps it, so
-    # altmin_complete's np.ascontiguousarray does not copy the estimate.
+    # C order: np.multiply in empirical_second_moment keeps it, and the
+    # fit hands that estimate to the completion as it is, with no copy.
     out = np.zeros((n, n), dtype=dtype)
     nnz = int(cp[-1])
     _sparsetools.csr_todense(n, n, cp, cj[:nnz], cx[:nnz], out)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .altmin import WhiteningBasis, altmin_complete, symmetrize_and_eig, whitening_basis
+from . import altmin
+from .altmin import WhiteningBasis, symmetrize_and_eig, whitening_basis
 from .errors import NumericalError, ValidationError, checked_array, checked_count
 from .model import component_count
 from .moments import (
@@ -89,23 +90,28 @@ def estimate_components(batch, n_components, rng=None):
 
     The batch is split in half (first half second moments, second half
     third moments).  A batch of ell < 3 pairs per row carries no third
-    moment and raises ``ValidationError`` before any stage runs.
-    Completion runs ceil(log(n_pairs * count)) solves; the whitening reads
-    the symmetric part of its S V^T from the factors.  ``rng`` seeds the
+    moment and raises ``ValidationError`` before any stage runs, as does
+    ``n_components`` above the number of pairs.  Completion runs
+    ceil(log(n_pairs * count)) solves of ``altmin._complete``, unchecked:
+    the second-moment estimate is the integer Gram X^T X times one finite
+    scale with its diagonal zeroed, so it is exactly symmetric, finite,
+    hollow, C-ordered float64.  The whitening reads the symmetric part of
+    the completion's S V^T from the factors.  ``rng`` seeds the
     power-iteration restarts only; all estimation from the data is
     deterministic.
     """
     n_components = component_count(n_components)
     check_ell(batch.ell, 3)
-    count = len(batch)
+    n_pairs, count = batch.graph.n_pairs, len(batch)
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
-    completion_iterations = max(1, math.ceil(math.log(batch.graph.n_pairs * count)))
+    checked_count(n_components, "rank", low=1, high=n_pairs)
+    completion_iterations = max(1, math.ceil(math.log(n_pairs * count)))
 
     # No name holds the N x N estimate: it is freed when the completion
     # returns, which keeps only S and V, before the third-moment stage.
     completion = _staged(
         "completion",
-        altmin_complete,
+        altmin._complete,
         empirical_second_moment(batch, lo2, hi2).matrix,
         n_components,
         completion_iterations,

@@ -372,3 +372,27 @@ class TestTopEigenpairs:
             symmetrize_and_eig(-factor @ factor.T, 2)
         with pytest.raises(RankDeficiencyError):
             symmetrize_and_eig(np.zeros((10, 10)), 2)
+
+
+class TestCheckedBoundary:
+    """``altmin_complete`` checks its input, then runs the unchecked ``_complete``."""
+
+    @pytest.mark.parametrize("case", ["low-rank", "ridge"])
+    def test_core_equals_public_bit_for_bit(self, case):
+        if case == "low-rank":
+            hollow, _ = low_rank_offdiag(40, 3, 12)
+            rank, n_iterations = 3, 8
+        else:
+            # A rank-1 target fitted at rank 2: its row systems turn singular
+            # to roundoff, and whether LAPACK then needs the ridge fallback
+            # depends on the build, so its use is compared, not required.
+            v = np.random.default_rng(0).standard_normal(20)
+            hollow = np.outer(v, v)
+            np.fill_diagonal(hollow, 0.0)
+            rank, n_iterations = 2, 25
+        public = altmin_complete(hollow, rank, n_iterations)
+        core = altmin._complete(hollow, rank, n_iterations)
+        assert np.array_equal(core.solution, public.solution)
+        assert np.array_equal(core.basis, public.basis)
+        assert core.objectives == public.objectives
+        assert core.ridge_steps == public.ridge_steps

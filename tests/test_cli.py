@@ -8,6 +8,8 @@ from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
 
+from conftest import complete_graph
+
 
 @pytest.fixture
 def runner():
@@ -621,3 +623,19 @@ class TestAmbiguity:
         result = runner.invoke(main, ["ambiguity"])
         assert result.exit_code == 0, result.output
         assert "marginal matrices identical: True" in result.output
+
+
+class TestRankAbovePairs:
+    def test_learn_exits_2(self, runner, tmp_path):
+        # Four items, all six pairs: a rank of 7 cannot be completed.
+        graph = complete_graph(4)
+        model = MixedMNLModel(np.random.default_rng(0).uniform(1, 8, (2, 4)), [0.5, 0.5])
+        data = tmp_path / "d.json"
+        save_dataset(data, model.sample_batch(graph, 3, 200, np.random.default_rng(1)), model)
+        out = tmp_path / "r.json"
+        result = runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "7"]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: rank must be in [1, 6], got 7\n"
+        assert not out.exists()

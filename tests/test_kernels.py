@@ -327,3 +327,20 @@ class TestProjectedThird:
         out = kernels.projected_third_moment_sums(idx, sgn, basis)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+class TestRepeatedPairIndex:
+    # Both kernels count each index once per row.  Unrefused, one row of
+    # 200 copies of pair 0 gave the Gram [[-25536]] (40,000 wrapped in
+    # int16), and a repeat gave the statistic wrong squares.
+    @pytest.mark.parametrize(
+        "idx",
+        [np.zeros((1, 200), dtype=np.int32), np.array([[0, 1, 2], [2, 1, 2]])],
+        ids=["200-copies", "one-repeat"],
+    )
+    def test_refused_by_both_kernels(self, idx):
+        ones = np.ones(idx.shape, dtype=np.int8)
+        with pytest.raises(ValidationError, match="distinct within each row"):
+            kernels.sign_outer_products(idx, ones, 3)
+        with pytest.raises(ValidationError, match="distinct within each row"):
+            kernels.projected_third_moment_sums(idx, ones, np.ones((3, 2)))

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from mixmnl import (
     LearnConfig,
     MixedMNLModel,
     ValidationError,
+    altmin_complete,
     check_conditions,
     components_from_exact_moments,
+    empirical_second_moment,
     erdos_renyi,
     evaluate,
     exact_second_moment,
@@ -20,9 +23,10 @@ from mixmnl import (
     random_uniform_model,
     rank_centrality,
     run_sweep,
+    split_ranges,
 )
 
-from mixmnl import pipeline
+from mixmnl import altmin, pipeline
 
 from conftest import best_permutation_errors, complete_graph
 
@@ -436,3 +440,27 @@ class TestSweep:
             n_items=8, n_components=2, mean_degree=2.0, ell=27, sample_sizes=[60], seeds=[0]
         )
         assert [r["status"] for r in rows] == ["error:ValidationError"]
+
+
+class TestSecondMomentTrusted:
+    def test_sampled_fit_skips_the_completion_input_checks(self, monkeypatch):
+        # The fit's second moment is the integer Gram X^T X, scaled, with
+        # its diagonal zeroed: symmetric, finite and hollow by construction.
+        # So it goes to the completion unchecked, and completes exactly as
+        # through the checked altmin_complete.
+        rng = np.random.default_rng(5)
+        graph = erdos_renyi(20, 6.0, rng)
+        model = random_uniform_model(20, 2, rng, low=1.0, high=8.0)
+        batch = model.sample_batch(graph, 6, 4000, np.random.default_rng(6))
+        (lo, hi), _ = split_ranges(len(batch))
+        iterations = max(1, math.ceil(math.log(graph.n_pairs * len(batch))))
+        offdiag = empirical_second_moment(batch, lo, hi).matrix
+        checked = altmin_complete(offdiag, 2, iterations).report()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the fit re-checked its own second moment")
+
+        monkeypatch.setattr(altmin, "_max_asymmetry", refused)
+        monkeypatch.setattr(altmin, "checked_array", refused)
+        fit = learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=0))
+        assert fit.diagnostics["completion"] == checked
