@@ -8,7 +8,10 @@
 # row's pairs from the keys below a threshold, and both draws must write
 # the same bytes.  It is also learned twice: its second-moment product is
 # sized by a bound of 1.6M entries, below N^2 = 3.6M, through scipy's
-# private csr_matmat, so the installed scipy must provide it.
+# private csr_matmat, so the installed scipy must provide it.  Last, a
+# rank-4 dataset is learned twice from its exact moments, and both runs
+# must write the same bytes: that fit's third-moment right-hand side has
+# m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
 set -eo pipefail
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
@@ -29,3 +32,7 @@ status=0
 mixmnl learn --dataset d.json --out x.json --r 40 2> x.err || status=$?
 test "$status" -eq 3
 grep -q "numerical failure in whitening" x.err
+mixmnl generate --n 30 --r 4 --ell 10 --samples 2000 --seed 3 --out g.json
+mixmnl learn --dataset g.json --out g1.json --exact-moments --r 4
+mixmnl learn --dataset g.json --out g2.json --exact-moments --r 4
+cmp g1.json g2.json

@@ -2,21 +2,29 @@
 
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
-at its pair indices, ``ell`` entries per row.  Both kernels refuse a pair
-index outside [0, n_pairs) before X is built, since scipy's C loops write
-through the indices unchecked, and a row that repeats an index once X is
-built.  The second-moment sums are X^T X, accumulated in the narrowest
-integer type that holds the largest per-pair touch count, so every
-partial sum is exact.  They come from one numeric pass of scipy's private
-``csr_matmat`` kernel into arrays sized from the touch counts: every
-public sparse product first runs a symbolic pass over the same loops
-only to size its output.  The third-moment sums are one expansion, which
-also gives the exact-moment right-hand side (``offdiagonal_third_sums``:
-outcome means as rows, the mixture as weights), with no per-observation
-loop or cubic intermediate.  The sampled statistic holds one float64 copy
-of the signs: its squares and cubes are |X| and X, so X's values turn
-absolute in place once X is used.
+at its pair indices, ``ell`` entries per row.  Each public kernel is a
+checked boundary over a private core.  The boundary refuses a pair index
+outside [0, n_pairs), since scipy's C loops write through the indices
+unchecked, and a row that repeats an index; rows sorted strictly
+increasing pass one comparison of neighbours.  The moment estimators call
+the cores on ``ObservationBatch`` slices, whose rows are already in range
+and strictly increasing.  The second-moment sums are X^T X, accumulated
+in the narrowest integer type that holds the largest per-pair touch
+count, so every partial sum is exact.  They come from one numeric pass of
+scipy's private ``csr_matmat`` kernel into arrays sized from the touch
+counts: every public sparse product first runs a symbolic pass over the
+same loops only to size its output.  The third-moment sums are one
+expansion, which also gives the exact-moment right-hand side
+(``offdiagonal_third_sums``: outcome means as rows, the mixture as
+weights), with no per-observation loop.  Its result is symmetric, so only
+its m = r(r+1)(r+2)/6 distinct entries are computed, each from GEMMs
+against the r(r+1)/2 column-pair products of Y = X W (over row blocks) and
+of W; no (count, r, r) or r^3-wide intermediate is formed.  The sampled
+statistic holds one float64 copy of the signs: its squares and cubes are
+|X| and X, so X's values turn absolute in place once X is used.
 """
+
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -26,39 +34,44 @@ from .errors import ValidationError
 
 
 _INT32_MAX = np.iinfo(np.int32).max
+# Rows of Y per GEMM of the third moment's full term: the block's pair
+# products take _BLOCK * r(r+1)/2 floats, 2.4 MB at r = 8.
+_BLOCK = 8192
 
 
-def _checked_indices(pair_indices, n_pairs):
-    """``pair_indices`` as an array; ``ValidationError`` unless each lies in [0, n_pairs)."""
+def _checked_rows(pair_indices, n_pairs):
+    """``pair_indices`` as an array, refused unless its rows suit the kernels.
+
+    ``ValidationError`` unless each index lies in [0, n_pairs) and no row
+    repeats one: the kernels' sums count each index once per row.  Rows
+    sorted strictly increasing, as batches hold them, pass one comparison
+    of neighbours; only other input is sorted, on a copy.
+    """
     pair_indices = np.asarray(pair_indices)
     if pair_indices.size and (pair_indices.min() < 0 or pair_indices.max() >= n_pairs):
         raise ValidationError(f"pair indices must lie in [0, {n_pairs})")
+    if not (pair_indices[:, 1:] > pair_indices[:, :-1]).all():
+        ordered = np.sort(pair_indices, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise ValidationError("pair indices must be distinct within each row")
     return pair_indices
 
 
 def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
     """The (count, n_pairs) CSR matrix X with ``dtype`` values.
 
-    ``pair_indices`` may be any integer array, already checked to lie in
-    [0, n_pairs).  int32 indices, the width batches hold, go into X
-    without a copy, with an int32 indptr whenever count * ell fits; scipy
-    converts other widths.  A row that repeats an index raises
-    ``ValidationError``: the kernels' sums count each index once per row.
-    Rows sorted strictly increasing, as batches hold them, pass scipy's C
-    canonical-format check; only other input is sorted, on a copy.
+    ``pair_indices`` may be any integer array whose rows hold distinct
+    indices in [0, n_pairs), as ``_checked_rows`` or a batch ensures.
+    int32 indices, the width batches hold, go into X without a copy, with
+    an int32 indptr whenever count * ell fits; scipy converts other widths.
     """
     count, ell = pair_indices.shape
     nnz = count * ell
     indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
-    x = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.asarray(values, dtype=dtype).ravel(), pair_indices.ravel(), indptr),
         shape=(count, int(n_pairs)),
     )
-    if not x.has_canonical_format:
-        ordered = np.sort(pair_indices, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise ValidationError("pair indices must be distinct within each row")
-    return x
 
 
 def sign_outer_products(pair_indices, signs, n_pairs):
@@ -91,7 +104,13 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     ``csr_todense``, the loop behind scipy's ``toarray``.
     """
     n = int(n_pairs)
-    pair_indices = _checked_indices(pair_indices, n)
+    return _sign_gram(_checked_rows(pair_indices, n), signs, n)
+
+
+def _sign_gram(pair_indices, signs, n):
+    """``sign_outer_products`` unchecked: ``n`` is an int and each row of
+    ``pair_indices`` holds distinct indices in [0, n), as batch rows do.
+    """
     count, ell = pair_indices.shape
     touches = np.bincount(pair_indices.ravel(), minlength=n)
     largest = touches.max(initial=0)
@@ -127,6 +146,11 @@ def offdiagonal_third_sums(rows, squares, cubes, weights, basis):
 
         sum_t w_t y_t^{x3} - 3 sym(sum_k (sum_t w_t x_tk^2 y_t) W_k W_k)
             + 2 sum_k (sum_t w_t x_tk^3) W_k^{x3}.
+
+    The (r, r, r) result is symmetric; ``_combine`` computes its
+    m = r(r+1)(r+2)/6 distinct entries in O(count r^2 (r + 1) / 2 +
+    n_pairs r^2 (r + 1)) time beyond X W and X's sums, with
+    O(count r + block r^2) memory.
     """
     y = rows @ basis
     weighted = y * weights[:, None]
@@ -138,13 +162,55 @@ def _combine(weighted, y, planes, diagonal, basis):
 
     ``weighted`` is Y with row t scaled by w_t, ``planes`` the (n_pairs, r)
     sums sum_t w_t x_tk^2 y_t and ``diagonal`` the (n_pairs,) sums
-    sum_t w_t x_tk^3.
+    sum_t w_t x_tk^3.  Each term is symmetric in its three modes, so only
+    the entries a <= b <= c of ``_multisets`` are formed.  With (j, k) over
+    the r(r+1)/2 column pairs j <= k, three GEMMs give (pairs, r) products
+
+        F = sum over row blocks of (Y_j * Y_k)^T weighted,
+        P = (W_j * W_k)^T planes,   D = (W_j * W_k)^T (W * diagonal),
+
+    and entry (a, b, c) is F[bc, a] - P[bc, a] - P[ac, b] - P[ab, c]
+    + 2 D[bc, a].  The m entries are lifted to the symmetric tensor.
     """
-    cross = np.einsum("ka,kb,kc->abc", planes, basis, basis, optimize=True)
-    out = np.einsum("ta,tb,tc->abc", weighted, y, y, optimize=True)
-    out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
-    out += 2.0 * np.einsum("k,ka,kb,kc->abc", diagonal, basis, basis, basis, optimize=True)
-    return out
+    r = basis.shape[1]
+    first, second = np.triu_indices(r)
+    pair = np.empty((r, r), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(first.size)
+    offsets = np.flatnonzero(first == second)
+    full = np.zeros((first.size, r))
+    products = np.empty((first.size, min(len(y), _BLOCK)))
+    for start in range(0, len(y), _BLOCK):
+        block = np.ascontiguousarray(y[start : start + _BLOCK].T)  # (r, rows)
+        rows = products[:, : block.shape[1]]
+        for j, offset in enumerate(offsets):  # pairs (j, j..r-1), in triu order
+            np.multiply(block[j], block[j:], out=rows[offset : offset + r - j])
+        full += rows @ weighted[start : start + _BLOCK]
+    pairs = (basis[:, first] * basis[:, second]).T
+    plane = pairs @ planes
+    triple = pairs @ (basis * diagonal[:, None])
+    (a, b, c), column, _ = _multisets(r)
+    bc = pair[b, c]
+    entries = full[bc, a] - (plane[bc, a] + plane[pair[a, c], b] + plane[pair[a, b], c])
+    entries += 2.0 * triple[bc, a]
+    return entries[column].reshape(r, r, r)
+
+
+@functools.lru_cache(maxsize=4)
+def _multisets(r):
+    """Index multisets a <= b <= c of an (r, r, r) tensor, in lexicographic order.
+
+    Returns them as a (3, m) array, the multiset of each of the r^3 entries
+    in C order, and each multiset's orbit size (its distinct permutations).
+    Cached for the last four ranks, and read-only.
+    """
+    entries = np.sort(np.indices((r, r, r)).reshape(3, -1), axis=0)
+    triples, column, orbit = np.unique(
+        entries, axis=1, return_inverse=True, return_counts=True
+    )
+    column = column.ravel()
+    for array in (triples, column, orbit):
+        array.setflags(write=False)
+    return triples, column, orbit
 
 
 def projected_third_moment_sums(pair_indices, signs, basis):
@@ -153,15 +219,25 @@ def projected_third_moment_sums(pair_indices, signs, basis):
     For each observation with dense sign vector ``x`` and projection
     ``basis`` W (n_pairs, r) this accumulates the contraction of the
     off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
-    W, the expansion of ``offdiagonal_third_sums`` with unit weights.
-    Requires ``signs`` in {-1, +1}: then the cubes of X are X itself and
-    its squares |X|.  One float64 copy of the signs is held: Y = X W and
-    the column sums of X are taken first, then X's values are made
-    absolute in place for the plane sums.
+    W, the expansion of ``offdiagonal_third_sums`` with unit weights, as
+    the symmetric (r, r, r) tensor of its m distinct entries.  Requires
+    ``signs`` in {-1, +1}: then the cubes of X are X itself and its
+    squares |X|.  One float64 copy of the signs is held: Y = X W and the
+    column sums of X are taken first, then X's values are made absolute in
+    place for the plane sums.
+    """
+    return _third_moment_sums(_checked_rows(pair_indices, np.shape(basis)[0]), signs, basis)
+
+
+def _third_moment_sums(pair_indices, signs, basis):
+    """``projected_third_moment_sums`` unchecked: each row of ``pair_indices``
+    holds distinct indices in [0, n_pairs), as batch rows do.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
-    x = _sign_matrix(_checked_indices(pair_indices, w.shape[0]), signs, w.shape[0])
+    x = _sign_matrix(pair_indices, signs, w.shape[0])
     y = x @ w
     diagonal = np.asarray(x.sum(axis=0)).ravel()
     np.abs(x.data, out=x.data)
-    return _combine(y, y, x.T @ y, diagonal, w)
+    planes = x.T @ y
+    del x
+    return _combine(y, y, planes, diagonal, w)

@@ -108,9 +108,8 @@ def empirical_second_moment(batch, start=0, stop=None):
     ell = batch.ell
     check_ell(ell, 2)
     n = batch.graph.n_pairs
-    sums = kernels.sign_outer_products(
-        batch.pair_indices[start:stop], batch.signs[start:stop], n
-    )
+    # Batch rows are in range and strictly increasing: the unchecked core.
+    sums = kernels._sign_gram(batch.pair_indices[start:stop], batch.signs[start:stop], n)
     scale = (n * (n - 1)) / (ell * (ell - 1)) / (stop - start)
     matrix = np.multiply(sums, scale, dtype=np.float64)
     np.fill_diagonal(matrix, 0.0)
@@ -121,10 +120,12 @@ def projected_third_moment(batch, basis, start=0, stop=None):
     """Streaming estimate of the whitened off-diagonal third moment.
 
     ``basis`` is an (n_pairs, r) projection applied to all three tensor
-    modes.  Per observation the statistic expands the off-diagonal part of
-    the sign vector's third outer power against the basis in
-    O(ell * r^3), so the cubic tensor is never materialized.  Off-diagonal
-    rescaling is N(N-1)(N-2) / (ell(ell-1)(ell-2)).
+    modes.  The statistic expands the off-diagonal part of each sign
+    vector's third outer power against the basis, in O(ell * r +
+    r^2 (r + 1) / 2) per observation and O(N * r^3) once: it is symmetric,
+    so only its r(r+1)(r+2)/6 distinct entries are computed, and no N^3
+    tensor is materialized.  Off-diagonal rescaling is
+    N(N-1)(N-2) / (ell(ell-1)(ell-2)).
     """
     start, stop = _check_range(len(batch), start, stop)
     ell = batch.ell
@@ -133,7 +134,7 @@ def projected_third_moment(batch, basis, start=0, stop=None):
     n = batch.graph.n_pairs
     if basis.ndim != 2 or basis.shape[0] != n:
         raise ValidationError("basis must be (n_pairs, r)")
-    sums = kernels.projected_third_moment_sums(
+    sums = kernels._third_moment_sums(
         batch.pair_indices[start:stop], batch.signs[start:stop], basis
     )
     scale = (n * (n - 1) * (n - 2)) / (ell * (ell - 1) * (ell - 2)) / (stop - start)

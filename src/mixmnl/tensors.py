@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTensorError, ValidationError, checked_array, checked_count
-from .kernels import offdiagonal_third_sums
+from .kernels import _multisets, offdiagonal_third_sums
 from .moments import projected_third_moment
 
 _COND_LIMIT = 1e12
@@ -103,24 +103,6 @@ def _symmetric_products(x):
     out *= x[:, j]
     out *= x[:, k]
     return out
-
-
-@functools.lru_cache(maxsize=_BASIS_CACHE)
-def _multisets(r):
-    """Index multisets a <= b <= c of an (r, r, r) tensor, in lexicographic order.
-
-    Returns them as a (3, m) array, the multiset of each of the r^3 entries
-    in C order, and each multiset's orbit size (its distinct permutations).
-    Cached per r and read-only.
-    """
-    entries = np.sort(np.indices((r, r, r)).reshape(3, -1), axis=0)
-    triples, column, orbit = np.unique(
-        entries, axis=1, return_inverse=True, return_counts=True
-    )
-    column = column.ravel()
-    for array in (triples, column, orbit):
-        array.setflags(write=False)
-    return triples, column, orbit
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)

@@ -154,7 +154,10 @@ class TestCompletion:
 
     def test_survives_rank_deficient_iterate(self):
         # A rank-1 target with rank-2 fitting makes the per-row normal
-        # equations singular; the ridge fallback has to carry it through.
+        # equations nearly singular.  Whether LAPACK then raises, so that
+        # the ridge fallback runs, depends on the build; many solve them
+        # without a ridge step.  test_ridge_fallback_when_a_solve_fails
+        # reaches that branch on every build.
         rng = np.random.default_rng(8)
         v = rng.standard_normal(12)
         full = np.outer(v, v)
@@ -163,6 +166,33 @@ class TestCompletion:
         result = altmin_complete(hollow, 2, n_iterations=25)
         off = ~np.eye(12, dtype=bool)
         assert np.abs(result.matrix - full)[off].max() <= 1e-6
+
+    @pytest.mark.parametrize("failing", [0, 3])
+    def test_ridge_fallback_when_a_solve_fails(self, monkeypatch, failing):
+        # The batched solve raises once, at solve ``failing``: that step is
+        # solved again with the 1e-12 ridge and listed in ridge_steps, and
+        # the completion ends where an unridged run does.
+        hollow, full = low_rank_offdiag(40, 2, 0)
+        clean = altmin_complete(hollow, 2, n_iterations=30)
+        assert clean.ridge_steps == []
+        calls = []
+        real = np.linalg.solve
+
+        def solve(a, b):
+            calls.append(a.shape)
+            if len(calls) == failing + 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(altmin.np.linalg, "solve", solve)
+        result = altmin_complete(hollow, 2, n_iterations=30)
+        assert result.ridge_steps == [failing]
+        assert len(calls) == 30 + 1  # one retry
+        assert len(result.objectives) == 30
+        sigma_r = np.linalg.svd(full, compute_uv=False)[1]
+        np.testing.assert_allclose(result.matrix, clean.matrix, rtol=0, atol=1e-9 * sigma_r)
+        off = ~np.eye(40, dtype=bool)
+        assert np.abs(result.matrix - full)[off].max() <= 1e-6 * sigma_r
 
 
 def noisy_symmetric(n, rank, seed):

@@ -205,7 +205,7 @@ class TestNoCopy:
 
     def test_projected_third_moment(self, monkeypatch):
         basis = np.ascontiguousarray(_BASIS.whitening_map)
-        calls = self.spy(monkeypatch, kernels, "projected_third_moment_sums")
+        calls = self.spy(monkeypatch, kernels, "_third_moment_sums")
         projected_third_moment(_BATCH, basis)
         assert np.shares_memory(calls[0][2], basis)
 

@@ -243,21 +243,16 @@ def _brute_offdiagonal(x, weights, basis):
     return expected
 
 
-def _sign_specialized_sums(pair_indices, signs, basis):
-    """The sampled statistic expanded for +-1 signs only, the bit-identity reference.
+def _einsum_combine(weighted, y, planes, diagonal, basis):
+    """The expansion as the whole (r, r, r) tensor by three einsums, the reference.
 
-    |X| stands in for the squares and the column sums of X for the cubes;
-    there are no weights.
+    Same inputs as ``kernels._combine``; every entry is formed, not only the
+    m distinct ones.
     """
-    w = np.ascontiguousarray(basis, dtype=np.float64)
-    x = kernels._sign_matrix(np.asarray(pair_indices, dtype=np.int64), signs, w.shape[0])
-    y = x @ w
-    touched = abs(x).T @ y
-    column_sums = np.asarray(x.sum(axis=0)).ravel()
-    cross = np.einsum("ka,kb,kc->abc", touched, w, w, optimize=True)
-    out = np.einsum("ta,tb,tc->abc", y, y, y, optimize=True)
+    cross = np.einsum("ka,kb,kc->abc", planes, basis, basis, optimize=True)
+    out = np.einsum("ta,tb,tc->abc", weighted, y, y, optimize=True)
     out -= cross + cross.transpose(1, 0, 2) + cross.transpose(1, 2, 0)
-    out += 2.0 * np.einsum("k,ka,kb,kc->abc", column_sums, w, w, w, optimize=True)
+    out += 2.0 * np.einsum("k,ka,kb,kc->abc", diagonal, basis, basis, basis, optimize=True)
     return out
 
 
@@ -277,13 +272,61 @@ class TestOffdiagonalThirdSums:
             np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
 
     def test_sampled_statistic_bit_identical_to_sign_expansion(self):
+        # The weighted route with |X| for the squares, X for the cubes and
+        # unit weights hands _combine the same partial sums to the bit.
         rng = np.random.default_rng(6)
-        for count, n_pairs, ell, r in ((500, 20, 5, 2), (3000, 80, 12, 4)):
+        for count, n_pairs, ell, r in ((500, 20, 5, 2), (3000, 80, 12, 4), (2000, 60, 10, 8)):
             idx, sgn, basis = _random_inputs(rng, count=count, n_pairs=n_pairs, ell=ell, r=r)
+            x = kernels._sign_matrix(idx, sgn, n_pairs)
             assert np.array_equal(
                 kernels.projected_third_moment_sums(idx, sgn, basis),
-                _sign_specialized_sums(idx, sgn, basis),
+                kernels.offdiagonal_third_sums(x, abs(x), x, np.ones(count), basis),
             )
+
+
+class TestCombine:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("count", [1, kernels._BLOCK, kernels._BLOCK + 1])
+    def test_matches_einsum_expansion(self, r, count):
+        # Random partial sums with non-unit weights; count spans one row,
+        # one full block and a block boundary.  The sums run in another
+        # order than the einsums, so entries agree to roundoff of the
+        # largest entry.
+        rng = np.random.default_rng(100 * r + count % 7)
+        n_pairs = 12
+        y = rng.standard_normal((count, r))
+        weighted = y * rng.uniform(0.1, 2.0, count)[:, None]
+        planes = rng.standard_normal((n_pairs, r))
+        diagonal = rng.standard_normal(n_pairs)
+        basis = rng.standard_normal((n_pairs, r))
+        expected = _einsum_combine(weighted, y, planes, diagonal, basis)
+        got = kernels._combine(weighted, y, planes, diagonal, basis)
+        assert got.shape == (r, r, r)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):  # lifted: exactly symmetric
+            assert np.array_equal(got, got.transpose(axes))
+
+    def test_memory_at_rank_8(self):
+        # 100,000 rows of 10 of 236 pairs at r = 8.  Beyond the one float64
+        # copy of the signs and Y = X W, the full term holds one block of
+        # Y transposed and its r(r+1)/2 pair products: O(count r + block
+        # r^2).  Forming the pair products of all rows at once would take
+        # count * 36 floats (28.8 MB) alone.
+        rng = np.random.default_rng(8)
+        count, n_pairs, ell, r = 100_000, 236, 10, 8
+        idx = np.sort(
+            np.argsort(rng.random((count, n_pairs)), axis=1)[:, :ell], axis=1
+        ).astype(np.int32)
+        sgn = rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, ell))
+        basis = rng.standard_normal((n_pairs, r))
+        tracemalloc.start()
+        try:
+            kernels.projected_third_moment_sums(idx, sgn, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = kernels._BLOCK * (r + r * (r + 1) // 2) * 8
+        assert peak < count * ell * 8 + count * r * 8 + block + (1 << 20)
 
 
 class TestProjectedThird:
@@ -344,3 +387,47 @@ class TestRepeatedPairIndex:
             kernels.sign_outer_products(idx, ones, 3)
         with pytest.raises(ValidationError, match="distinct within each row"):
             kernels.projected_third_moment_sums(idx, ones, np.ones((3, 2)))
+
+
+class TestCheckedBoundary:
+    def test_sampled_fit_runs_neither_row_check(self, monkeypatch):
+        # Batch rows are in range and strictly increasing, so the moment
+        # estimators call the kernels' cores: the range and repeat checks
+        # run only when the public kernels are called.
+        calls = []
+        real = kernels._checked_rows
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_checked_rows", spy)
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(20, 6.0, rng)
+        model = random_uniform_model(20, 2, rng, 1.0, 8.0)
+        batch = model.sample_batch(graph, 8, 20_000, np.random.default_rng(1))
+        learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=0))
+        assert calls == []
+        n = graph.n_pairs
+        kernels.sign_outer_products(batch.pair_indices, batch.signs, n)
+        kernels.projected_third_moment_sums(batch.pair_indices, batch.signs, np.ones((n, 2)))
+        assert len(calls) == 2
+
+    def test_sorted_rows_are_not_sorted_again(self, monkeypatch):
+        # Strictly increasing rows pass the one neighbour comparison; only
+        # other rows are sorted, on a copy, to look for a repeat.
+        sorts = []
+        real = np.sort
+
+        def spy(a, *args, **kwargs):
+            sorts.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "sort", spy)
+        idx = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
+        assert kernels._checked_rows(idx, 4) is idx
+        assert sorts == []
+        unsorted = np.array([[2, 0, 1], [0, 2, 3]], dtype=np.int32)
+        assert kernels._checked_rows(unsorted, 4) is unsorted
+        assert len(sorts) == 1
+        assert np.array_equal(unsorted, [[2, 0, 1], [0, 2, 3]])
