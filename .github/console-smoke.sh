@@ -8,10 +8,14 @@
 # row's pairs from the keys below a threshold, and both draws must write
 # the same bytes.  It is also learned twice: its second-moment product is
 # sized by a bound of 1.6M entries, below N^2 = 3.6M, through scipy's
-# private csr_matmat, so the installed scipy must provide it.  Last, a
-# rank-4 dataset is learned twice from its exact moments, and both runs
-# must write the same bytes: that fit's third-moment right-hand side has
-# m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
+# private csr_matmat, so the installed scipy must provide it.  A
+# 60,000-sample n = 30 dataset is learned twice, and both runs must write
+# the same bytes: its 30,000-row second-moment half is summed in two row
+# blocks, which the installed scipy's csr_todense adds into one output.
+# Last, a rank-4 dataset is learned twice from its exact moments, and both
+# runs must write the same bytes: that fit's third-moment right-hand side
+# has m = 20 distinct entries, whose orbits take all three sizes (1, 3 and
+# 6).
 set -eo pipefail
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
@@ -24,6 +28,10 @@ mixmnl learn --dataset d.json --out r1.json --r 2 --seed 1
 mixmnl learn --dataset d.json --out r2.json --r 2 --seed 1
 cmp r1.json r2.json
 mixmnl evaluate --dataset d.json --results r1.json
+mixmnl generate --n 30 --ell 10 --samples 60000 --seed 3 --out b.json
+mixmnl learn --dataset b.json --out b1.json --r 2 --seed 1
+mixmnl learn --dataset b.json --out b2.json --r 2 --seed 1
+cmp b1.json b2.json
 echo '{}' > empty.json
 status=0
 mixmnl learn --dataset empty.json --out e.json --r 2 || status=$?

@@ -3,18 +3,24 @@
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
 at its pair indices, ``ell`` entries per row.  Each public kernel is a
-checked boundary over a private core.  The boundary refuses a pair index
+checked boundary over a private core.  The boundary refuses indices that
+are not a (count, ell) array, signs of another shape, a pair index
 outside [0, n_pairs), since scipy's C loops write through the indices
 unchecked, and a row that repeats an index; rows sorted strictly
 increasing pass one comparison of neighbours.  The moment estimators call
 the cores on ``ObservationBatch`` slices, whose rows are already in range
 and strictly increasing.  The second-moment sums are X^T X, accumulated
 in the narrowest integer type that holds the largest per-pair touch
-count, so every partial sum is exact.  They come from one numeric pass of
-scipy's private ``csr_matmat`` kernel into arrays sized from the touch
-counts: every public sparse product first runs a symbolic pass over the
-same loops only to size its output.  The third-moment sums are one
-expansion, which also gives the exact-moment right-hand side
+count, so every partial sum is exact.  They are summed in place over
+blocks of observation rows, each one numeric pass of scipy's private
+``csr_matmat`` kernel: every public sparse product first runs a symbolic
+pass over the same loops only to size its output.  A block holds at
+least 2^18 / ell rows, so its X (about 1.5 MB) stays in cache while the
+pass gathers its rows, and at least 64 N^2 / ell^2, so the block's dense
+N^2 output costs at most 1/64 of its ell^2 per-row work.  The pass checks
+no bound as it writes; its output arrays are sized once, from the whole
+input's touch counts, which bound every block's.  The third-moment sums
+are one expansion, which also gives the exact-moment right-hand side
 (``offdiagonal_third_sums``: outcome means as rows, the mixture as
 weights), with no per-observation loop.  Its result is symmetric, so only
 its m = r(r+1)(r+2)/6 distinct entries are computed, each from GEMMs
@@ -37,17 +43,35 @@ _INT32_MAX = np.iinfo(np.int32).max
 # Rows of Y per GEMM of the third moment's full term: the block's pair
 # products take _BLOCK * r(r+1)/2 floats, 2.4 MB at r = 8.
 _BLOCK = 8192
+# Rows of X per block of the second-moment Gram: at least _GRAM_ENTRIES / ell,
+# about 1.5 MB of int32 indices and int16 values, and at least
+# _GRAM_SCATTER * N^2 / ell^2, so the block's N^2 output is a small share
+# of its ell^2 per-row work.
+_GRAM_ENTRIES = 1 << 18
+_GRAM_SCATTER = 64
 
 
-def _checked_rows(pair_indices, n_pairs):
+def _checked_rows(pair_indices, signs, n_pairs):
     """``pair_indices`` as an array, refused unless its rows suit the kernels.
 
-    ``ValidationError`` unless each index lies in [0, n_pairs) and no row
-    repeats one: the kernels' sums count each index once per row.  Rows
-    sorted strictly increasing, as batches hold them, pass one comparison
-    of neighbours; only other input is sorted, on a copy.
+    ``ValidationError`` unless ``pair_indices`` is a 2-D (count, ell) array
+    with ell >= 1, ``signs`` has exactly its shape (X takes both raveled),
+    each index lies in [0, n_pairs) and no row repeats one: the kernels'
+    sums count each index once per row.  Rows sorted strictly increasing,
+    as batches hold them, pass one comparison of neighbours; only other
+    input is sorted, on a copy.
     """
     pair_indices = np.asarray(pair_indices)
+    if pair_indices.ndim != 2 or pair_indices.shape[1] < 1:
+        raise ValidationError(
+            "pair indices must be a (count, ell) array with ell >= 1, "
+            f"got shape {pair_indices.shape}"
+        )
+    if np.shape(signs) != pair_indices.shape:
+        raise ValidationError(
+            f"signs must have the pair indices' shape {pair_indices.shape}, "
+            f"got {np.shape(signs)}"
+        )
     if pair_indices.size and (pair_indices.min() < 0 or pair_indices.max() >= n_pairs):
         raise ValidationError(f"pair indices must lie in [0, {n_pairs})")
     if not (pair_indices[:, 1:] > pair_indices[:, :-1]).all():
@@ -57,8 +81,8 @@ def _checked_rows(pair_indices, n_pairs):
     return pair_indices
 
 
-def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
-    """The (count, n_pairs) CSR matrix X with ``dtype`` values.
+def _sign_matrix(pair_indices, values, n_pairs):
+    """The (count, n_pairs) CSR matrix X with float64 values.
 
     ``pair_indices`` may be any integer array whose rows hold distinct
     indices in [0, n_pairs), as ``_checked_rows`` or a batch ensures.
@@ -69,7 +93,7 @@ def _sign_matrix(pair_indices, values, n_pairs, dtype=np.float64):
     nnz = count * ell
     indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
     return sparse.csr_matrix(
-        (np.asarray(values, dtype=dtype).ravel(), pair_indices.ravel(), indptr),
+        (np.asarray(values, dtype=np.float64).ravel(), pair_indices.ravel(), indptr),
         shape=(count, int(n_pairs)),
     )
 
@@ -78,8 +102,9 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
     ``pair_indices`` is (count, ell) integer with distinct entries per row
-    (a repeat raises ``ValidationError``) and ``signs`` the matching
-    integer array of signs or counts in {-1, 0, 1}.
+    (a repeat raises ``ValidationError``) and ``signs`` the integer array of
+    signs or counts in {-1, 0, 1} of the same shape (another shape raises
+    ``ValidationError``).
     Returns the dense (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t``
     is the dense vector with ``signs[t]`` scattered into ``pair_indices[t]``,
     i.e. X^T X.  Diagonal entries count touches.
@@ -90,21 +115,27 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     int16 when that count is at most 32767, int32 (int64 past that)
     otherwise: the sums are exact and do not depend on summation order.
 
-    The product is one call of scipy's numeric sparse product kernel
-    ``csr_matmat`` on X^T and X.  scipy's public ``@`` first runs a
-    symbolic pass over the same loops only to size its output, and no
-    public sparse product skips it.  Here the touch counts size it: row i
-    of X^T X gathers the columns of the touches_i rows of X that hold i,
-    each i itself and at most ell - 1 others, so it has at most
-    min(n_pairs, (ell - 1) * touches_i + 1) entries, and none when i is
-    never touched.  The kernel checks no bound as it writes, so the
-    indices are checked first and every index array has one width, int32
-    when the bound, nnz(X) and n_pairs fit.  X and X^T are freed before
-    the product's first ``Cp[-1]`` entries are made dense by
-    ``csr_todense``, the loop behind scipy's ``toarray``.
+    The product is summed over blocks of ``max(2^18 // ell, ceil(64 *
+    n_pairs^2 / ell^2))`` rows, X_b^T X_b for each block X_b of X: a block's
+    X stays in cache while its rows are gathered, and its dense output is a
+    small share of its work.  Each block is one call of scipy's numeric
+    sparse product kernel ``csr_matmat`` on X_b^T and X_b.  scipy's public
+    ``@`` first runs a symbolic pass over the same loops only to size its
+    output, and no public sparse product skips it.  Here the touch counts
+    size it: row i of X^T X gathers the columns of the touches_i rows of X
+    that hold i, each i itself and at most ell - 1 others, so it has at
+    most min(n_pairs, (ell - 1) * touches_i + 1) entries, and none when i
+    is never touched.  A block touches each pair at most as often as the
+    whole input, so that bound, taken once over all rows, sizes one set of
+    output arrays that every block reuses.  The kernel checks no bound as
+    it writes, so the indices are checked first and every index array has
+    one width, int32 when the bound, nnz(X) and n_pairs fit.  X_b and
+    X_b^T are freed before the block's first ``Cp[-1]`` entries are added
+    into the one dense result by ``csr_todense``, the loop behind scipy's
+    ``toarray``, which adds into its output.
     """
     n = int(n_pairs)
-    return _sign_gram(_checked_rows(pair_indices, n), signs, n)
+    return _sign_gram(_checked_rows(pair_indices, signs, n), signs, n)
 
 
 def _sign_gram(pair_indices, signs, n):
@@ -112,27 +143,38 @@ def _sign_gram(pair_indices, signs, n):
     ``pair_indices`` holds distinct indices in [0, n), as batch rows do.
     """
     count, ell = pair_indices.shape
-    touches = np.bincount(pair_indices.ravel(), minlength=n)
+    rows = max(_GRAM_ENTRIES // ell, -(-_GRAM_SCATTER * n * n // (ell * ell)))
+    blocks = range(0, max(count, 1), rows)  # an empty input makes one block, of zeros
+    # bincount takes its input as intp: one block at a time keeps that copy small.
+    touches = sum(np.bincount(pair_indices[s : s + rows].ravel(), minlength=n) for s in blocks)
     largest = touches.max(initial=0)
     dtype = next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
     bound = int(np.minimum(n, (ell - 1) * touches + (touches > 0)).sum())
     index = np.int32 if max(bound, count * ell, n) <= _INT32_MAX else np.int64
-    x = _sign_matrix(pair_indices, signs, n, dtype)
-    xt = x.tocsc()  # X in CSC holds the CSR arrays of X^T
-    operands = []
-    for m in (xt, x):
-        operands += [m.indptr.astype(index, copy=False), m.indices.astype(index, copy=False), m.data]
-    del x, xt
-    cp = np.empty(n + 1, dtype=index)
-    cj = np.empty(bound, dtype=index)
-    cx = np.empty(bound, dtype=dtype)
-    _sparsetools.csr_matmat(n, n, *operands, cp, cj, cx)
-    del operands
-    # C order: np.multiply in empirical_second_moment keeps it, and the
-    # fit hands that estimate to the completion as it is, with no copy.
-    out = np.zeros((n, n), dtype=dtype)
-    nnz = int(cp[-1])
-    _sparsetools.csr_todense(n, n, cp, cj[:nnz], cx[:nnz], out)
+    out = None
+    for start in blocks:
+        # The block's X, and X^T in CSR, as raw arrays: a scipy matrix would
+        # copy indices that are a view of under half of their base.
+        block = pair_indices[start : start + rows]
+        xp = np.arange(0, block.size + 1, ell, dtype=index)
+        xj = block.ravel().astype(index, copy=False)
+        xx = np.asarray(signs[start : start + rows], dtype=dtype).ravel()
+        tp, tj, tx = np.empty(n + 1, index), np.empty_like(xj), np.empty_like(xx)
+        _sparsetools.csr_tocsc(len(block), n, xp, xj, xx, tp, tj, tx)
+        # Sized once, after the first block's X: allocated before it, they
+        # raised wide's peak RSS by 16 MB (glibc's mmap threshold).
+        if out is None:
+            cp = np.empty(n + 1, dtype=index)
+            cj = np.empty(bound, dtype=index)
+            cx = np.empty(bound, dtype=dtype)
+        _sparsetools.csr_matmat(n, n, tp, tj, tx, xp, xj, xx, cp, cj, cx)
+        del xp, xj, xx, tp, tj, tx
+        if out is None:
+            # C order: np.multiply in empirical_second_moment keeps it, and
+            # the fit hands that estimate to the completion as it is.
+            out = np.zeros((n, n), dtype=dtype)
+        nnz = int(cp[-1])
+        _sparsetools.csr_todense(n, n, cp, cj[:nnz], cx[:nnz], out)
     return out
 
 
@@ -226,7 +268,9 @@ def projected_third_moment_sums(pair_indices, signs, basis):
     column sums of X are taken first, then X's values are made absolute in
     place for the plane sums.
     """
-    return _third_moment_sums(_checked_rows(pair_indices, np.shape(basis)[0]), signs, basis)
+    return _third_moment_sums(
+        _checked_rows(pair_indices, signs, np.shape(basis)[0]), signs, basis
+    )
 
 
 def _third_moment_sums(pair_indices, signs, basis):

@@ -200,6 +200,155 @@ class TestOneNumericPass:
         assert peak < 2 * nnz * 2 + nnz * 4 + n * n * (4 + 2) + (1 << 20)
 
 
+def _spread_rows(count, n_pairs, ell, seed):
+    """``count`` strictly increasing rows of ``ell`` distinct pairs, with int8 signs.
+
+    Each row starts at a random pair and steps by n_pairs // ell, modulo
+    n_pairs: cheap at benchmark shapes, where sorting random keys is not.
+    """
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, n_pairs, count)
+    idx = np.sort((start[:, None] + np.arange(ell) * (n_pairs // ell)) % n_pairs, axis=1)
+    sgn = rng.choice(np.array([-1, 1], dtype=np.int8), size=(count, ell))
+    return idx.astype(np.int32), sgn
+
+
+def _coo_gram(idx, values, n_pairs):
+    """X^T X of scipy's public product on X built from coordinates, the reference."""
+    rows = np.repeat(np.arange(idx.shape[0]), idx.shape[1])
+    x = sparse.csr_matrix(
+        (np.ravel(values).astype(np.int64), (rows, np.ravel(idx))), shape=(idx.shape[0], n_pairs)
+    )
+    return (x.T @ x).toarray()
+
+
+@pytest.fixture
+def symbolic_calls(monkeypatch):
+    """Records each call of scipy's symbolic product pass."""
+    calls = []
+    real = kernels._sparsetools.csr_matmat_maxnnz
+
+    def spy(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    # scipy's product calls the symbolic pass through the module or
+    # through a name imported from it, depending on the version.
+    monkeypatch.setattr(kernels._sparsetools, "csr_matmat_maxnnz", spy)
+    monkeypatch.setattr(scipy.sparse._compressed, "csr_matmat_maxnnz", spy, raising=False)
+    return calls
+
+
+class TestRowBlocks:
+    @pytest.fixture
+    def ten_row_blocks(self, monkeypatch):
+        # For 12 pairs and ell = 4: max(40 // 4, ceil(1 * 144 / 16)) = 10.
+        monkeypatch.setattr(kernels, "_GRAM_ENTRIES", 40)
+        monkeypatch.setattr(kernels, "_GRAM_SCATTER", 1)
+
+    @pytest.mark.parametrize(
+        "count, blocks",
+        [(1, 1), (10, 1), (11, 2), (31, 4)],
+        ids=["one-row", "one-block", "one-row-past", "last-block-partial"],
+    )
+    def test_bit_identical_across_blocks(self, ten_row_blocks, matmat_calls, count, blocks):
+        # Each block adds its exact sums into one result.
+        rng = np.random.default_rng(count)
+        idx, sgn, _ = _random_inputs(rng, count=count, n_pairs=12, ell=4)
+        for values in (sgn, np.abs(sgn)):
+            matmat_calls.clear()
+            got = kernels.sign_outer_products(idx, values, 12)
+            assert np.array_equal(got, _public_gram(idx, values, 12))
+            assert got.dtype == np.int16 and got.flags.c_contiguous
+            assert len(matmat_calls) == blocks
+
+    def test_accumulation_type_from_all_rows(self, monkeypatch, matmat_calls):
+        # Pair 0 is in each of 40,000 rows: two blocks of 20,000 each touch
+        # it within int16, but their sum does not, and must not wrap.
+        monkeypatch.setattr(kernels, "_GRAM_ENTRIES", 20_000 * 2)
+        count, n_pairs = 40_000, 8
+        rng = np.random.default_rng(11)
+        idx = np.column_stack([np.zeros(count, dtype=np.int64), rng.integers(1, n_pairs, count)])
+        sgn = rng.choice([-1, 1], size=idx.shape).astype(np.int8)
+        got = kernels.sign_outer_products(idx, sgn, n_pairs)
+        assert len(matmat_calls) == 2
+        assert got.dtype == np.int32 and got[0, 0] == count
+        assert np.array_equal(got, _coo_gram(idx, sgn, n_pairs))
+
+    @pytest.mark.parametrize(
+        "count, n_pairs, ell, blocks",
+        [
+            (100_000, 104, 10, 4),  # pilot's half: 26,214-row blocks
+            (30_000, 1759, 40, 1),  # wide's half: 64 N^2 / ell^2 = 123,764 rows
+            (25_000, 104, 10, 1),  # cli's half
+        ],
+        ids=["pilot", "wide", "cli"],
+    )
+    def test_one_numeric_call_per_block(
+        self, matmat_calls, symbolic_calls, count, n_pairs, ell, blocks
+    ):
+        idx, sgn = _spread_rows(count, n_pairs, ell, seed=count)
+        got = kernels.sign_outer_products(idx, sgn, n_pairs)
+        assert len(matmat_calls) == blocks and symbolic_calls == []
+        out = matmat_calls[0][-3:]
+        for _, _, *arrays in matmat_calls:
+            dtypes = [a.dtype for a in arrays]
+            assert dtypes == [np.dtype(np.int32), np.dtype(np.int32), np.dtype(np.int16)] * 3
+            # Every block writes into the arrays sized for the first.
+            assert all(a is b for a, b in zip(arrays[-3:], out))
+        assert np.array_equal(got, _coo_gram(idx, sgn, n_pairs))
+
+    def test_csr_todense_adds_into_its_output(self):
+        # The blocks are summed by csr_todense, which adds each entry into
+        # its output rather than storing it; the oldest scipy that
+        # pyproject.toml accepts must do the same.
+        out = np.full((2, 3), 5, dtype=np.int16)
+        indptr = np.array([0, 2, 3], dtype=np.int32)
+        indices = np.array([0, 2, 1], dtype=np.int32)
+        data = np.array([1, -2, 3], dtype=np.int16)
+        kernels._sparsetools.csr_todense(2, 3, indptr, indices, data, out)
+        assert np.array_equal(out, [[6, 5, 3], [5, 8, 5]])
+
+    def test_peak_at_pilot_half_shape(self):
+        # 100,000 rows of 10 of 104 pairs.  One block's X (int16 values,
+        # int32 indptr; the int32 indices are the input's) and X^T (int32
+        # indices, int16 values) are live at once, not the whole input's:
+        # about 2.2 MB, against 8.4 MB unblocked.  The output is N^2 small.
+        count, n_pairs, ell = 100_000, 104, 10
+        idx, sgn = _spread_rows(count, n_pairs, ell, seed=4)
+        rows = kernels._GRAM_ENTRIES // ell
+        tracemalloc.start()
+        try:
+            kernels.sign_outer_products(idx, sgn, n_pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * ell * 8 + rows * 4 + n_pairs**2 * (4 + 2 + 2) + (1 << 20)
+
+
+class TestShape:
+    # Both kernels ravel the indices and signs into X.  Unchecked, 1-D
+    # indices raised a raw IndexError, rows of no pairs a ZeroDivisionError,
+    # and transposed or flat signs of the same size were scattered against
+    # the wrong indices.
+    @pytest.mark.parametrize(
+        "idx, sgn, match",
+        [
+            (np.array([0, 1]), np.ones(2), r"pair indices must be a \(count, ell\) array"),
+            (np.arange(12).reshape(2, 2, 3) % 4, np.ones((2, 2, 3)), r"\(count, ell\)"),
+            (np.empty((2, 0), dtype=int), np.ones((2, 0)), r"ell >= 1"),
+            (np.array([[0, 1, 2], [0, 2, 3]]), np.ones((3, 2)), "signs must have"),
+            (np.array([[0, 1, 2], [0, 2, 3]]), np.ones(6), "signs must have"),
+        ],
+        ids=["1-D", "3-D", "no-columns", "transposed-signs", "flat-signs"],
+    )
+    def test_refused_by_both_kernels(self, idx, sgn, match):
+        with pytest.raises(ValidationError, match=match):
+            kernels.sign_outer_products(idx, sgn.astype(np.int8), 4)
+        with pytest.raises(ValidationError, match=match):
+            kernels.projected_third_moment_sums(idx, sgn.astype(np.int8), np.ones((4, 2)))
+
+
 class TestPairIndexRange:
     # scipy's C loops write through the indices unchecked.  Unrefused, an
     # index of N = 3 corrupted the heap in both kernels; 5 and 7 were
@@ -425,9 +574,10 @@ class TestCheckedBoundary:
 
         monkeypatch.setattr(kernels.np, "sort", spy)
         idx = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
-        assert kernels._checked_rows(idx, 4) is idx
+        ones = np.ones(idx.shape, dtype=np.int8)
+        assert kernels._checked_rows(idx, ones, 4) is idx
         assert sorts == []
         unsorted = np.array([[2, 0, 1], [0, 2, 3]], dtype=np.int32)
-        assert kernels._checked_rows(unsorted, 4) is unsorted
+        assert kernels._checked_rows(unsorted, ones, 4) is unsorted
         assert len(sorts) == 1
         assert np.array_equal(unsorted, [[2, 0, 1], [0, 2, 3]])
