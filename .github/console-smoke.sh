@@ -12,10 +12,14 @@
 # 60,000-sample n = 30 dataset is learned twice, and both runs must write
 # the same bytes: its 30,000-row second-moment half is summed in two row
 # blocks, which the installed scipy's csr_todense adds into one output.
-# Last, a rank-4 dataset is learned twice from its exact moments, and both
-# runs must write the same bytes: that fit's third-moment right-hand side
-# has m = 20 distinct entries, whose orbits take all three sizes (1, 3 and
-# 6).
+# A rank-4 dataset is learned twice from its exact moments, and both runs
+# must write the same bytes: that fit's third-moment right-hand side has
+# m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
+# Last, a rank-8 dataset (n = 60, 178 pairs) is learned twice from its
+# exact moments, and both runs must write the same bytes: its eight Rank
+# Centrality chains stop at eight different steps (572 to 869 with one
+# OpenBLAS thread), so they leave the block one by one, and its power
+# method steps 352 restarts a round.
 set -eo pipefail
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s1.json
 mixmnl generate --n 300 --dbar 12 --ell 40 --samples 2000 --seed 3 --out s2.json
@@ -44,3 +48,7 @@ mixmnl generate --n 30 --r 4 --ell 10 --samples 2000 --seed 3 --out g.json
 mixmnl learn --dataset g.json --out g1.json --exact-moments --r 4
 mixmnl learn --dataset g.json --out g2.json --exact-moments --r 4
 cmp g1.json g2.json
+mixmnl generate --n 60 --r 8 --ell 10 --samples 2000 --seed 3 --out h.json
+mixmnl learn --dataset h.json --out h1.json --exact-moments --r 8
+mixmnl learn --dataset h.json --out h2.json --exact-moments --r 8
+cmp h1.json h2.json

@@ -27,13 +27,15 @@ its m = r(r+1)(r+2)/6 distinct entries are computed, each from GEMMs
 against the r(r+1)/2 column-pair products of Y = X W (over row blocks) and
 of W; no (count, r, r) or r^3-wide intermediate is formed.  The sampled
 statistic holds one float64 copy of the signs: its squares and cubes are
-|X| and X, so X's values turn absolute in place once X is used.
+|X| and X, so X's values turn absolute in place once X is used.  Its X is
+raw CSR arrays, as the Gram's blocks are, and its three products are the
+scipy kernels the public products run on them (``csr_matvecs``,
+``csc_matvec`` and ``csc_matvecs``).
 """
 
 import functools
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
@@ -79,23 +81,6 @@ def _checked_rows(pair_indices, signs, n_pairs):
         if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValidationError("pair indices must be distinct within each row")
     return pair_indices
-
-
-def _sign_matrix(pair_indices, values, n_pairs):
-    """The (count, n_pairs) CSR matrix X with float64 values.
-
-    ``pair_indices`` may be any integer array whose rows hold distinct
-    indices in [0, n_pairs), as ``_checked_rows`` or a batch ensures.
-    int32 indices, the width batches hold, go into X without a copy, with
-    an int32 indptr whenever count * ell fits; scipy converts other widths.
-    """
-    count, ell = pair_indices.shape
-    nnz = count * ell
-    indptr = np.arange(0, nnz + 1, ell, dtype=np.int32 if nnz <= _INT32_MAX else np.int64)
-    return sparse.csr_matrix(
-        (np.asarray(values, dtype=np.float64).ravel(), pair_indices.ravel(), indptr),
-        shape=(count, int(n_pairs)),
-    )
 
 
 def sign_outer_products(pair_indices, signs, n_pairs):
@@ -276,12 +261,26 @@ def projected_third_moment_sums(pair_indices, signs, basis):
 def _third_moment_sums(pair_indices, signs, basis):
     """``projected_third_moment_sums`` unchecked: each row of ``pair_indices``
     holds distinct indices in [0, n_pairs), as batch rows do.
+
+    X is held as raw CSR arrays, and its three products are the scipy
+    kernels its public products call on them: ``csr_matvecs`` for Y = X W,
+    ``csc_matvec`` of X^T with ones for the column sums, and ``csc_matvecs``
+    of X^T for |X|^T Y.  A scipy matrix would copy indices that are a view
+    of under half of their base, as the third-moment half of an odd count
+    is.  The float64 values are a copy, so the caller's signs are untouched.
     """
     w = np.ascontiguousarray(basis, dtype=np.float64)
-    x = _sign_matrix(pair_indices, signs, w.shape[0])
-    y = x @ w
-    diagonal = np.asarray(x.sum(axis=0)).ravel()
-    np.abs(x.data, out=x.data)
-    planes = x.T @ y
-    del x
+    (count, ell), (n, r) = pair_indices.shape, w.shape
+    index = np.int32 if max(count * ell, n) <= _INT32_MAX else np.int64
+    xp = np.arange(0, count * ell + 1, ell, dtype=index)
+    xj = pair_indices.ravel().astype(index, copy=False)
+    xx = np.array(signs, dtype=np.float64, order="C").ravel()
+    y = np.zeros((count, r))
+    _sparsetools.csr_matvecs(count, n, r, xp, xj, xx, w.ravel(), y.ravel())
+    diagonal = np.zeros(n)
+    _sparsetools.csc_matvec(n, count, xp, xj, xx, np.ones(count), diagonal)
+    np.abs(xx, out=xx)
+    planes = np.zeros((n, r))
+    _sparsetools.csc_matvecs(n, count, r, xp, xj, xx, y.ravel(), planes.ravel())
+    del xp, xj, xx
     return _combine(y, y, planes, diagonal, w)

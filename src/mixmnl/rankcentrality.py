@@ -17,11 +17,16 @@ The r components of a mixture are ranked in one block iteration.  Their
 chains are built once, in one pass, as one block-diagonal sparse matrix
 (``build_transition`` is the one-chain case of the same builder); the block
 is transposed once and applied to an (r, n_items) iterate whose rows are
-the components' distributions.  Each row keeps its own stop rule; once it
-stops, its last iterate is kept and its rows and columns are sliced out of
-the transposed block.  So every chain takes exactly the steps, and returns
-exactly the bits, it would on its own; a single chain is the one-row case
-of the same loop.
+the components' distributions.  The steps run in spans of up to 32, each
+written into one reused buffer by scipy's ``csr_matvec`` kernel and two
+in-place numpy calls, and the stop rule is applied once per span: the L1
+changes of all the span's steps are taken together, and each row stops at
+its first step whose change is at most 1e-15, or at the cap.  A stopped
+row keeps that step's iterate, and its chain is cut out of the transposed
+block by slicing the CSR arrays, since each chain's rows are one range of
+entries.  So every chain takes exactly the steps, and returns exactly the
+bits, it would on its own; a single chain is the one-row case of the same
+loop.
 """
 
 import math
@@ -30,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ValidationError, checked_array, checked_count
 
@@ -45,6 +51,11 @@ _STOP_CHANGE = 1e-15
 # from noisy outcomes could put the cap below the steps a nearly flat chain
 # needs to reach the stop.
 _RANGE_CAP = 16.0
+# Steps per span of the block iteration, and the floats its buffer of
+# span + 1 iterates may hold (2 MB); a block larger than half of that takes
+# spans of one step.
+_SPAN = 32
+_SPAN_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -120,35 +131,82 @@ def _block_power(chains, r, cap):
 
     The block is transposed once.  Row a of the iterate belongs to block a;
     every row is capped at ``cap`` steps.  The rows still running are
-    stepped together by one product; a row that stops keeps its last
-    iterate, and its rows and columns are sliced out of the transposed
-    block.  Returns one ``PowerIterationResult`` per chain.
+    stepped together, in spans of up to ``_SPAN`` steps that write into one
+    (span + 1, rows, n) buffer, allocated once and reused: the span's rows
+    are zeroed, and each step adds the block times the previous row into
+    its row with scipy's ``csr_matvec`` (what ``block @ x`` runs into
+    zeros), then divides each chain by its sum in place.  After a span,
+    the L1 changes of all its steps are taken at once.  Each row stops at
+    its first step whose change is at most 1e-15, or at the cap, which a
+    span never passes: the step where a loop of single steps stops it,
+    with the same iterate and change.  A stopped row keeps that step's
+    iterate, and its chain's rows are cut from the transposed block's CSR
+    arrays by slices, since each chain's rows are one contiguous range of
+    entries.  Returns one ``PowerIterationResult`` per chain.
     """
     cap = checked_count(cap, "n_iterations", low=1)
     n = chains.shape[0] // r
     block = chains.T.tocsr()
+    indptr, indices, data = block.indptr, block.indices, block.data
     results = [None] * r
     running = np.arange(r)
-    pi = np.full((r, n), 1.0 / n)
+    # Sized by the first span; fewer rows later fit more steps in it.
+    size = (max(1, min(_SPAN, _SPAN_FLOATS // (r * n) - 1, cap)) + 1) * r * n
+    buffer = np.empty(size)
+    buffer[: r * n] = 1.0 / n
     step = 0
     while running.size:
-        step += 1
-        nxt = (block @ pi.ravel()).reshape(pi.shape)
-        nxt /= nxt.sum(axis=1, keepdims=True)
-        changes = np.abs(nxt - pi).sum(axis=1)
-        pi = nxt
-        if min(changes.tolist()) > _STOP_CHANGE and step < cap:
-            continue
-        stopped = (changes <= _STOP_CHANGE) | (step == cap)
+        k = running.size
+        span = min(_SPAN, size // (k * n) - 1, cap - step)
+        buf = buffer[: (span + 1) * k * n].reshape(span + 1, k, n)
+        buf[1:] = 0.0
+        sums = np.empty((k, 1))
+        flat = list(buf.reshape(span + 1, k * n))
+        for s, nxt in enumerate(buf[1:]):
+            _sparsetools.csr_matvec(k * n, k * n, indptr, indices, data, flat[s], flat[s + 1])
+            np.add.reduce(nxt, axis=1, keepdims=True, out=sums)
+            np.divide(nxt, sums, out=nxt)
+        changes = np.diff(buf, axis=0)
+        np.abs(changes, out=changes)
+        changes = changes.sum(axis=2)  # (span, k): change of each step and row
+        hit = changes <= _STOP_CHANGE
+        converged = hit.any(axis=0)
+        stopped = converged | (step + span == cap)
+        last = np.where(converged, hit.argmax(axis=0), span - 1)
         for row in np.flatnonzero(stopped):
+            i = int(last[row])
             results[running[row]] = PowerIterationResult(
-                distribution=pi[row], last_change=float(changes[row]), iterations=step
+                distribution=buf[i + 1, row].copy(),
+                last_change=float(changes[i, row]),
+                iterations=step + i + 1,
             )
-        kept = (n * np.flatnonzero(~stopped)[:, np.newaxis] + np.arange(n)).ravel()
-        block = block[kept][:, kept]
-        running = running[~stopped]
-        pi = pi[~stopped]
+        step += span
+        kept = np.flatnonzero(~stopped)
+        if 0 < kept.size < k:
+            indptr, indices, data = _kept_chains(indptr, indices, data, n, kept)
+        buffer[: kept.size * n] = buf[span, kept].ravel()
+        running = running[kept]
     return results
+
+
+def _kept_chains(indptr, indices, data, n, kept):
+    """CSR arrays of the chains at sorted positions ``kept`` of a block of chains.
+
+    Chain a's rows a n, ..., a n + n - 1 hold one contiguous range of
+    entries, whose columns lie in the same range; each kept chain's range
+    is copied in order and its rows and columns are shifted to its new
+    position.  The result equals scipy's ``block[rows][:, rows]`` for the
+    kept chains' rows, entry for entry, without its fancy indexing.
+    """
+    ptrs, cols, vals = [indptr[:1]], [], []
+    total = 0
+    for new, old in enumerate(kept.tolist()):
+        lo, hi = indptr[old * n], indptr[old * n + n]
+        ptrs.append(indptr[old * n + 1 : old * n + n + 1] - (lo - total))
+        cols.append(indices[lo:hi] - (old - new) * n)
+        vals.append(data[lo:hi])
+        total += hi - lo
+    return np.concatenate(ptrs), np.concatenate(cols), np.concatenate(vals)
 
 
 def ergodic_diagnostics(graph):

@@ -25,7 +25,11 @@ formed.  The solution estimates the whitened full third moment, whose
 exact version admits an orthogonal rank-r decomposition with weights
 1/sqrt(q_a).  The robust power method finds it; each deflation round
 iterates all of its restarts together as the columns of one (r, restarts)
-matrix.
+matrix, one GEMM per step.  While every column runs and moves, the new
+iterates replace that matrix; once some stop, a step gathers the running
+columns and scatters their new iterates back.  Both give the bits of the
+same products and sums: the GEMM's operand and every array that is
+reduced keep the layout they have in a gathered step.
 """
 
 import functools
@@ -70,9 +74,26 @@ def _row_products(m, order):
 
 
 def _apply_columns(tensor, columns):
-    """T(I, u, u) for every column u of an (r, R) matrix, as one GEMM."""
+    """T(I, u, u) for every column u of an (r, R) matrix, as one GEMM.
+
+    The (r^2, R) operand holds u_b u_c at row (b, c), the products of
+    ``_row_products(columns.T, 2).T``.  They are formed along the rows of
+    ``columns`` in C order, R at a time, then copied into the operand in
+    Fortran order, whatever the layout of ``columns``: the layout
+    ``_row_products`` gives for the Fortran-order starts the power method
+    draws.  OpenBLAS sums some shapes (r = 4 to 7, and 11) in another
+    order for a C-order operand.
+    """
     r = tensor.shape[0]
-    return tensor.reshape(r, r * r) @ _row_products(columns.T, 2).T
+    rows = np.ascontiguousarray(columns)
+    products = (rows[:, None, :] * rows[None, :, :]).reshape(r * r, -1)
+    return tensor.reshape(r, r * r) @ np.ascontiguousarray(products.T).T
+
+
+def _column_norms(x):
+    """Euclidean norm of each column of ``x``: ``np.linalg.norm(x, axis=0)``
+    for real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=0))
 
 
 def whitened_ls_operator(basis):
@@ -250,21 +271,26 @@ def tensor_power_decomposition(tensor, rank, n_iterations=50, rng=None):
     for round_ in range(rank):
         # One column per start, drawn in the order of ``restarts`` draws of r.
         u = rng.standard_normal((restarts, r)).T
-        norms = np.linalg.norm(u, axis=0)
+        norms = _column_norms(u)
         started = norms != 0.0
         u[:, started] /= norms[started]
         active = np.flatnonzero(started)
         for _ in range(n_iterations):
             if active.size == 0:
                 break
-            ua = u[:, active]
+            ua = u if active.size == restarts else u[:, active]
             v = _apply_columns(t, ua)
-            norms = np.linalg.norm(v, axis=0)
-            moving = norms != 0.0  # a zero image freezes the column as it is
-            v = v[:, moving] / norms[moving]
-            moved = np.linalg.norm(v - ua[:, moving], axis=0)
-            active = active[moving]
-            u[:, active] = v
+            norms = _column_norms(v)
+            if not norms.all():
+                moving = norms != 0.0  # a zero image freezes the column as it is
+                v, norms, ua = v[:, moving], norms[moving], ua[:, moving]
+                active = active[moving]
+            v /= norms
+            moved = _column_norms(v - ua)
+            if v.shape[1] == restarts:
+                u = v  # every column moves: no scatter
+            else:
+                u[:, active] = v
             active = active[~(moved < _POWER_TOL)]
         weights = np.einsum("aR,aR->R", u, _apply_columns(t, u))
         u[:, weights < 0.0] *= -1.0

@@ -66,11 +66,14 @@ class TestSignOuterProducts:
             kernels.projected_third_moment_sums(idx, sgn, basis),
         )
 
-    def test_int32_indices_are_used_without_a_copy(self):
+    def test_int32_indices_are_used_without_a_copy(self, monkeypatch):
         idx = np.array([[0, 2], [0, 1]], dtype=np.int32)
-        x = kernels._sign_matrix(idx, np.array([[1, -1], [-1, -1]]), 3)
-        assert x.indptr.dtype == np.int32
-        assert np.shares_memory(x.indices, idx)
+        calls = _third_moment_calls(monkeypatch)
+        kernels.projected_third_moment_sums(idx, np.array([[1, -1], [-1, -1]]), np.ones((3, 2)))
+        assert [name for name, _, _ in calls] == ["csr_matvecs", "csc_matvec", "csc_matvecs"]
+        for _, indptr, indices in calls:
+            assert indptr.dtype == np.int32
+            assert np.shares_memory(indices, idx)
 
     def test_diagonal_counts_touches(self):
         idx = np.array([[0, 2], [0, 1]], dtype=np.int64)
@@ -84,6 +87,30 @@ def _public_gram(idx, values, n_pairs):
     """X^T X from scipy's public sparse product, the reference."""
     x = sparse.csr_matrix(_dense(idx, values, n_pairs).astype(np.int64))
     return (x.T @ x).toarray()
+
+
+def _public_sign_matrix(idx, sgn, n_pairs):
+    """X as a scipy CSR matrix of float64 signs, the reference."""
+    count, ell = idx.shape
+    indptr = np.arange(0, count * ell + 1, ell)
+    return sparse.csr_matrix(
+        (sgn.astype(np.float64).ravel(), idx.ravel(), indptr), shape=(count, n_pairs)
+    )
+
+
+def _third_moment_calls(monkeypatch):
+    """Records (kernel name, indptr, indices) of each product the third
+    moment's core hands to scipy's sparse kernels."""
+    calls = []
+    for name, arrays in (("csr_matvecs", 3), ("csc_matvec", 2), ("csc_matvecs", 3)):
+        real = getattr(kernels._sparsetools, name)
+
+        def spy(*args, real=real, name=name, arrays=arrays):
+            calls.append((name, args[arrays], args[arrays + 1]))
+            return real(*args)
+
+        monkeypatch.setattr(kernels._sparsetools, name, spy)
+    return calls
 
 
 @pytest.fixture
@@ -426,7 +453,7 @@ class TestOffdiagonalThirdSums:
         rng = np.random.default_rng(6)
         for count, n_pairs, ell, r in ((500, 20, 5, 2), (3000, 80, 12, 4), (2000, 60, 10, 8)):
             idx, sgn, basis = _random_inputs(rng, count=count, n_pairs=n_pairs, ell=ell, r=r)
-            x = kernels._sign_matrix(idx, sgn, n_pairs)
+            x = _public_sign_matrix(idx, sgn, n_pairs)
             assert np.array_equal(
                 kernels.projected_third_moment_sums(idx, sgn, basis),
                 kernels.offdiagonal_third_sums(x, abs(x), x, np.ones(count), basis),
@@ -519,6 +546,65 @@ class TestProjectedThird:
         out = kernels.projected_third_moment_sums(idx, sgn, basis)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+def _scipy_third_moment_sums(idx, sgn, basis):
+    """The statistic from scipy's public sparse products on X, the reference."""
+    x = _public_sign_matrix(idx, sgn, basis.shape[0])
+    y = x @ basis
+    diagonal = np.asarray(x.sum(axis=0)).ravel()
+    return kernels._combine(y, y, abs(x).T @ y, diagonal, basis)
+
+
+class TestRawThirdMoment:
+    # The core takes X's three products from its raw CSR arrays, with the
+    # kernels scipy's public products run on them.
+    @pytest.mark.parametrize("r", [1, 2, 8])
+    @pytest.mark.parametrize("width", [np.int32, np.int64])
+    def test_bit_identical_to_public_products(self, r, width):
+        rng = np.random.default_rng(40 + r)
+        idx, sgn, basis = _random_inputs(rng, count=1001, n_pairs=30, ell=6, r=r)
+        got = kernels.projected_third_moment_sums(idx.astype(width), sgn, basis)
+        assert np.array_equal(got, _scipy_third_moment_sums(idx, sgn, basis))
+
+    def test_odd_half_keeps_its_indices(self, monkeypatch):
+        # The third-moment half of 200,001 rows is 99,999 rows, a view of
+        # under half of the batch's indices: a scipy matrix copied them
+        # (4 MB; a 14.8 MB peak).  Beyond the float64 signs, Y and the
+        # ones of the column sums, the core holds under 1 MB.
+        rng = np.random.default_rng(4)
+        total, n_pairs, ell, r = 200_001, 104, 10, 2
+        idx = np.sort(
+            np.argsort(rng.random((total, n_pairs)), axis=1)[:, :ell], axis=1
+        ).astype(np.int32)
+        sgn = rng.choice(np.array([-1, 1], dtype=np.int8), size=(total, ell))
+        basis = rng.standard_normal((n_pairs, r))
+        half = slice(total // 2 + 1, total)
+        count = total - half.start
+        calls = _third_moment_calls(monkeypatch)
+        want = kernels._third_moment_sums(idx[half], sgn[half], basis)
+        assert len(calls) == 3
+        assert all(np.shares_memory(indices, idx) for _, _, indices in calls)
+        del calls[:]
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            got = kernels._third_moment_sums(idx[half], sgn[half], basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, _scipy_third_moment_sums(idx[half], sgn[half], basis))
+        assert peak < count * ell * 8 + count * (r + 1) * 8 + (1 << 20)
+
+    def test_float_signs_are_left_unchanged(self):
+        # |X| is taken in place on the core's own float copy of the signs.
+        rng = np.random.default_rng(9)
+        idx, sgn, basis = _random_inputs(rng, count=40)
+        signs = sgn.astype(np.float64)
+        got = kernels.projected_third_moment_sums(idx, signs, basis)
+        assert np.array_equal(signs, sgn)
+        assert np.array_equal(got, kernels.projected_third_moment_sums(idx, sgn, basis))
 
 
 class TestRepeatedPairIndex:

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -272,19 +274,27 @@ def component_outcomes(graph, n_components, seed):
     return np.stack(columns, axis=1)
 
 
-def loop_power(transition, cap):
-    """Reference: the one-chain power iteration as a plain loop."""
+def loop_steps(transition, cap):
+    """Reference: the one-chain power iteration as a plain loop.
+
+    Returns the last iterate, its L1 change and the steps taken.
+    """
     n = transition.n_items
     pi = np.full(n, 1.0 / n)
     transposed = transition.matrix.T.tocsr()
-    for _ in range(cap):
+    for step in range(1, cap + 1):
         nxt = transposed @ pi
         nxt /= nxt.sum()
         change = float(np.abs(nxt - pi).sum())
         pi = nxt
         if change <= 1e-15:
             break
-    return pi
+    return pi, change, step
+
+
+def loop_power(transition, cap):
+    """Reference: the last iterate of ``loop_steps``."""
+    return loop_steps(transition, cap)[0]
 
 
 class TestBlockIteration:
@@ -452,3 +462,132 @@ def test_cap_never_below_an_estimated_range_cap(monkeypatch):
     )
     rank_centrality(graph, outcomes)
     assert seen == [cap]
+
+
+class TestSpans:
+    # The block runs in spans of up to _SPAN steps; each chain must still
+    # stop at the step, and on the bits, of a loop of single steps.  The
+    # four chains stop at steps 580, 584, 551 and 590: out of index order.
+    GRAPH = TestBlockIteration.GRAPH
+    OUTCOMES = TestBlockIteration.OUTCOMES
+    STOPS = [580, 584, 551, 590]
+
+    def assert_matches_loops(self, cap):
+        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
+        results = rankcentrality._block_power(chains, 4, cap)
+        for res, column in zip(results, self.OUTCOMES.T):
+            transition = build_transition(self.GRAPH, column)
+            pi, change, steps = loop_steps(transition, cap)
+            single = power_stationary(transition, cap)
+            assert np.array_equal(res.distribution, pi)
+            assert np.array_equal(res.distribution, single.distribution)
+            assert res.iterations == single.iterations == steps
+            assert res.last_change == single.last_change == change
+        return [res.iterations for res in results]
+
+    def test_stop_steps(self):
+        assert self.assert_matches_loops(10**6) == self.STOPS
+
+    @pytest.mark.parametrize("chain", range(4))
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_stop_on_a_span_edge(self, monkeypatch, chain, where):
+        # A span of s steps ends at step s, so the chain stops on the last
+        # step of the first span, or on the first step of the second.
+        stop = self.STOPS[chain]
+        monkeypatch.setattr(rankcentrality, "_SPAN", stop if where == "last" else stop - 1)
+        assert self.assert_matches_loops(10**6) == self.STOPS
+
+    @pytest.mark.parametrize(
+        "cap, steps",
+        [
+            (582, [580, 582, 551, 582]),  # inside the 19th span of 32
+            (576, [576, 576, 551, 576]),  # the end of the 18th span
+            (20, [20] * 4),  # below _SPAN: one short span
+            (1, [1] * 4),
+        ],
+    )
+    def test_cap(self, cap, steps):
+        assert rankcentrality._SPAN == 32
+        assert self.assert_matches_loops(cap) == steps
+
+    def test_spans_of_one_step(self, monkeypatch):
+        # A buffer of two iterates, the fallback for blocks of more than
+        # half the float budget; fewer chains fit more steps in it.
+        monkeypatch.setattr(rankcentrality, "_SPAN_FLOATS", 1)
+        assert self.assert_matches_loops(10**6) == self.STOPS
+        buffers = []
+        real = rankcentrality._sparsetools.csr_matvec
+        monkeypatch.setattr(
+            rankcentrality._sparsetools,
+            "csr_matvec",
+            lambda *args: buffers.append(args[-1].base.size) or real(*args),
+        )
+        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
+        rankcentrality._block_power(chains, 4, 10**6)
+        # One buffer of 2 iterates of 4 chains.  Spans of one step run to
+        # step 580; then 2 chains fit 3 steps (581-586, chain 1 stopped at
+        # 584), and the last chain 7 (587-593, stopped at 590).
+        assert buffers == [2 * 4 * self.GRAPH.n_items] * 593
+
+    @pytest.mark.parametrize("kept", [[0], [3], [0, 2], [1, 3], [0, 1, 3], [0, 1, 2, 3]])
+    def test_kept_chains_match_fancy_indexing(self, kept):
+        n = self.GRAPH.n_items
+        block = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T).T.tocsr()
+        rows = (n * np.array(kept)[:, np.newaxis] + np.arange(n)).ravel()
+        want = block[rows][:, rows]
+        got = rankcentrality._kept_chains(
+            block.indptr, block.indices, block.data, n, np.array(kept)
+        )
+        for mine, theirs in zip(got, (want.indptr, want.indices, want.data)):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+    def test_chains_cut_out_of_order(self, monkeypatch):
+        # Chain 2 stops first, then 0, then 1: every cut the iteration makes
+        # equals scipy's fancy indexing of the block it cut.
+        n = self.GRAPH.n_items
+        cuts = []
+        real = rankcentrality._kept_chains
+
+        def spy(indptr, indices, data, n_items, kept):
+            block = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+            rows = (n * kept[:, np.newaxis] + np.arange(n)).ravel()
+            want = block[rows][:, rows]
+            got = real(indptr, indices, data, n_items, kept)
+            for mine, theirs in zip(got, (want.indptr, want.indices, want.data)):
+                assert np.array_equal(mine, theirs)
+            cuts.append(kept.tolist())
+            return got
+
+        monkeypatch.setattr(rankcentrality, "_kept_chains", spy)
+        monkeypatch.setattr(rankcentrality, "_SPAN", 1)  # one stop per cut
+        assert self.assert_matches_loops(10**6) == self.STOPS
+        assert cuts == [[0, 1, 3], [1, 2], [1]]
+
+    @pytest.mark.parametrize("n_items, cap", [(6_250, 9), (20_000, 3)])
+    def test_buffer_within_float_budget(self, n_items, cap):
+        # At r = 8 the buffer of span + 1 iterates holds at most
+        # max(2^18, 2 r n) floats: 5 iterates of 50,000 floats, then 2 of
+        # 160,000.
+        # Each item i compared with i + 1 and i + 2: a connected graph of
+        # 2n - 3 pairs, built without erdos_renyi's n^2 / 2 candidate pairs.
+        r = 8
+        items = np.arange(n_items)
+        graph = ComparisonGraph(
+            n_items, np.concatenate([np.c_[items[:-1], items[1:]], np.c_[items[:-2], items[2:]]])
+        )
+        outcomes = np.random.default_rng(1).uniform(-0.5, 0.5, (r, graph.n_pairs))
+        chains = rankcentrality._chains(graph, outcomes)
+        tracemalloc.start()
+        try:
+            results = rankcentrality._block_power(chains, r, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [res.iterations for res in results] == [cap] * r
+        block = chains.indptr.nbytes + chains.indices.nbytes + chains.data.nbytes
+        rows = r * n_items
+        buffer = max(1 << 18, 2 * rows) * 8
+        # Beside the block and the buffer: the changes of a span's steps,
+        # one iterate fewer than the buffer, and the results.
+        assert peak < block + 2 * buffer + rows * 8 + (1 << 16)

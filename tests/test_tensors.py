@@ -578,3 +578,150 @@ class TestBatchedPowerMethod:
         rng = ScriptedRng(np.random.default_rng(1).standard_normal(3 * default_restarts(3) * 3))
         tensor_power_decomposition(t, 3, rng=rng)
         assert rng.used == 3 * default_restarts(3) * 3
+
+
+def gathered_power_decomposition(tensor, rank, n_iterations=50, rng=None):
+    """The batched power method with a gather and a scatter on every step,
+    its operand from ``_row_products`` and its norms from
+    ``np.linalg.norm``: the bit reference for the loop that steps in place.
+    """
+    t = np.array(tensor, dtype=np.float64)
+    r = t.shape[0]
+    restarts = default_restarts(rank)
+    values = np.empty(rank)
+    vectors = np.empty((r, rank))
+    for round_ in range(rank):
+        u = rng.standard_normal((restarts, r)).T
+        norms = np.linalg.norm(u, axis=0)
+        started = norms != 0.0
+        u[:, started] /= norms[started]
+        active = np.flatnonzero(started)
+        for _ in range(n_iterations):
+            if active.size == 0:
+                break
+            ua = u[:, active]
+            v = t.reshape(r, r * r) @ tensors._row_products(ua.T, 2).T
+            norms = np.linalg.norm(v, axis=0)
+            moving = norms != 0.0
+            v = v[:, moving] / norms[moving]
+            moved = np.linalg.norm(v - ua[:, moving], axis=0)
+            active = active[moving]
+            u[:, active] = v
+            active = active[~(moved < 1e-12)]
+        image = t.reshape(r, r * r) @ tensors._row_products(u.T, 2).T
+        weights = np.einsum("aR,aR->R", u, image)
+        u[:, weights < 0.0] *= -1.0
+        weights = np.abs(weights)
+        weights[~started | np.isnan(weights)] = -np.inf
+        best = int(np.argmax(weights))
+        values[round_] = weights[best]
+        vectors[:, round_] = u[:, best]
+        t -= values[round_] * np.einsum("a,b,c->abc", u[:, best], u[:, best], u[:, best])
+    order = np.argsort(-values)
+    return values[order], vectors[:, order]
+
+
+def noisy_orthogonal(rank, seed, noise=1e-3):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+    values = rng.uniform(0.5, 2.0, rank)
+    return np.einsum("a,ia,ja,ka->ijk", values, q, q, q) + noise * symmetrize(
+        rng.standard_normal((rank, rank, rank))
+    )
+
+
+class TestInPlacePowerLoop:
+    # The loop steps every column in place while all of them run, and
+    # gathers only once some stop; its bits are those of the loop that
+    # always gathers.
+    @staticmethod
+    def column_counts(monkeypatch):
+        """Columns of each power step's ``_apply_columns`` call, per round."""
+        counts = []
+        real = tensors._apply_columns
+
+        def spy(tensor, columns):
+            counts.append(columns.shape[1])
+            return real(tensor, columns)
+
+        monkeypatch.setattr(tensors, "_apply_columns", spy)
+        return counts
+
+    @staticmethod
+    def assert_same_bits(t, rank, draws, n_iterations=50):
+        got = tensor_power_decomposition(t, rank, n_iterations, rng=ScriptedRng(draws))
+        values, vectors = gathered_power_decomposition(
+            t, rank, n_iterations, rng=ScriptedRng(draws)
+        )
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.vectors, vectors)
+
+    @pytest.mark.parametrize("rank", [2, 4, 8, 10])
+    def test_columns_freeze_at_different_steps(self, monkeypatch, rank):
+        t = noisy_orthogonal(rank, 60 + rank)
+        restarts = default_restarts(rank)
+        draws = np.random.default_rng(rank).standard_normal(rank * restarts * rank)
+        counts = self.column_counts(monkeypatch)
+        self.assert_same_bits(t, rank, draws)
+        # Some rounds step every column in place, then gather the rest.
+        assert counts[0] == restarts
+        assert 0 < min(counts) < restarts
+
+    @pytest.mark.parametrize("rank", [2, 4, 8, 10])
+    @pytest.mark.parametrize("unstarted", [False, True])
+    def test_some_images_are_zero(self, rank, unstarted):
+        # T(I, u, u) = 0 for u orthogonal to e0 when T = 2 e0^3: those
+        # starts freeze at the first step, with every column running or
+        # with some zero draws never started.
+        t = np.zeros((rank,) * 3)
+        t[0, 0, 0] = 2.0
+        restarts = default_restarts(1)
+        draws = np.random.default_rng(rank).standard_normal((restarts, rank))
+        draws[::3, 0] = 0.0
+        if unstarted:
+            draws[1::7] = 0.0
+        self.assert_same_bits(t, 1, draws)
+        draws[:, 0] = 0.0  # every image is zero
+        with pytest.raises(DegenerateTensorError):
+            tensor_power_decomposition(t, 1, rng=ScriptedRng(draws))
+
+    @pytest.mark.parametrize("rank", [2, 4, 8, 10])
+    def test_every_column_converges_before_the_last_step(self, monkeypatch, rank):
+        rng = np.random.default_rng(70 + rank)
+        q, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+        t = np.einsum("a,ia,ja,ka->ijk", np.linspace(2.0, 1.0, rank), q, q, q)
+        restarts = default_restarts(rank)
+        draws = rng.standard_normal(rank * restarts * rank)
+        counts = self.column_counts(monkeypatch)
+        self.assert_same_bits(t, rank, draws, n_iterations=200)
+        # Each round ends with the weights' call on every column; no round
+        # ran its 200 steps.
+        ends = [i for i, count in enumerate(counts) if count == restarts]
+        rounds = [i for i in ends if i + 1 == len(counts) or counts[i + 1] == restarts]
+        assert len(rounds) >= rank
+        assert len(counts) < rank * 200
+
+    @pytest.mark.parametrize("rank", [1, 2, 8, 10])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_operand_is_the_row_products(self, rank, layout):
+        # Exactly the products u_b u_c of the Khatri-Rao operand; checked on
+        # the operand itself, which a stand-in tensor takes in place of the
+        # GEMM.
+        columns = np.random.default_rng(rank).standard_normal((rank, 37))
+        columns = np.asarray(columns, order=layout)
+        seen = []
+
+        class Capture:  # stands in for the tensor and takes the operand
+            shape = (rank,) * 3
+
+            def reshape(self, *shape):
+                return self
+
+            def __matmul__(self, operand):
+                seen.append(operand)
+
+        tensors._apply_columns(Capture(), columns)
+        [operand] = seen
+        assert np.array_equal(operand, tensors._row_products(columns.T, 2).T)
+        # The layout of _row_products for the loop's Fortran-order columns.
+        assert operand.flags.f_contiguous
