@@ -5,7 +5,9 @@ and failures of the numerical stages themselves (``NumericalError``).  The
 command-line layer maps them to distinct exit codes.  ``checked_array``
 checks every array a caller passes, and every float input down to scalars;
 ``checked_count`` checks every count (items, components, pairs per
-observation, samples, ranks, iterations, seeds and dataset headers).
+observation, samples, ranks, iterations, seeds and dataset headers);
+``checked_rows`` checks observation rows, for ``ObservationBatch`` and the
+public sign kernel alike.
 """
 
 from itertools import chain
@@ -102,3 +104,33 @@ def checked_count(value, name, low=0, high=None):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def checked_rows(pair_indices, signs, n_pairs):
+    """Observation rows as ``(pair_indices, signs)`` arrays; else ``ValidationError``.
+
+    The pair indices must be integers (``checked_array``) forming a
+    (count, ell) array with ell >= 1, each in [0, n_pairs), each row
+    strictly increasing.  The signs must have exactly that shape and every
+    entry -1 or +1.  An integer ndarray of signs is compared as it is,
+    since ``checked_array`` would copy it to float64; other signs go
+    through ``checked_array``.  Integer ndarrays come back uncopied.
+    """
+    idx = checked_array(pair_indices, "pair indices", integers=True)
+    if idx.ndim != 2 or idx.shape[1] < 1:
+        raise ValidationError(
+            f"pair indices must be a (count, ell) array with ell >= 1, got shape {idx.shape}"
+        )
+    integer = isinstance(signs, np.ndarray) and signs.dtype.kind in "iu"
+    sgn = signs if integer else checked_array(signs, "signs")
+    if sgn.shape != idx.shape:
+        raise ValidationError(
+            f"signs must have the pair indices' shape {idx.shape}, got {sgn.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= n_pairs):
+        raise ValidationError("pair index out of range")
+    if not (idx[:, 1:] > idx[:, :-1]).all():
+        raise ValidationError("pair indices must be strictly increasing per row")
+    if not ((sgn == 1) | (sgn == -1)).all():
+        raise ValidationError("signs must be -1 or +1")
+    return idx, sgn

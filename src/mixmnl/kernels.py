@@ -2,19 +2,17 @@
 
 Both moment accumulators are products of one sparse matrix: the
 (count, n_pairs) CSR sign matrix X whose row t holds observation t's signs
-at its pair indices, ``ell`` entries per row.  Each public kernel is a
-checked boundary over a private core.  The boundary refuses indices that
-are not a (count, ell) array, signs of another shape, a pair index
-outside [0, n_pairs), since scipy's C loops write through the indices
-unchecked, and a row that repeats an index; rows sorted strictly
-increasing pass one comparison of neighbours.  The moment estimators call
-the cores on ``ObservationBatch`` slices, whose rows are already in range
-and strictly increasing.  The second-moment sums are X^T X, accumulated
-in the narrowest integer type that holds the largest per-pair touch
-count, so every partial sum is exact.  They are summed in place over
-blocks of observation rows, each one numeric pass of scipy's private
-``csr_matmat`` kernel: every public sparse product first runs a symbolic
-pass over the same loops only to size its output.  A block holds at
+at its pair indices, ``ell`` entries per row.  ``sign_outer_products`` is
+a checked boundary over a private core: it takes only rows that
+``errors.checked_rows`` passes, the rule ``ObservationBatch`` holds its
+rows to, since scipy's C loops write through the indices unchecked.  The
+moment estimators call the cores on ``ObservationBatch`` slices, whose
+rows already passed that rule.  The second-moment sums are X^T X,
+accumulated in the narrowest integer type that holds the largest
+per-pair touch count, so every partial sum is exact.  They are summed in
+place over blocks of observation rows, each one numeric pass of scipy's
+private ``csr_matmat`` kernel: every public sparse product first runs a
+symbolic pass over the same loops only to size its output.  A block holds at
 least 2^18 / ell rows, so its X (about 1.5 MB) stays in cache while the
 pass gathers its rows, and at least 64 N^2 / ell^2, so the block's dense
 N^2 output costs at most 1/64 of its ell^2 per-row work.  The pass checks
@@ -38,7 +36,7 @@ import functools
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .errors import ValidationError
+from .errors import checked_rows
 
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -53,43 +51,13 @@ _GRAM_ENTRIES = 1 << 18
 _GRAM_SCATTER = 64
 
 
-def _checked_rows(pair_indices, signs, n_pairs):
-    """``pair_indices`` as an array, refused unless its rows suit the kernels.
-
-    ``ValidationError`` unless ``pair_indices`` is a 2-D (count, ell) array
-    with ell >= 1, ``signs`` has exactly its shape (X takes both raveled),
-    each index lies in [0, n_pairs) and no row repeats one: the kernels'
-    sums count each index once per row.  Rows sorted strictly increasing,
-    as batches hold them, pass one comparison of neighbours; only other
-    input is sorted, on a copy.
-    """
-    pair_indices = np.asarray(pair_indices)
-    if pair_indices.ndim != 2 or pair_indices.shape[1] < 1:
-        raise ValidationError(
-            "pair indices must be a (count, ell) array with ell >= 1, "
-            f"got shape {pair_indices.shape}"
-        )
-    if np.shape(signs) != pair_indices.shape:
-        raise ValidationError(
-            f"signs must have the pair indices' shape {pair_indices.shape}, "
-            f"got {np.shape(signs)}"
-        )
-    if pair_indices.size and (pair_indices.min() < 0 or pair_indices.max() >= n_pairs):
-        raise ValidationError(f"pair indices must lie in [0, {n_pairs})")
-    if not (pair_indices[:, 1:] > pair_indices[:, :-1]).all():
-        ordered = np.sort(pair_indices, axis=1)
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise ValidationError("pair indices must be distinct within each row")
-    return pair_indices
-
-
 def sign_outer_products(pair_indices, signs, n_pairs):
     """Sum of outer products of sparse sign vectors.
 
-    ``pair_indices`` is (count, ell) integer with distinct entries per row
-    (a repeat raises ``ValidationError``) and ``signs`` the integer array of
-    signs or counts in {-1, 0, 1} of the same shape (another shape raises
-    ``ValidationError``).
+    ``pair_indices`` (count, ell) and ``signs`` are observation rows:
+    integer indices in [0, n_pairs), each row strictly increasing, and
+    signs of that shape in {-1, +1}.  Other input raises
+    ``ValidationError`` (``errors.checked_rows``).
     Returns the dense (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t``
     is the dense vector with ``signs[t]`` scattered into ``pair_indices[t]``,
     i.e. X^T X.  Diagonal entries count touches.
@@ -120,12 +88,12 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     ``toarray``, which adds into its output.
     """
     n = int(n_pairs)
-    return _sign_gram(_checked_rows(pair_indices, signs, n), signs, n)
+    return _sign_gram(*checked_rows(pair_indices, signs, n), n)
 
 
 def _sign_gram(pair_indices, signs, n):
-    """``sign_outer_products`` unchecked: ``n`` is an int and each row of
-    ``pair_indices`` holds distinct indices in [0, n), as batch rows do.
+    """``sign_outer_products`` unchecked: ``n`` is an int and the rows pass
+    ``errors.checked_rows``, as batch rows do.
     """
     count, ell = pair_indices.shape
     rows = max(_GRAM_ENTRIES // ell, -(-_GRAM_SCATTER * n * n // (ell * ell)))
@@ -240,27 +208,18 @@ def _multisets(r):
     return triples, column, orbit
 
 
-def projected_third_moment_sums(pair_indices, signs, basis):
-    """Sum over observations of the projected third-moment statistic.
-
-    For each observation with dense sign vector ``x`` and projection
-    ``basis`` W (n_pairs, r) this accumulates the contraction of the
-    off-diagonal part of ``x \\otimes x \\otimes x`` with three copies of
-    W, the expansion of ``offdiagonal_third_sums`` with unit weights, as
-    the symmetric (r, r, r) tensor of its m distinct entries.  Requires
-    ``signs`` in {-1, +1}: then the cubes of X are X itself and its
-    squares |X|.  One float64 copy of the signs is held: Y = X W and the
-    column sums of X are taken first, then X's values are made absolute in
-    place for the plane sums.
-    """
-    return _third_moment_sums(
-        _checked_rows(pair_indices, signs, np.shape(basis)[0]), signs, basis
-    )
-
-
 def _third_moment_sums(pair_indices, signs, basis):
-    """``projected_third_moment_sums`` unchecked: each row of ``pair_indices``
-    holds distinct indices in [0, n_pairs), as batch rows do.
+    """Sum over observations of the projected third-moment statistic, unchecked.
+
+    For each row, with dense sign vector ``x`` and projection ``basis`` W
+    (n_pairs, r), this accumulates the contraction of the off-diagonal
+    part of ``x \\otimes x \\otimes x`` with three copies of W, the
+    expansion of ``offdiagonal_third_sums`` with unit weights, as the
+    symmetric (r, r, r) tensor of its m distinct entries.  The rows must
+    pass ``errors.checked_rows``, as batch rows do: with signs in
+    {-1, +1} the cubes of X are X itself and its squares |X|.  One float64
+    copy of the signs is held: Y = X W and the column sums of X are taken
+    first, then X's values are made absolute in place for the plane sums.
 
     X is held as raw CSR arrays, and its three products are the scipy
     kernels its public products call on them: ``csr_matvecs`` for Y = X W,

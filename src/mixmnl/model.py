@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_array, checked_count
+from .errors import ValidationError, checked_array, checked_count, checked_rows
 from .graphs import ComparisonGraph
 
 # The sampler's chunk fixes the stream: each chunk of _CHUNK_FLOATS // N
@@ -79,32 +79,20 @@ class Observation:
 class ObservationBatch:
     """Column store of observations sharing one graph and one ell.
 
-    ``pair_indices`` has shape (count, ell) with strictly increasing rows,
-    held as a read-only int32 copy; ``signs`` matches with entries in
-    {-1, +1}.  Indices must be integers and are range-checked before they
-    are narrowed, so a float or a value too wide for int32 is rejected.
+    ``pair_indices`` (count, ell) and ``signs`` are observation rows under
+    ``checked_rows``: integer indices in [0, n_pairs), each row strictly
+    increasing, and signs of that shape in {-1, +1}.  The batch holds
+    read-only copies, the indices as int32 and the signs as int8.  The
+    range is checked before the indices are narrowed, so a value too wide
+    for int32 is rejected, not wrapped.
     """
 
     def __init__(self, graph, pair_indices, signs):
         if not isinstance(graph, ComparisonGraph):
             raise ValidationError("batch needs a ComparisonGraph")
-        idx = checked_array(pair_indices, "pair indices", integers=True)
-        # An integer ndarray is compared with +-1 as it is: checked_array would
-        # copy it to float64.
-        integer = isinstance(signs, np.ndarray) and signs.dtype.kind in "iu"
-        sgn = signs if integer else checked_array(signs, "signs")
-        if idx.ndim != 2 or sgn.shape != idx.shape:
-            raise ValidationError("pair_indices and signs must both be (count, ell)")
-        count, ell = idx.shape
-        checked_ell(graph, ell)
-        if count > 0 and (idx.min() < 0 or idx.max() >= graph.n_pairs):
-            raise ValidationError("pair index out of range")
-        idx = np.array(idx, dtype=_INDEX_DTYPE, order="C")
-        if not (idx[:, 1:] > idx[:, :-1]).all():
-            raise ValidationError("pair indices must be strictly increasing per row")
-        if not ((sgn == 1) | (sgn == -1)).all():
-            raise ValidationError("signs must be -1 or +1")
-        self._hold(graph, idx, sgn.astype(np.int8))
+        idx, sgn = checked_rows(pair_indices, signs, graph.n_pairs)
+        checked_ell(graph, idx.shape[1])
+        self._hold(graph, np.array(idx, dtype=_INDEX_DTYPE, order="C"), sgn.astype(np.int8))
 
     def _hold(self, graph, idx, sgn):
         idx.setflags(write=False)

@@ -100,11 +100,10 @@ def estimate_components(batch, n_components, rng=None):
     power-iteration restarts only; all estimation from the data is
     deterministic.
     """
-    n_components = component_count(n_components)
-    check_ell(batch.ell, 3)
     n_pairs, count = batch.graph.n_pairs, len(batch)
+    n_components = checked_count(n_components, "n_components", low=1, high=n_pairs)
+    check_ell(batch.ell, 3)
     (lo2, hi2), (lo3, hi3) = split_ranges(count)
-    checked_count(n_components, "rank", low=1, high=n_pairs)
     completion_iterations = max(1, math.ceil(math.log(n_pairs * count)))
 
     # No name holds the N x N estimate: it is freed when the completion

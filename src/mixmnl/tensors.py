@@ -186,35 +186,21 @@ def whitened_third_moment_ls_exact(third_moment, basis):
 
     The whitened off-diagonal contraction is taken by inclusion-exclusion:
     the full contraction of ``third_moment``, minus the three pair-diagonal
-    planes (i=j, j=k, i=k), plus twice the triple diagonal they share.  The
-    planes are read as diagonal views, so no copy of the N^3 tensor is made
-    and the argument is left unchanged; the tensor need not be symmetric.
+    planes (i=j, j=k, i=k), plus twice the triple diagonal they share, each
+    term one ``einsum``.  The planes are read as diagonal views, so no copy
+    of the N^3 tensor is made and the argument is left unchanged; the
+    tensor need not be symmetric.
     """
     t = checked_array(third_moment, "third_moment")
     n = basis.vectors.shape[0]
     if t.shape != (n, n, n):
         raise ValidationError("third moment shape does not match the basis")
     w = basis.whitening_map
-    r = basis.rank
-    w2 = _row_products(w, 2)
-    # The full contraction is the same map on every mode, so it runs on the
-    # axes in memory order (a view, C-contiguous for any transposed layout)
-    # and the result is transposed back.
-    order = np.argsort(t.strides)[::-1]
-    full = (t.transpose(order).reshape(n * n, n) @ w).reshape(n, n, r)  # [i, j, c]
-    full = (w.T @ (w.T @ full).reshape(n, r * r)).reshape(r, r, r)  # [a, b, c]
-    full = full.transpose(np.argsort(order))
-    ij = w2.T @ (np.einsum("iik->ik", t) @ w)  # [(a, b), c]
-    jk = w.T @ (np.einsum("ijj->ij", t) @ w2)  # [a, (b, c)]
-    ik = w2.T @ (np.einsum("iji->ij", t) @ w)  # [(a, c), b]
-    iii = np.einsum("k,ka,kb,kc->abc", np.einsum("iii->i", t), w, w, w, optimize=True)
-    rhs = (
-        full
-        - ij.reshape(r, r, r)
-        - jk.reshape(r, r, r)
-        - ik.reshape(r, r, r).transpose(0, 2, 1)
-        + 2.0 * iii
-    )
+    rhs = np.einsum("ijk,ia,jb,kc->abc", t, w, w, w, optimize=True)
+    rhs -= np.einsum("iik,ia,ib,kc->abc", t, w, w, w, optimize=True)
+    rhs -= np.einsum("ijj,ia,jb,jc->abc", t, w, w, w, optimize=True)
+    rhs -= np.einsum("iji,ia,jb,ic->abc", t, w, w, w, optimize=True)
+    rhs += 2.0 * np.einsum("iii,ia,ib,ic->abc", t, w, w, w, optimize=True)
     return _solve_whitened(whitened_ls_operator(basis), rhs)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline
+from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline, serialize
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
 
@@ -438,6 +438,25 @@ class TestNonIntegerDataset:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: graph edges must be listed sorted")
 
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "general"])
+    def test_sign_of_two_exits_2(self, runner, tmp_path, canonical):
+        # Both load routes build the batch, which holds its signs to -1 or +1.
+        data = generate_dataset(runner, tmp_path / "d.json")
+        doc = json.loads(data.read_text())
+        doc["observations"][0][0][1] = 2
+        if canonical:
+            data.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+            assert serialize._canonical_dataset(data) is not None
+        else:
+            data.write_text(json.dumps(doc))
+            assert serialize._canonical_dataset(data) is None
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "error: signs must be -1 or +1\n"
+
     @pytest.mark.parametrize("ell", [-1, 0, 10**6])
     def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):
         data = generate_dataset(runner, tmp_path / "d.json")
@@ -626,16 +645,24 @@ class TestAmbiguity:
 
 
 class TestRankAbovePairs:
-    def test_learn_exits_2(self, runner, tmp_path):
-        # Four items, all six pairs: a rank of 7 cannot be completed.
+    # Four items, all six pairs: a rank of 7 cannot be completed.  The
+    # sampled and the exact-moment fit refuse it in the same words.
+    @staticmethod
+    def learn(runner, tmp_path, *flags):
         graph = complete_graph(4)
         model = MixedMNLModel(np.random.default_rng(0).uniform(1, 8, (2, 4)), [0.5, 0.5])
         data = tmp_path / "d.json"
         save_dataset(data, model.sample_batch(graph, 3, 200, np.random.default_rng(1)), model)
         out = tmp_path / "r.json"
         result = runner.invoke(
-            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "7"]
+            main, ["learn", "--dataset", str(data), "--out", str(out), "--r", "7", *flags]
         )
         assert result.exit_code == 2
-        assert result.stderr == "error: rank must be in [1, 6], got 7\n"
+        assert result.stderr == "error: n_components must be in [1, 6], got 7\n"
         assert not out.exists()
+
+    def test_learn_exits_2(self, runner, tmp_path):
+        self.learn(runner, tmp_path)
+
+    def test_exact_moments_learn_exits_2(self, runner, tmp_path):
+        self.learn(runner, tmp_path, "--exact-moments")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 import scipy.sparse._compressed
 from scipy import sparse
 
-from mixmnl import LearnConfig, ValidationError, erdos_renyi, kernels, learn_mixed_mnl
-from mixmnl import random_uniform_model
+from mixmnl import ComparisonGraph, LearnConfig, ObservationBatch, ValidationError, erdos_renyi
+from mixmnl import errors, kernels, learn_mixed_mnl, random_uniform_model
+from mixmnl import model as model_module
 
 
 def _random_inputs(rng, count=300, n_pairs=12, ell=4, r=3):
@@ -62,14 +64,14 @@ class TestSignOuterProducts:
             kernels.sign_outer_products(idx, sgn, 20),
         )
         assert np.array_equal(
-            kernels.projected_third_moment_sums(narrow, sgn, basis),
-            kernels.projected_third_moment_sums(idx, sgn, basis),
+            kernels._third_moment_sums(narrow, sgn, basis),
+            kernels._third_moment_sums(idx, sgn, basis),
         )
 
     def test_int32_indices_are_used_without_a_copy(self, monkeypatch):
         idx = np.array([[0, 2], [0, 1]], dtype=np.int32)
         calls = _third_moment_calls(monkeypatch)
-        kernels.projected_third_moment_sums(idx, np.array([[1, -1], [-1, -1]]), np.ones((3, 2)))
+        kernels._third_moment_sums(idx, np.array([[1, -1], [-1, -1]]), np.ones((3, 2)))
         assert [name for name, _, _ in calls] == ["csr_matvecs", "csc_matvec", "csc_matvecs"]
         for _, indptr, indices in calls:
             assert indptr.dtype == np.int32
@@ -353,11 +355,32 @@ class TestRowBlocks:
         assert peak < rows * ell * 8 + rows * 4 + n_pairs**2 * (4 + 2 + 2) + (1 << 20)
 
 
+def _path_graph(n_pairs):
+    """A comparison graph of exactly ``n_pairs`` pairs: a path over n_pairs + 1 items."""
+    return ComparisonGraph(n_pairs + 1, [(i, i + 1) for i in range(n_pairs)])
+
+
+def _refusal(idx, sgn, n_pairs):
+    """The one ``ValidationError`` text that ``ObservationBatch`` and
+    ``sign_outer_products`` both raise on these rows."""
+    texts = []
+    for build in (
+        lambda: ObservationBatch(_path_graph(n_pairs), idx, sgn),
+        lambda: kernels.sign_outer_products(idx, sgn, n_pairs),
+    ):
+        with pytest.raises(ValidationError) as caught:
+            build()
+        texts.append(str(caught.value))
+    batch, kernel = texts
+    assert batch == kernel
+    return batch
+
+
 class TestShape:
-    # Both kernels ravel the indices and signs into X.  Unchecked, 1-D
+    # The kernel ravels the indices and signs into X.  Unchecked, 1-D
     # indices raised a raw IndexError, rows of no pairs a ZeroDivisionError,
     # and transposed or flat signs of the same size were scattered against
-    # the wrong indices.
+    # the wrong indices.  The batch and the kernel refuse them alike.
     @pytest.mark.parametrize(
         "idx, sgn, match",
         [
@@ -370,35 +393,28 @@ class TestShape:
         ids=["1-D", "3-D", "no-columns", "transposed-signs", "flat-signs"],
     )
     def test_refused_by_both_kernels(self, idx, sgn, match):
-        with pytest.raises(ValidationError, match=match):
-            kernels.sign_outer_products(idx, sgn.astype(np.int8), 4)
-        with pytest.raises(ValidationError, match=match):
-            kernels.projected_third_moment_sums(idx, sgn.astype(np.int8), np.ones((4, 2)))
+        assert re.search(match, _refusal(idx, sgn.astype(np.int8), 4))
 
 
 class TestPairIndexRange:
     # scipy's C loops write through the indices unchecked.  Unrefused, an
-    # index of N = 3 corrupted the heap in both kernels; 5 and 7 were
-    # dropped from the Gram and made the statistic nan or inf, or crashed
-    # the process; -1 failed inside numpy or corrupted the heap.
+    # index of N = 3 corrupted the heap; 5 and 7 were dropped from the Gram
+    # or crashed the process; -1 failed inside numpy or corrupted the heap.
     @pytest.mark.parametrize("bad", [-1, 3, 5, 7])
     def test_refused_by_both_kernels(self, bad):
         idx = np.array([[0, 1, 2], [bad, 1, 2]])
         ones = np.ones(idx.shape, dtype=np.int8)
-        with pytest.raises(ValidationError, match=r"pair indices must lie in \[0, 3\)"):
-            kernels.sign_outer_products(idx, ones, 3)
-        with pytest.raises(ValidationError, match=r"pair indices must lie in \[0, 3\)"):
-            kernels.projected_third_moment_sums(idx, ones, np.ones((3, 2)))
+        assert _refusal(idx, ones, 3) == "pair index out of range"
 
     def test_both_ends_of_the_range_accepted(self):
-        idx = np.array([[0, 2, 1], [2, 0, 1]], dtype=np.int32)
+        idx = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
         sgn = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
         assert np.array_equal(
             kernels.sign_outer_products(idx, sgn, 3), _public_gram(idx, sgn, 3)
         )
         basis = np.arange(6.0).reshape(3, 2)
         np.testing.assert_allclose(
-            kernels.projected_third_moment_sums(idx, sgn, basis),
+            kernels._third_moment_sums(idx, sgn, basis),
             _brute_offdiagonal(_dense(idx, sgn, 3), np.ones(2), basis),
             rtol=0,
             atol=1e-12,
@@ -455,7 +471,7 @@ class TestOffdiagonalThirdSums:
             idx, sgn, basis = _random_inputs(rng, count=count, n_pairs=n_pairs, ell=ell, r=r)
             x = _public_sign_matrix(idx, sgn, n_pairs)
             assert np.array_equal(
-                kernels.projected_third_moment_sums(idx, sgn, basis),
+                kernels._third_moment_sums(idx, sgn, basis),
                 kernels.offdiagonal_third_sums(x, abs(x), x, np.ones(count), basis),
             )
 
@@ -497,7 +513,7 @@ class TestCombine:
         basis = rng.standard_normal((n_pairs, r))
         tracemalloc.start()
         try:
-            kernels.projected_third_moment_sums(idx, sgn, basis)
+            kernels._third_moment_sums(idx, sgn, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,7 +526,7 @@ class TestProjectedThird:
         rng = np.random.default_rng(2)
         idx, sgn, basis = _random_inputs(rng, count=50)
         expected = _brute_offdiagonal(_dense(idx, sgn, 12), np.ones(50), basis)
-        got = kernels.projected_third_moment_sums(idx, sgn, basis)
+        got = kernels._third_moment_sums(idx, sgn, basis)
         # The expansion y^3 - 3 sym(y c2) + 2 c3 cancels heavily and sums in
         # another order than the brute force, so an entry can differ from
         # it by roundoff of the largest entry, not of its own size.
@@ -529,7 +545,7 @@ class TestProjectedThird:
         basis = rng.standard_normal((n_pairs, 2))
         tracemalloc.start()
         try:
-            kernels.projected_third_moment_sums(idx, sgn, basis)
+            kernels._third_moment_sums(idx, sgn, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,7 +559,7 @@ class TestProjectedThird:
         sgn = np.array([[1, -1, -1]], dtype=np.int8)
         basis = np.zeros((5, 1))
         basis[0, 0] = 1.0
-        out = kernels.projected_third_moment_sums(idx, sgn, basis)
+        out = kernels._third_moment_sums(idx, sgn, basis)
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -564,7 +580,7 @@ class TestRawThirdMoment:
     def test_bit_identical_to_public_products(self, r, width):
         rng = np.random.default_rng(40 + r)
         idx, sgn, basis = _random_inputs(rng, count=1001, n_pairs=30, ell=6, r=r)
-        got = kernels.projected_third_moment_sums(idx.astype(width), sgn, basis)
+        got = kernels._third_moment_sums(idx.astype(width), sgn, basis)
         assert np.array_equal(got, _scipy_third_moment_sums(idx, sgn, basis))
 
     def test_odd_half_keeps_its_indices(self, monkeypatch):
@@ -602,15 +618,14 @@ class TestRawThirdMoment:
         rng = np.random.default_rng(9)
         idx, sgn, basis = _random_inputs(rng, count=40)
         signs = sgn.astype(np.float64)
-        got = kernels.projected_third_moment_sums(idx, signs, basis)
+        got = kernels._third_moment_sums(idx, signs, basis)
         assert np.array_equal(signs, sgn)
-        assert np.array_equal(got, kernels.projected_third_moment_sums(idx, sgn, basis))
+        assert np.array_equal(got, kernels._third_moment_sums(idx, sgn, basis))
 
 
 class TestRepeatedPairIndex:
-    # Both kernels count each index once per row.  Unrefused, one row of
-    # 200 copies of pair 0 gave the Gram [[-25536]] (40,000 wrapped in
-    # int16), and a repeat gave the statistic wrong squares.
+    # The kernel counts each index once per row.  Unrefused, one row of 200
+    # copies of pair 0 gave the Gram [[-25536]] (40,000 wrapped in int16).
     @pytest.mark.parametrize(
         "idx",
         [np.zeros((1, 200), dtype=np.int32), np.array([[0, 1, 2], [2, 1, 2]])],
@@ -618,25 +633,71 @@ class TestRepeatedPairIndex:
     )
     def test_refused_by_both_kernels(self, idx):
         ones = np.ones(idx.shape, dtype=np.int8)
-        with pytest.raises(ValidationError, match="distinct within each row"):
-            kernels.sign_outer_products(idx, ones, 3)
-        with pytest.raises(ValidationError, match="distinct within each row"):
-            kernels.projected_third_moment_sums(idx, ones, np.ones((3, 2)))
+        assert _refusal(idx, ones, 3) == "pair indices must be strictly increasing per row"
+
+
+class TestOneRowRule:
+    # Rows the kernel took at the parent without a word, or refused with
+    # numpy's own error, and rows it no longer takes (unsorted, a count of
+    # 0).  Each is refused with the batch's text.
+    @pytest.mark.parametrize(
+        "idx, sgn, text",
+        [
+            ([[0, 1]], np.array([[1, 0.5]]), "signs must be -1 or +1"),
+            ([[0, 1]], np.array([[1, 2]]), "signs must be -1 or +1"),
+            ([[0, 1]], np.array([[1, 0]], dtype=np.int8), "signs must be -1 or +1"),
+            ([[0, 1]], [[1, np.nan]], "signs must be finite (no NaN or inf)"),
+            ([[0, 1]], [[1, "x"]], "signs must be numbers"),
+            ([[0.5, 1.7]], [[1, 1]], "pair indices must be integers"),
+            (np.array([[0.0, 1.0]]), [[1, 1]], "pair indices must be integers"),
+            ([["0", "1"]], [[1, 1]], "pair indices must be integers"),
+            (np.array([[True, False]]), [[1, 1]], "pair indices must be integers"),
+            ([[True, 2]], [[1, 1]], "pair indices must be integers"),
+            ([[0, 1], [2]], [[1, 1], [1]], "pair indices must be a rectangular array"),
+            ([[1, 0]], [[1, 1]], "pair indices must be strictly increasing per row"),
+            ([[0, 2, 1]], [[1, 1, 1]], "pair indices must be strictly increasing per row"),
+        ],
+        ids=[
+            "half-sign", "sign-2", "sign-0", "nan-sign", "string-sign", "float-indices",
+            "float-array-indices", "string-indices", "bool-indices", "bool-among-ints",
+            "ragged", "unsorted-pair", "unsorted-row",
+        ],
+    )
+    def test_refused_alike_by_batch_and_kernel(self, idx, sgn, text):
+        assert _refusal(idx, sgn, 4).startswith(text)
+
+    def test_signs_of_two_are_refused_not_wrapped(self):
+        # 20,000 rows [0, 1] with signs of 2: X^T X holds 80,000 on every
+        # entry, past int16, yet the touch count that sizes the sums is
+        # 20,000.  The kernel returned 14,464 everywhere.
+        idx = np.zeros((20_000, 2), dtype=np.int32)
+        idx[:, 1] = 1
+        with pytest.raises(ValidationError, match=r"signs must be -1 or \+1"):
+            kernels.sign_outer_products(idx, np.full(idx.shape, 2, dtype=np.int8), 2)
+        ones = np.ones(idx.shape, dtype=np.int8)
+        assert np.array_equal(kernels.sign_outer_products(idx, ones, 2), np.full((2, 2), 20_000))
+
+    def test_empty_rows_pass(self):
+        idx = np.empty((0, 3), dtype=np.int32)
+        got = kernels.sign_outer_products(idx, np.empty((0, 3), dtype=np.int8), 4)
+        assert np.array_equal(got, np.zeros((4, 4)))
+        assert len(ObservationBatch(_path_graph(4), idx, np.empty((0, 3)))) == 0
 
 
 class TestCheckedBoundary:
     def test_sampled_fit_runs_neither_row_check(self, monkeypatch):
-        # Batch rows are in range and strictly increasing, so the moment
-        # estimators call the kernels' cores: the range and repeat checks
-        # run only when the public kernels are called.
+        # Batch rows passed the rule when the batch was made, so the moment
+        # estimators call the kernels' cores: the rule runs only when a
+        # batch is built by hand or the public kernel is called.
         calls = []
-        real = kernels._checked_rows
+        real = errors.checked_rows
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(kernels, "_checked_rows", spy)
+        monkeypatch.setattr(kernels, "checked_rows", spy)
+        monkeypatch.setattr(model_module, "checked_rows", spy)
         rng = np.random.default_rng(0)
         graph = erdos_renyi(20, 6.0, rng)
         model = random_uniform_model(20, 2, rng, 1.0, 8.0)
@@ -645,12 +706,12 @@ class TestCheckedBoundary:
         assert calls == []
         n = graph.n_pairs
         kernels.sign_outer_products(batch.pair_indices, batch.signs, n)
-        kernels.projected_third_moment_sums(batch.pair_indices, batch.signs, np.ones((n, 2)))
+        ObservationBatch(graph, batch.pair_indices, batch.signs)
         assert len(calls) == 2
 
     def test_sorted_rows_are_not_sorted_again(self, monkeypatch):
-        # Strictly increasing rows pass the one neighbour comparison; only
-        # other rows are sorted, on a copy, to look for a repeat.
+        # Strictly increasing rows pass one comparison of neighbours, and
+        # other rows are refused: nothing is sorted, nor copied.
         sorts = []
         real = np.sort
 
@@ -658,12 +719,13 @@ class TestCheckedBoundary:
             sorts.append(a)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(kernels.np, "sort", spy)
+        monkeypatch.setattr(errors.np, "sort", spy)
         idx = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int32)
         ones = np.ones(idx.shape, dtype=np.int8)
-        assert kernels._checked_rows(idx, ones, 4) is idx
-        assert sorts == []
+        got_idx, got_signs = errors.checked_rows(idx, ones, 4)
+        assert got_idx is idx and got_signs is ones
         unsorted = np.array([[2, 0, 1], [0, 2, 3]], dtype=np.int32)
-        assert kernels._checked_rows(unsorted, ones, 4) is unsorted
-        assert len(sorts) == 1
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            errors.checked_rows(unsorted, ones, 4)
+        assert sorts == []
         assert np.array_equal(unsorted, [[2, 0, 1], [0, 2, 3]])

@@ -213,12 +213,16 @@ class TestSampling:
         assert np.abs(x).sum() == 5
 
     def test_batch_validation(self, small_graph):
-        with pytest.raises(ValidationError):
+        # The CLI prints these texts for a bad dataset file.
+        unsorted = "^pair indices must be strictly increasing per row$"
+        with pytest.raises(ValidationError, match=unsorted):
             ObservationBatch(small_graph, [[0, 0]], [[1, 1]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^signs must be -1 or \+1$"):
             ObservationBatch(small_graph, [[0, 1]], [[1, 2]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^pair index out of range$"):
             ObservationBatch(small_graph, [[0, 99]], [[1, 1]])
+        with pytest.raises(ValidationError, match=r"^signs must have the pair indices' shape"):
+            ObservationBatch(small_graph, [[0, 1]], [[1, 1, 1]])
 
     def test_pair_indices_are_int32(self, small_model, small_graph):
         sampled = small_model.sample_batch(small_graph, 3, 20, np.random.default_rng(0))
