@@ -12,6 +12,10 @@
 # 60,000-sample n = 30 dataset is learned twice, and both runs must write
 # the same bytes: its 30,000-row second-moment half is summed in two row
 # blocks, which the installed scipy's csr_todense adds into one output.
+# The perfbench cli dataset (n = 30, 104 pairs) is learned at one and at
+# two OpenBLAS threads, and both runs must write the same bytes: its
+# 104 x 104 second moment is past the size where OpenBLAS splits a dot
+# product across threads, which the completion's sums must not follow.
 # A rank-4 dataset is learned twice from its exact moments, and both runs
 # must write the same bytes: that fit's third-moment right-hand side has
 # m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
@@ -32,6 +36,10 @@ mixmnl learn --dataset d.json --out r1.json --r 2 --seed 1
 mixmnl learn --dataset d.json --out r2.json --r 2 --seed 1
 cmp r1.json r2.json
 mixmnl evaluate --dataset d.json --results r1.json
+mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c.json
+OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3
+OPENBLAS_NUM_THREADS=2 mixmnl learn --dataset c.json --out c2.json --r 2 --seed 3
+cmp c1.json c2.json
 mixmnl generate --n 30 --ell 10 --samples 60000 --seed 3 --out b.json
 mixmnl learn --dataset b.json --out b1.json --r 2 --seed 1
 mixmnl learn --dataset b.json --out b2.json --r 2 --seed 1

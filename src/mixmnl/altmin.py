@@ -182,7 +182,9 @@ def _complete(a, rank, n_iterations):
     """
     _, basis = _top_eigenpairs(a, rank)
 
-    norm_sq = float(np.vdot(a, a))
+    # einsum sums in its own loop: BLAS's dot would split the sum by thread
+    # count, and the objectives' last digits with it.
+    norm_sq = float(np.einsum("ij,ij->", a, a))
     result = AltMinResult(solution=None, basis=None)
     for step in range(n_iterations):
         gram = basis.T @ basis

@@ -36,7 +36,7 @@ import functools
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .errors import checked_rows
+from .errors import checked_count, checked_rows
 
 
 _INT32_MAX = np.iinfo(np.int32).max
@@ -56,8 +56,9 @@ def sign_outer_products(pair_indices, signs, n_pairs):
 
     ``pair_indices`` (count, ell) and ``signs`` are observation rows:
     integer indices in [0, n_pairs), each row strictly increasing, and
-    signs of that shape in {-1, +1}.  Other input raises
-    ``ValidationError`` (``errors.checked_rows``).
+    signs of that shape in {-1, +1}; ``n_pairs`` is an integer >= 0.  Other
+    input raises ``ValidationError`` (``errors.checked_count`` and
+    ``errors.checked_rows``).
     Returns the dense (n_pairs, n_pairs) sum of ``x_t x_t^T`` where ``x_t``
     is the dense vector with ``signs[t]`` scattered into ``pair_indices[t]``,
     i.e. X^T X.  Diagonal entries count touches.
@@ -87,7 +88,7 @@ def sign_outer_products(pair_indices, signs, n_pairs):
     into the one dense result by ``csr_todense``, the loop behind scipy's
     ``toarray``, which adds into its output.
     """
-    n = int(n_pairs)
+    n = checked_count(n_pairs, "n_pairs")
     return _sign_gram(*checked_rows(pair_indices, signs, n), n)
 
 

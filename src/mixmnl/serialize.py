@@ -14,10 +14,12 @@ Results files hold ``q_hat``, ``w_hat``, ``p_hat`` and ``diagnostics``;
 array read from a file goes through ``errors.checked_array``.
 
 A dataset file holds one small list per observation entry, and no
-Python code runs per entry.  ``save_dataset`` encodes the observations
-by looking up one string per (pair, sign) and filling a row template
-with one ``%``-format call; its bytes equal ``json.dumps`` of
-``dataset_to_dict``, the container reference.
+Python code runs per entry.  ``save_dataset`` writes the observations in
+row chunks: each entry is one cell of a table of byte strings, indexed
+by its pair, its sign and whether it ends its row, and numpy gathers a
+chunk's cells into bytes that go straight to the file.  Its bytes equal
+``json.dumps`` of ``dataset_to_dict``, the container reference, and its
+memory does not grow with the file.
 
 ``load_dataset`` has two routes to the same validator,
 ``dataset_from_dict``:
@@ -94,19 +96,57 @@ def dataset_to_dict(batch, model=None):
     return out
 
 
-def _observations_json(batch):
-    """The ``observations`` block as compact JSON, from one format call.
+# Each observations chunk holds about this many entries, so the encoder's
+# buffers stay near 1 MB whatever the file size.
+_CHUNK_CELLS = 1 << 15
 
-    Entry (p, s) is the table string at p + N (s > 0): ``[p,-1]`` in the
-    first N slots, ``[p,1]`` in the second.
+# Cell kind k of pair p is "[" + p + _CELL_ENDS[k]: a row's middle entry
+# with sign -1 or +1, then its last entry, which also opens the next row.
+_CELL_ENDS = (b",-1],", b",1],", b",-1]],[", b",1]],[")
+
+
+def _cells(n_pairs):
+    """The 4 * n_pairs entry cells as null-padded bytes; cell k * n_pairs + p has kind k.
+
+    Each pair index fills a fixed field of digits whose leading positions
+    hold null bytes, which the encoder deletes, so no Python code runs per
+    pair.
+    """
+    width = len(str(max(n_pairs - 1, 0)))
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    p = np.arange(n_pairs)[:, None]
+    digits = np.where((p >= powers) | (powers == 1), p // powers % 10 + ord("0"), 0)
+    cells = np.zeros((len(_CELL_ENDS), n_pairs, 1 + width + max(map(len, _CELL_ENDS))), np.uint8)
+    cells[:, :, 0] = ord("[")
+    cells[:, :, 1 : 1 + width] = digits
+    for kind, end in enumerate(_CELL_ENDS):
+        cells[kind, :, 1 + width : 1 + width + len(end)] = list(end)
+    return cells.reshape(-1, cells.shape[-1]).view(f"S{cells.shape[-1]}").ravel()
+
+
+def _write_observations(fh, batch):
+    """Write the ``observations`` block as compact JSON bytes, in row chunks.
+
+    Entry (p, s) is cell p + N (s > 0) + 2N (last in its row): each row's
+    last cell closes it and opens the next, so the block is ``[[``, the
+    cells with their null bytes deleted, and ``]`` in place of the final
+    ``,[``.
     """
     count, ell = batch.pair_indices.shape
+    if count == 0:
+        fh.write(b"[]")
+        return
     n_pairs = batch.graph.n_pairs
-    table = [f"[{p},-1]" for p in range(n_pairs)] + [f"[{p},1]" for p in range(n_pairs)]
-    codes = batch.pair_indices + n_pairs * (batch.signs > 0)
-    row = "[" + ",".join(["%s"] * ell) + "]"
-    entries = tuple(map(table.__getitem__, codes.ravel().tolist()))
-    return "[" + ",".join([row] * count) % entries + "]"
+    cells = _cells(n_pairs)
+    rows = max(_CHUNK_CELLS // ell, 1)
+    fh.write(b"[[")
+    for start in range(0, count, rows):
+        stop = start + rows
+        codes = np.multiply(batch.signs[start:stop] > 0, n_pairs, dtype=np.int64)
+        codes += batch.pair_indices[start:stop]
+        codes[:, -1] += 2 * n_pairs
+        chunk = cells.take(codes).tobytes().translate(None, b"\0")
+        fh.write(chunk if stop < count else chunk[:-2] + b"]")
 
 
 def _framing(header, truth):
@@ -174,8 +214,10 @@ def _observation_entries(observations, ell):
 def save_dataset(path, batch, model=None):
     truth = None if model is None else _ground_truth_dict(model)
     head, tail = _framing(_header_dict(batch), truth)
-    with open(path, "w") as fh:
-        fh.write(head + _observations_json(batch) + tail)
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        _write_observations(fh, batch)
+        fh.write(tail.encode())
 
 
 def load_dataset(path):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mixmnl
 from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline, serialize
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
@@ -111,6 +116,30 @@ class TestLearn:
             )
             assert result.exit_code == 0, result.output
         assert a.read_bytes() == b.read_bytes()
+
+    def test_byte_identical_at_one_and_two_blas_threads(self, runner, tmp_path):
+        # The perfbench cli dataset.  Taken by a BLAS dot, whose sum OpenBLAS
+        # splits by thread count, ||A||^2 moved the completion objectives'
+        # last digits between the two runs.
+        data = tmp_path / "d.json"
+        args = "--n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out".split()
+        assert runner.invoke(main, ["generate", *args, str(data)]).exit_code == 0
+        src = str(Path(mixmnl.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "mixmnl.cli", "learn", "--dataset", str(data),
+                    "--out", str(out), "--r", "2", "--seed", "3",
+                ],
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                check=True,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_exact_moments_need_ground_truth(self, runner, tmp_path):
         data = generate_dataset(runner, tmp_path / "d.json")

@@ -406,6 +406,13 @@ class TestPairIndexRange:
         ones = np.ones(idx.shape, dtype=np.int8)
         assert _refusal(idx, ones, 3) == "pair index out of range"
 
+    @pytest.mark.parametrize("n_pairs", [2.9, "3", True])
+    def test_non_integer_pair_count_refused(self, n_pairs):
+        # Taken through int(), 2.9 was truncated to 2 and '3' read as 3.
+        idx = np.array([[0, 1]])
+        with pytest.raises(ValidationError, match="n_pairs must be an integer"):
+            kernels.sign_outer_products(idx, np.ones(idx.shape, dtype=np.int8), n_pairs)
+
     def test_both_ends_of_the_range_accepted(self):
         idx = np.array([[0, 1, 2], [0, 1, 2]], dtype=np.int32)
         sgn = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)

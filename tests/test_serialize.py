@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,19 +139,63 @@ def batches(draw):
     return batch, model
 
 
+# 11,175 pairs: the last pair indices have five digits.
+FIVE_DIGIT_GRAPH = complete_graph(150)
+
+
+@st.composite
+def encoder_cases(draw):
+    """A batch, a model or None, and a chunk size in cells for the encoder.
+
+    Every batch with rows uses its graph's last pair, the longest index.
+    """
+    graph = draw(st.sampled_from([complete_graph(5), complete_graph(10), FIVE_DIGIT_GRAPH]))
+    ell = draw(st.sampled_from([e for e in (1, 2, 3, 40) if e <= graph.n_pairs]))
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = rng.random((count, graph.n_pairs))
+    keys[:1, -1] = -1.0
+    pair_indices = np.sort(np.argsort(keys, axis=1)[:, :ell], axis=1)
+    sign = draw(st.sampled_from([-1, 1, None]))
+    signs = rng.choice([-1, 1], (count, ell)) if sign is None else np.full((count, ell), sign)
+    model = None
+    if draw(st.booleans()):
+        model = random_uniform_model(graph.n_items, 2, rng)
+    chunk = draw(st.sampled_from([1, 7, max(ell - 1, 1), ell + 1, serialize._CHUNK_CELLS]))
+    return ObservationBatch(graph, pair_indices, signs), model, chunk
+
+
 class TestEncoder:
-    @settings(max_examples=60, deadline=None)
-    @given(batches())
-    def test_bytes_match_container_reference(self, tmp_path_factory, batch_and_model):
-        batch, model = batch_and_model
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_cases())
+    def test_bytes_match_container_reference(self, tmp_path_factory, case):
+        batch, model, chunk = case
         path = tmp_path_factory.mktemp("enc") / "d.json"
-        save_dataset(path, batch, model)
+        with mock.patch.object(serialize, "_CHUNK_CELLS", chunk):
+            save_dataset(path, batch, model)
         reference = json.dumps(dataset_to_dict(batch, model), separators=(",", ":")) + "\n"
         assert path.read_text() == reference
         loaded_batch, loaded_model = load_dataset(path)
         again = path.with_name("again.json")
         save_dataset(again, loaded_batch, loaded_model)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_save_peak_at_the_cli_shape(self, tmp_path):
+        # The writer holds one chunk of cells, not the file: encoding the
+        # block as one string held about 4 times the file.
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(30, 8.0, rng)
+        model = random_uniform_model(30, 2, rng)
+        batch = model.sample_batch(graph, 10, 50_000, rng)
+        path = tmp_path / "d.json"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            save_dataset(path, batch, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * path.stat().st_size
 
 
 def general_route(path):
