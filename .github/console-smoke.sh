@@ -16,6 +16,9 @@
 # two OpenBLAS threads, and both runs must write the same bytes: its
 # 104 x 104 second moment is past the size where OpenBLAS splits a dot
 # product across threads, which the completion's sums must not follow.
+# A pretty-printed copy of that dataset, which only the general json.load
+# route reads, must learn to the same bytes as the compact file, which the
+# canonical numpy route reads.
 # A rank-4 dataset is learned twice from its exact moments, and both runs
 # must write the same bytes: that fit's third-moment right-hand side has
 # m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
@@ -40,6 +43,9 @@ mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c.
 OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3
 OPENBLAS_NUM_THREADS=2 mixmnl learn --dataset c.json --out c2.json --r 2 --seed 3
 cmp c1.json c2.json
+python -m json.tool c.json > c-pretty.json
+mixmnl learn --dataset c-pretty.json --out c3.json --r 2 --seed 3
+cmp c1.json c3.json
 mixmnl generate --n 30 --ell 10 --samples 60000 --seed 3 --out b.json
 mixmnl learn --dataset b.json --out b1.json --r 2 --seed 1
 mixmnl learn --dataset b.json --out b2.json --r 2 --seed 1

@@ -57,7 +57,6 @@ from .serialize import (
     dataset_to_dict,
     load_dataset,
     load_results,
-    results_to_dict,
     save_dataset,
     save_results,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "random_uniform_model",
     "rank_centrality",
     "ranking_mixture_marginals",
-    "results_to_dict",
     "run_sweep",
     "save_dataset",
     "save_results",

@@ -14,34 +14,31 @@ Results files hold ``q_hat``, ``w_hat``, ``p_hat`` and ``diagnostics``;
 array read from a file goes through ``errors.checked_array``.
 
 A dataset file holds one small list per observation entry, and no
-Python code runs per entry.  ``save_dataset`` writes the observations in
-row chunks: each entry is one cell of a table of byte strings, indexed
-by its pair, its sign and whether it ends its row, and numpy gathers a
-chunk's cells into bytes that go straight to the file.  Its bytes equal
-``json.dumps`` of ``dataset_to_dict``, the container reference, and its
-memory does not grow with the file.
+Python code runs per entry.  ``_observation_chunks`` alone knows the
+bytes of the observations block: it yields them in row chunks, each entry
+one cell of a table of byte strings indexed by its pair, its sign and
+whether it ends its row, and numpy gathers a chunk's cells into bytes.
+``save_dataset`` writes the chunks as they come, so its memory does not
+grow with the file, and its bytes equal ``json.dumps`` of
+``dataset_to_dict``, the container reference.
 
 ``load_dataset`` has two routes to the same validator,
-``dataset_from_dict``:
+``dataset_from_dict``.  The general route is ``json.load``; it reads any
+valid JSON, such as a pretty-printed or hand-edited file, and it is the
+reference.  Every file first takes the canonical route, which is fast
+on what ``save_dataset`` writes: ``json.loads`` parses the file with its
+observations block replaced by ``[]``, one ``np.fromstring`` reads the
+block's integers, and the validator builds the batch.  The batch is kept
+only if saving it again gives the file's bytes: the header and tail
+through ``_framing``, the block chunk by chunk against the encoder.  A
+file that ``save_dataset`` reproduces is one that ``json.load`` reads as
+that batch, so whatever numpy misread cannot pass.  A parse failure, a
+``ValidationError`` or a byte mismatch sends the file to the general
+route, which gives the dataset or the error.
 
-- A byte-canonical file, one whose bytes are exactly what
-  ``save_dataset`` writes for its decoded content, has its observations
-  block parsed by numpy: the brackets and commas become spaces and one
-  ``np.fromstring`` reads the integers.  The header and ground truth are
-  parsed by ``json.loads`` with the block replaced by ``[]``.  The route
-  only accepts a file whose every byte it has checked against that
-  canonical form (``_canonical_dataset``); anything else, including
-  values it could misread (leading zeros, ``-0``, a lone ``-``, 19-digit
-  integers that numpy saturates), goes to the general route.
-- Every other file, for example pretty-printed or hand-edited JSON, goes
-  through ``json.load``, and numpy converts the decoded observations.
-
-The general route is kept because valid non-canonical JSON has no other
-reader, and because it is the reference that the canonical route is
-tested against: on every file both routes give equal arrays or the same
-``ValidationError``.  The tree that ``json.load`` builds has no cycles,
-so the cyclic collector is paused while a dataset is loaded; otherwise
-it rescans the growing tree again and again.
+The tree that ``json.load`` builds has no cycles, so the cyclic
+collector is paused while a dataset is loaded; otherwise it rescans the
+growing tree again and again.
 """
 
 import contextlib
@@ -124,8 +121,8 @@ def _cells(n_pairs):
     return cells.reshape(-1, cells.shape[-1]).view(f"S{cells.shape[-1]}").ravel()
 
 
-def _write_observations(fh, batch):
-    """Write the ``observations`` block as compact JSON bytes, in row chunks.
+def _observation_chunks(batch):
+    """The ``observations`` block as compact JSON bytes, in row chunks.
 
     Entry (p, s) is cell p + N (s > 0) + 2N (last in its row): each row's
     last cell closes it and opens the next, so the block is ``[[``, the
@@ -134,19 +131,19 @@ def _write_observations(fh, batch):
     """
     count, ell = batch.pair_indices.shape
     if count == 0:
-        fh.write(b"[]")
+        yield b"[]"
         return
     n_pairs = batch.graph.n_pairs
     cells = _cells(n_pairs)
     rows = max(_CHUNK_CELLS // ell, 1)
-    fh.write(b"[[")
+    yield b"[["
     for start in range(0, count, rows):
         stop = start + rows
         codes = np.multiply(batch.signs[start:stop] > 0, n_pairs, dtype=np.int64)
         codes += batch.pair_indices[start:stop]
         codes[:, -1] += 2 * n_pairs
         chunk = cells.take(codes).tobytes().translate(None, b"\0")
-        fh.write(chunk if stop < count else chunk[:-2] + b"]")
+        yield chunk if stop < count else chunk[:-2] + b"]"
 
 
 def _framing(header, truth):
@@ -167,7 +164,8 @@ def dataset_from_dict(data):
     checked, the two item counts compared, and n bounded by twice the
     number of listed pairs before the graph is built, so a file cannot ask
     for memory beyond its own size.  The listed edges must equal
-    ``graph.edges``, the order the pair indices refer to.
+    ``graph.edges``, the order the pair indices refer to, and ground truth
+    weights must be over the dataset's n items.
     """
     try:
         n = checked_count(data["n"], "dataset n")
@@ -198,6 +196,10 @@ def dataset_from_dict(data):
             model = MixedMNLModel(truth["weights"], truth["q"])
         except (KeyError, TypeError) as err:
             raise ValidationError(f"malformed ground truth: {err}") from err
+        if model.n_items != n:
+            raise ValidationError(
+                f"ground truth weights are over {model.n_items} items, but dataset n = {n}"
+            )
     return batch, model
 
 
@@ -216,41 +218,25 @@ def save_dataset(path, batch, model=None):
     head, tail = _framing(_header_dict(batch), truth)
     with open(path, "wb") as fh:
         fh.write(head.encode())
-        _write_observations(fh, batch)
+        fh.writelines(_observation_chunks(batch))
         fh.write(tail.encode())
 
 
 def load_dataset(path):
     with _collector_paused():
-        data = _canonical_dataset(path)
-        if data is None:
-            data = load_json(path, "dataset")
-        return dataset_from_dict(data)
+        return _canonical_dataset(path) or dataset_from_dict(load_json(path, "dataset"))
 
 
-_KEYS = ["n", "ell", "graph", "observations"]
 _BLOCK_START = b',"observations":['
 _SEPARATORS = bytes.maketrans(b"[],", b"   ")
-_NUMBER_BYTES = b"0123456789-"
-# np.fromstring saturates integers beyond int64 instead of failing, so a
-# value this large is left to the general route.
-_LARGEST_READ = 10**18
 
 
 def _canonical_dataset(path):
-    """The dataset dict of a byte-canonical file, or None for any other file.
+    """The (batch, model) of a file that ``save_dataset`` wrote; None for any other file.
 
-    The observations come back as a (count, ell, 2) int64 array.  A file is
-    accepted only if its bytes are exactly those ``save_dataset`` writes for
-    the decoded content: the header and ground truth must re-encode to their
-    own bytes, and the block must be the canonical skeleton
-    ``[[[,],...],...]`` for (count, ell) with one canonical decimal
-    integer in each slot.  The slot count, the count of ``-`` bytes and the
-    count of digit bytes are all compared with the parsed values, which
-    closes what ``np.fromstring`` would otherwise accept (``- 1``, ``01``,
-    ``-0``, a lone ``-`` or an empty slot).  The file's bytes are read here
-    and freed once the header and tail are checked, so only the block's
-    copy is held while it is parsed.
+    The batch is kept only if ``save_dataset`` of it reproduces the file's
+    bytes.  The file's bytes are freed once the header and tail are
+    checked, so only the block's copy is held while it is parsed.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -271,47 +257,29 @@ def _canonical_dataset(path):
         data = json.loads(raw[:start] + b"[]" + raw[end:])
     except ValueError:  # invalid JSON or undecodable bytes
         return None
-    if type(data) is not dict or list(data) not in (_KEYS, _KEYS + ["ground_truth"]):
+    if type(data) is not dict:
         return None
-    header = {key: data[key] for key in _KEYS[:3]}
+    header = {key: data.get(key) for key in ("n", "ell", "graph")}
     head, tail = _framing(header, data.get("ground_truth"))
     if raw[:start] != head.encode() or raw[end:] != tail.encode():
         return None
     del raw
-    if block == b"[]":
-        return data
-    ell = data["ell"]
-    if type(ell) is not int or ell < 1:
-        return None
+    if block != b"[]":
+        try:
+            values = np.fromstring(block.translate(_SEPARATORS), dtype=np.int64, sep=" ")
+            data["observations"] = values.reshape(-1, data["ell"], 2)
+        except (TypeError, ValueError):  # unmatched data such as 1-2, or an ell of 0
+            return None
     try:
-        values = np.fromstring(block.translate(_SEPARATORS), dtype=np.int64, sep=" ")
-    except ValueError:  # unmatched data, such as 1-2 or --1
+        batch, model = dataset_from_dict(data)
+    except ValidationError:
         return None
-    count = values.size // (2 * ell)
-    if count == 0 or values.size != 2 * ell * count:
-        return None
-    skeleton = block.translate(None, _NUMBER_BYTES)
-    minus = block.count(b"-")
-    number_bytes = len(block) - len(skeleton)
-    del block
-    # The block opens with "[" and closes with "]]]", so the skeleton is
-    # canonical if it is one byte longer at each end than the rows it should
-    # hold, and holds them from its second byte on (compared in place).
-    row = b"[" + b",".join([b"[,]"] * ell) + b"]"
-    rows = b",".join([row] * count)
-    if len(skeleton) != len(rows) + 2 or not skeleton.startswith(rows, 1):
-        return None
-    if values.min() <= -_LARGEST_READ or values.max() >= _LARGEST_READ:
-        return None
-    largest = max(int(values.max()), -int(values.min()))
-    digits = values.size
-    for power in range(1, len(str(largest))):
-        digits += np.count_nonzero(values >= 10**power)
-        digits += np.count_nonzero(values <= -(10**power))
-    if minus != np.count_nonzero(values < 0) or digits + minus != number_bytes:
-        return None
-    data["observations"] = values.reshape(count, ell, 2)
-    return data
+    offset = 0
+    for chunk in _observation_chunks(batch):
+        if not block.startswith(chunk, offset):
+            return None
+        offset += len(chunk)
+    return (batch, model) if offset == len(block) else None
 
 
 def load_json(path, what):
@@ -323,17 +291,16 @@ def load_json(path, what):
         raise ValidationError(f"{what} file {path} is not valid JSON: {err}") from err
 
 
-def results_to_dict(estimates):
-    return {
-        "q_hat": [float(v) for v in estimates.mixture],
-        "w_hat": [[float(v) for v in row] for row in estimates.weights],
-        "p_hat": [[float(v) for v in row] for row in estimates.outcome_matrix],
-        "diagnostics": jsonable(estimates.diagnostics),
-    }
-
-
 def save_results(path, estimates):
-    save_json(path, results_to_dict(estimates))
+    save_json(
+        path,
+        {
+            "q_hat": estimates.mixture,
+            "w_hat": estimates.weights,
+            "p_hat": estimates.outcome_matrix,
+            "diagnostics": estimates.diagnostics,
+        },
+    )
 
 
 def load_results(path):

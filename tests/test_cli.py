@@ -469,22 +469,44 @@ class TestNonIntegerDataset:
 
     @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "general"])
     def test_sign_of_two_exits_2(self, runner, tmp_path, canonical):
-        # Both load routes build the batch, which holds its signs to -1 or +1.
+        # Both load routes build the batch, which holds its signs to -1 or +1;
+        # the canonical route leaves the compact file it refuses to the
+        # general route, which gives the error.
         data = generate_dataset(runner, tmp_path / "d.json")
         doc = json.loads(data.read_text())
         doc["observations"][0][0][1] = 2
         if canonical:
             data.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-            assert serialize._canonical_dataset(data) is not None
         else:
             data.write_text(json.dumps(doc))
-            assert serialize._canonical_dataset(data) is None
+        assert serialize._canonical_dataset(data) is None
         result = runner.invoke(
             main,
             ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
         )
         assert result.exit_code == 2
         assert result.stderr == "error: signs must be -1 or +1\n"
+
+    @pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "general"])
+    def test_ground_truth_over_another_item_count_exits_2(self, runner, tmp_path, canonical):
+        # 12 items and 13 weights per component: the run would fit, and
+        # evaluate and check would then fail on mismatched shapes.
+        data = generate_dataset(runner, tmp_path / "d.json", n=12)
+        doc = json.loads(data.read_text())
+        for row in doc["ground_truth"]["weights"]:
+            row.append(0.05)
+        if canonical:
+            data.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        else:
+            data.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: ground truth weights are over 13 items, but dataset n = 12\n"
+        )
 
     @pytest.mark.parametrize("ell", [-1, 0, 10**6])
     def test_ell_out_of_range_with_no_observations_exits_2(self, runner, tmp_path, ell):

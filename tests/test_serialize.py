@@ -341,13 +341,14 @@ class TestCanonicalRoute:
         assert_routes_agree(path)
 
     def test_large_value_in_range_of_the_canonical_route(self, dataset, tmp_path):
-        # 18 digits are read exactly; the routes then agree on the range error.
+        # The validator refuses the canonical route's batch, so the file goes
+        # to the general route, and both give the range error.
         _, model, batch = dataset
         path = tmp_path / "d.json"
         save_dataset(path, batch, model)
         first = '"observations":[[[' + str(batch.pair_indices[0, 0])
         path.write_text(path.read_text().replace(first, '"observations":[[[' + "9" * 18, 1))
-        assert serialize._canonical_dataset(path) is not None
+        assert serialize._canonical_dataset(path) is None
         assert assert_routes_agree(path) == (ValidationError, "pair index out of range")
 
 
@@ -360,7 +361,7 @@ class TestCanonicalRoute:
         assert loaded.dtype == np.int32
         assert np.array_equal(loaded, batch.pair_indices)
 
-    def test_validator_peak_at_the_cli_shape(self, tmp_path):
+    def test_validator_peak_at_the_cli_shape(self):
         # The canonical route hands over 8 MB of int64 entries.  Above them
         # the validator holds the 2 MB of int32 indices and one-byte masks
         # and signs: 3.0 MB measured.  A float64 copy of the signs would
@@ -368,9 +369,10 @@ class TestCanonicalRoute:
         rng = np.random.default_rng(0)
         graph = erdos_renyi(30, 8.0, rng)
         model = random_uniform_model(30, 2, rng)
-        path = tmp_path / "d.json"
-        save_dataset(path, model.sample_batch(graph, 10, 50_000, rng), model)
-        data = serialize._canonical_dataset(path)
+        batch = model.sample_batch(graph, 10, 50_000, rng)
+        data = serialize._header_dict(batch)
+        data["observations"] = np.stack([batch.pair_indices, batch.signs], -1, dtype=np.int64)
+        data["ground_truth"] = serialize._ground_truth_dict(model)
         assert data["observations"].nbytes == 8_000_000
         gc.collect()
         tracemalloc.start()
@@ -586,6 +588,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="weights"):
             dataset_from_dict(doc)
 
+    def test_ground_truth_over_another_item_count_rejected(self, dataset):
+        _, model, batch = dataset
+        doc = dataset_to_dict(batch, model)
+        for row in doc["ground_truth"]["weights"]:
+            row.append(0.1)
+        with pytest.raises(ValidationError, match="ground truth weights are over 6 items"):
+            dataset_from_dict(doc)
+
     def test_empty_observation_rows_rejected(self, dataset):
         _, model, batch = dataset
         doc = dataset_to_dict(batch, model)
@@ -645,12 +655,16 @@ class TestEdgeOrder:
 
     @staticmethod
     def write(tmp_path, doc):
-        """A compact copy, which takes the canonical route, and a pretty-printed one."""
+        """A compact copy and a pretty-printed one.
+
+        The canonical route refuses the compact copy, since the validator
+        refuses its batch, and leaves it to the general route.
+        """
         compact = tmp_path / "d.json"
         compact.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
         pretty = tmp_path / "pretty.json"
         pretty.write_text(json.dumps(doc, indent=2))
-        assert serialize._canonical_dataset(compact) is not None
+        assert serialize._canonical_dataset(compact) is None
         return compact, pretty
 
     @pytest.mark.parametrize("name", sorted(LISTINGS))
