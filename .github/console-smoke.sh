@@ -12,10 +12,13 @@
 # 60,000-sample n = 30 dataset is learned twice, and both runs must write
 # the same bytes: its 30,000-row second-moment half is summed in two row
 # blocks, which the installed scipy's csr_todense adds into one output.
-# The perfbench cli dataset (n = 30, 104 pairs) is learned at one and at
-# two OpenBLAS threads, and both runs must write the same bytes: its
-# 104 x 104 second moment is past the size where OpenBLAS splits a dot
-# product across threads, which the completion's sums must not follow.
+# The perfbench cli dataset (n = 30, 104 pairs) is drawn twice, and both
+# draws must write the same bytes: at ell 10 its sampler sorts each row's
+# packed (key, column) uint32 words, and the 2 rows whose words tie take
+# the exact full-row selection.  It is learned at one and at two OpenBLAS
+# threads, and both runs must write the same bytes: its 104 x 104 second
+# moment is past the size where OpenBLAS splits a dot product across
+# threads, which the completion's sums must not follow.
 # A pretty-printed copy of that dataset, which only the general json.load
 # route reads, must learn to the same bytes as the compact file, which the
 # canonical numpy route reads.
@@ -40,6 +43,8 @@ mixmnl learn --dataset d.json --out r2.json --r 2 --seed 1
 cmp r1.json r2.json
 mixmnl evaluate --dataset d.json --results r1.json
 mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c.json
+mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c-again.json
+cmp c.json c-again.json
 OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3
 OPENBLAS_NUM_THREADS=2 mixmnl learn --dataset c.json --out c2.json --r 2 --seed 3
 cmp c1.json c2.json

@@ -22,7 +22,6 @@ from .model import (
     ObservationBatch,
     marginally_identical_mixtures,
     random_uniform_model,
-    ranking_mixture_marginals,
 )
 from .moments import (
     SecondMomentEstimate,
@@ -31,7 +30,6 @@ from .moments import (
     exact_third_moment,
     incoherence_from_basis,
     projected_third_moment,
-    second_moment_spectrum,
     split_ranges,
 )
 from .pipeline import (
@@ -53,8 +51,6 @@ from .rankcentrality import (
     rank_centrality,
 )
 from .serialize import (
-    dataset_from_dict,
-    dataset_to_dict,
     load_dataset,
     load_results,
     save_dataset,
@@ -104,8 +100,6 @@ __all__ = [
     "check_conditions",
     "components_from_exact_moments",
     "components_from_factors",
-    "dataset_from_dict",
-    "dataset_to_dict",
     "empirical_second_moment",
     "erdos_renyi",
     "estimate_components",
@@ -123,11 +117,9 @@ __all__ = [
     "projected_third_moment",
     "random_uniform_model",
     "rank_centrality",
-    "ranking_mixture_marginals",
     "run_sweep",
     "save_dataset",
     "save_results",
-    "second_moment_spectrum",
     "split_ranges",
     "symmetrize_and_eig",
     "tensor_power_decomposition",

@@ -14,10 +14,10 @@ from mixmnl import (
     erdos_renyi,
     marginally_identical_mixtures,
     random_uniform_model,
-    ranking_mixture_marginals,
 )
 from mixmnl import model as model_module
 from mixmnl.errors import checked_array
+from mixmnl.model import ranking_mixture_marginals
 
 from conftest import complete_graph
 
@@ -299,12 +299,30 @@ def argpartition_calls(monkeypatch):
     return calls
 
 
-def assert_selects_like_argpartition(calls, keys, ell, fallbacks):
-    """``_smallest_keys`` equals the reference, with ``fallbacks`` argpartition calls."""
+def assert_selects_like_argpartition(calls, keys, ell, fallbacks, shape=None):
+    """``_smallest_keys`` equals the reference, with ``fallbacks`` argpartition calls.
+
+    Each call is on an array of ``shape``, by default the whole block's.
+    """
     expected = sorted_argpartition(keys, ell)
     calls.clear()
     assert np.array_equal(model_module._smallest_keys(keys, ell), expected)
-    assert calls == [keys.shape] * fallbacks
+    assert calls == [shape or keys.shape] * fallbacks
+
+
+def truncation_twins(key, same_float32, bits=7):
+    """Distinct keys small < large near ``key`` whose words agree above the low ``bits``.
+
+    With ``same_float32`` both round to one float32; else they are two
+    float32 values that differ only in their lowest bit.
+    """
+    word = np.array([key], np.float32).view(np.uint32) & ~np.uint32((1 << bits) - 1)
+    small = float(word.view(np.float32)[0])
+    if same_float32:
+        large = float(np.nextafter(small, 1.0))
+    else:
+        large = float((word + np.uint32(1)).view(np.float32)[0])
+    return small, large
 
 
 def sparse_block(rows=6, n=400, ell=10, seed=0):
@@ -349,25 +367,78 @@ class TestSmallestKeys:
         keys[1, order[3]] = keys[1, order[2]]
         assert_selects_like_argpartition(argpartition_calls, keys, 10, 0)
 
-    @pytest.mark.parametrize("n, ell", [(104, 10), (60, 60), (1, 1), (300, 300)])
+    @pytest.mark.parametrize("n, ell", [(104, 10), (60, 60), (1, 1), (300, 300), (2, 1), (2, 2)])
     def test_dense_blocks_take_argpartition(self, argpartition_calls, n, ell):
         # tau = (sqrt(ell) + 2)**2 / n above _SPARSE_TAU, ell = N included:
-        # each row's ell-th key is a threshold on the full row, and no
-        # argpartition runs
+        # each full row's packed words are sorted, and no argpartition runs
         keys = np.random.default_rng(n).random((5, n))
         assert_selects_like_argpartition(argpartition_calls, keys, ell, 0)
 
     def test_dense_tie_at_the_ell_th_key_falls_back(self, argpartition_calls):
+        # Only the tied row takes the full-row argpartition.
         keys = np.random.default_rng(104).random((5, 104))
         order = np.argsort(keys[3])
         keys[3, order[10]] = keys[3, order[9]]
-        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1, shape=(1, 104))
 
     def test_dense_ties_below_the_ell_th_key_keep_the_threshold(self, argpartition_calls):
         keys = np.random.default_rng(104).random((5, 104))
         order = np.argsort(keys[3])
         keys[3, order[5]] = keys[3, order[4]]
         assert_selects_like_argpartition(argpartition_calls, keys, 10, 0)
+
+    @pytest.mark.parametrize("same_float32", [True, False])
+    def test_dense_truncation_tie_at_the_ell_th_key_falls_back(
+        self, argpartition_calls, same_float32
+    ):
+        # Row 2's 10th and 11th smallest keys differ, but their words agree
+        # above the 7 column bits, and the smaller key sits in the larger
+        # column, where the words' column order would not choose it.  That
+        # row alone takes the exact argpartition.
+        keys = np.random.default_rng(104).random((5, 104))
+        order = np.argsort(keys[2])
+        small, large = truncation_twins(keys[2, order[9]], same_float32)
+        assert keys[2, order[8]] < small < large < keys[2, order[11]]
+        first, second = sorted(order[9:11])
+        keys[2, first], keys[2, second] = large, small
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1, shape=(1, 104))
+        chosen = model_module._smallest_keys(keys, 10)[2]
+        assert second in chosen and first not in chosen
+
+    @pytest.mark.parametrize("tie", ["equal run", "same float32", "same high bits"])
+    def test_dense_ties_below_the_ell_th_key_keep_the_words(
+        self, argpartition_calls, tie
+    ):
+        keys = np.random.default_rng(104).random((5, 104))
+        order = np.argsort(keys[1])
+        if tie == "equal run":
+            keys[1, order[:9]] = keys[1, order[0]]
+        else:
+            keys[1, order[4]], keys[1, order[5]] = truncation_twins(
+                keys[1, order[4]], tie == "same float32"
+            )
+            assert keys[1, order[3]] < keys[1, order[4]] < keys[1, order[5]] < keys[1, order[6]]
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 0)
+
+    def test_two_tied_pairs_fall_back(self, argpartition_calls):
+        keys = np.random.default_rng(2).random((4, 2))
+        keys[1] = 0.25
+        assert_selects_like_argpartition(argpartition_calls, keys, 1, 1, shape=(1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dense_blocks_match_argpartition(self, data):
+        # Keys on a coarse grid tie often, exactly or in their words.
+        n = data.draw(st.integers(1, 300))
+        dense = model_module._threshold(n, np.arange(1, n + 1)) > model_module._SPARSE_TAU
+        ell = data.draw(st.integers(1 + int(np.argmax(dense)), n))
+        rows = data.draw(st.integers(1, 50))
+        levels = data.draw(st.sampled_from([None, 2, 7, 1 << 12, 1 << 24]))
+        keys = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((rows, n))
+        if levels is not None:
+            keys = np.floor(keys * levels) / levels
+        chosen = model_module._smallest_keys(keys, ell)
+        assert np.array_equal(chosen, sorted_argpartition(keys, ell))
 
 
 def sampled_instance(n_items, mean_degree, seed=0):
@@ -422,6 +493,12 @@ class TestSamplerStream:
             # 9,889 pairs, where candidates are sparsest: chunks of 424
             # rows, blocks of 13
             pytest.param(1000, 20.0, 9889, 40, 500, id="9889-pairs-40-500"),
+            # Dense blocks of packed words, across a chunk boundary: pilot's
+            # 104 pairs at ell 10 (chunks of 40,329 rows, blocks of 1,260),
+            # where 5 rows of this draw tie in their words, and 232 pairs
+            # at ell 40 (chunks of 18,078 rows), where 14 rows do.
+            pytest.param(30, 8.0, 104, 10, 50_000, id="104-pairs-10-50000"),
+            pytest.param(60, 8.0, 232, 40, 20_000, id="232-pairs-40-20000"),
         ],
     )
     def test_matches_reference_at_default_sizes(self, n_items, mean_degree, n_pairs, ell, count):

@@ -13,10 +13,9 @@ from mixmnl import (
     exact_third_moment,
     incoherence_from_basis,
     projected_third_moment,
-    second_moment_spectrum,
     split_ranges,
 )
-from mixmnl.moments import spectrum_from_factors
+from mixmnl.moments import second_moment_spectrum, spectrum_from_factors
 
 from conftest import (
     brute_force_projected_third,

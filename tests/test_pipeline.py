@@ -6,9 +6,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mixmnl import (
+    ComparisonGraph,
     ComponentEstimates,
     LearnConfig,
     MixedMNLModel,
+    ObservationBatch,
     ValidationError,
     altmin_complete,
     check_conditions,
@@ -464,3 +466,78 @@ class TestSecondMomentTrusted:
         monkeypatch.setattr(altmin, "checked_array", refused)
         fit = learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=0))
         assert fit.diagnostics["completion"] == checked
+
+
+def relabeled(batch, perm):
+    """``batch`` with item i renamed ``perm[i]``, where each pair went, and which flipped.
+
+    Pair k of the old graph is pair ``moved[k]`` of the new one.  Where its
+    endpoints change order (``flip[k]``) its signs flip, since +1 means the
+    larger-index item won.  Each row's pairs are sorted again.
+    """
+    graph = batch.graph
+    ends = perm[graph.edges]
+    flip = ends[:, 0] > ends[:, 1]
+    ends.sort(axis=1)
+    new = ComparisonGraph(graph.n_items, ends)
+    moved = np.empty(graph.n_pairs, dtype=np.int64)
+    moved[np.lexsort((ends[:, 1], ends[:, 0]))] = np.arange(graph.n_pairs)
+    assert np.array_equal(new.edges[moved], ends)
+    idx = moved[batch.pair_indices]
+    sgn = np.where(flip[batch.pair_indices], -batch.signs, batch.signs)
+    order = np.argsort(idx, axis=1)
+    idx, sgn = np.take_along_axis(idx, order, 1), np.take_along_axis(sgn, order, 1)
+    return ObservationBatch(new, idx, sgn), moved, flip
+
+
+class TestRelabeling:
+    """Item labels, and row order within the second-moment half, carry nothing the fit uses."""
+
+    @pytest.fixture(scope="class", params=[(30, 2), (60, 4)], ids=["n30-r2", "n60-r4"])
+    def fitted(self, request):
+        # criterion 7's shapes: mean degree 8, ell 10, 200,000 samples
+        n, r = request.param
+        rng = np.random.default_rng(0)
+        graph = erdos_renyi(n, 8.0, rng)
+        model = random_uniform_model(n, r, rng, low=1.0, high=8.0)
+        batch = model.sample_batch(graph, 10, 200_000, np.random.default_rng(1))
+        return batch, learn_mixed_mnl(batch, LearnConfig(n_components=r, seed=3))
+
+    def test_relabeled_items_permute_the_estimates(self, fitted):
+        # Relabeling reorders the pairs, flips the orientation of some, and
+        # so permutes the second moment's rows and columns and flips signs
+        # in it; the estimates move only by roundoff (at most 1e-13 of
+        # their size measured).
+        batch, fit = fitted
+        perm = np.random.default_rng(5).permutation(batch.graph.n_items)
+        other, moved, flip = relabeled(batch, perm)
+        assert flip.any() and not flip.all()
+        assert (moved != np.arange(moved.size)).any()
+        refit = learn_mixed_mnl(other, LearnConfig(n_components=fit.mixture.size, seed=3))
+        weights = np.empty_like(fit.weights)
+        weights[:, perm] = fit.weights
+        outcomes = np.empty_like(fit.outcome_matrix)
+        outcomes[moved] = np.where(flip[:, None], -fit.outcome_matrix, fit.outcome_matrix)
+        order = list(match_components(refit.mixture, refit.weights, fit.mixture, weights).order)
+        for got, want in [
+            (refit.mixture[order], fit.mixture),
+            (refit.weights[order], weights),
+            (refit.outcome_matrix[:, order], outcomes),
+        ]:
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_row_order_within_the_second_moment_half_changes_no_bit(self, fitted):
+        # The second moment is an exact integer Gram, so its sums do not
+        # depend on the order of their rows; the third-moment half is
+        # untouched, so the whole fit keeps its bits.
+        batch, fit = fitted
+        (lo, hi), _ = split_ranges(len(batch))
+        rows = np.concatenate([np.random.default_rng(2).permutation(hi), np.arange(hi, len(batch))])
+        shuffled = ObservationBatch(batch.graph, batch.pair_indices[rows], batch.signs[rows])
+        assert not np.array_equal(shuffled.pair_indices[lo:hi], batch.pair_indices[lo:hi])
+        second = empirical_second_moment(shuffled, lo, hi).matrix
+        assert np.array_equal(second, empirical_second_moment(batch, lo, hi).matrix)
+        refit = learn_mixed_mnl(shuffled, LearnConfig(n_components=fit.mixture.size, seed=3))
+        assert np.array_equal(refit.mixture, fit.mixture)
+        assert np.array_equal(refit.weights, fit.weights)
+        assert np.array_equal(refit.outcome_matrix, fit.outcome_matrix)
