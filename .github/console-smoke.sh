@@ -4,21 +4,27 @@
 # one seed write the same bytes, evaluate reads them, an empty dataset
 # exits 2, and 40 components of the n = 30 dataset exit 3 with the failing
 # stage named: whitening, which runs after the unchecked completion.  The
-# n = 300 dataset (1,905 pairs) is drawn twice: its sampler selects each
-# row's pairs from the keys below a threshold, and both draws must write
-# the same bytes.  It is also learned twice: its second-moment product is
-# sized by a bound of 1.6M entries, below N^2 = 3.6M, through scipy's
+# n = 300 dataset (1,905 pairs) is drawn twice, and both draws must write
+# the same bytes: at ell 40 its sampler partitions each row's packed (key,
+# column) uint32 words, and the 10 rows whose words tie take the exact
+# full-row selection.  It is also learned twice: its second-moment product
+# is sized by a bound of 1.6M entries, below N^2 = 3.6M, through scipy's
 # private csr_matmat, so the installed scipy must provide it.  A
 # 60,000-sample n = 30 dataset is learned twice, and both runs must write
 # the same bytes: its 30,000-row second-moment half is summed in two row
 # blocks, which the installed scipy's csr_todense adds into one output.
 # The perfbench cli dataset (n = 30, 104 pairs) is drawn twice, and both
-# draws must write the same bytes: at ell 10 its sampler sorts each row's
-# packed (key, column) uint32 words, and the 2 rows whose words tie take
-# the exact full-row selection.  It is learned at one and at two OpenBLAS
-# threads, and both runs must write the same bytes: its 104 x 104 second
-# moment is past the size where OpenBLAS splits a dot product across
-# threads, which the completion's sums must not follow.
+# draws must write the same bytes: at ell 10 its sampler partitions each
+# row's packed (key, column) uint32 words, and the 2 rows whose words tie
+# take the exact full-row selection.  It is learned at one and at two
+# OpenBLAS threads, and both runs must write the same bytes: its 104 x 104
+# second moment is past the size where OpenBLAS splits a dot product
+# across threads, which the completion's sums must not follow.
+# The n = 300 and the cli datasets must also match the sha256 digests
+# written below, which the sampler wrote before its selection became one
+# partition.  Two draws from one install cannot show a change across
+# versions; the digests also check the selection on the oldest numpy
+# declared, whose partition is another introselect.
 # A pretty-printed copy of that dataset, which only the general json.load
 # route reads, must learn to the same bytes as the compact file, which the
 # canonical numpy route reads.
@@ -45,6 +51,10 @@ mixmnl evaluate --dataset d.json --results r1.json
 mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c.json
 mixmnl generate --n 30 --dbar 8 --r 2 --ell 10 --samples 50000 --seed 0 --out c-again.json
 cmp c.json c-again.json
+sha256sum -c - <<'DIGESTS'
+41b18865e86b788de0f50dc801269835040b26dd531556e10029037b154f0a34  s1.json
+be0fcc71c0e201d7cea6c4181c51cc3777b4059c2025c90cb1c866c0f7534b8b  c.json
+DIGESTS
 OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3
 OPENBLAS_NUM_THREADS=2 mixmnl learn --dataset c.json --out c2.json --r 2 --seed 3
 cmp c1.json c2.json

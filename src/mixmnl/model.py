@@ -23,19 +23,10 @@ from .graphs import ComparisonGraph
 # _BLOCK_FLOATS at a time into reusable buffers, which bounds memory without
 # moving any draw: a block is the same words of the stream as the matching
 # rows of one chunk-sized draw.  Each key block's selection draws nothing,
-# so which path _smallest_keys takes moves no draw either.
+# so which rows _smallest_keys sends to its exact fallback moves no draw
+# either.
 _CHUNK_FLOATS = 4 << 20
 _BLOCK_FLOATS = 1 << 17
-
-# _smallest_keys selects from the keys below its threshold tau only when tau
-# is at most this, and sorts the full rows' packed words above it.  Median
-# per fresh 1 MB block, candidates against words (one thread, AVX-512):
-# 0.27 against 0.40 ms at tau 0.039 (wide's 1,759 pairs, ell 40); 0.48
-# against 0.30 ms at tau 0.067 (400 pairs, ell 10); 0.62 against 0.35 ms
-# at tau 0.18 (150 pairs, ell 10); 1.37 against 0.28 ms at pilot's and
-# cli's 0.256.  So the crossover lies between tau 0.039 and 0.067; the
-# threshold stays at 0.2, where no measured workload sits near it.
-_SPARSE_TAU = 0.2
 
 # Pair indices are stored as int32, the one place their width is chosen: a
 # batch holds count * ell of them, and the sparse kernels use int32 indices
@@ -73,7 +64,12 @@ class Observation:
     signs: np.ndarray  # (ell,) int8 in {-1, +1}
 
     def dense(self, n_pairs):
-        x = np.zeros(checked_count(n_pairs, "n_pairs"))
+        """Signs at the row's pairs of a length ``n_pairs`` vector, zeros elsewhere.
+
+        ``n_pairs`` must exceed the row's largest pair index (``ValidationError``).
+        """
+        top = int(self.pair_indices.max(initial=-1))
+        x = np.zeros(checked_count(n_pairs, "n_pairs", low=top + 1))
         x[self.pair_indices] = self.signs
         return x
 
@@ -118,61 +114,21 @@ class ObservationBatch:
             yield self[t]
 
 
-def _threshold(n, ell):
-    """tau = (sqrt(ell) + 2)**2 / n, which ``_smallest_keys`` compares with ``_SPARSE_TAU``."""
-    return (ell**0.5 + 2) ** 2 / n
-
-
 def _smallest_keys(keys, ell, words=None):
     """Columns of each row's ``ell`` smallest keys, ascending: (rows, ell) ints.
 
     Always equal to ``argpartition`` then ``sort`` along the rows, ties
-    included.  The keys are non-negative (the sampler's are uniform on
-    [0, 1)), so a row holds on average (sqrt(ell) + 2)**2 keys below
-    tau = (sqrt(ell) + 2)**2 / N, at least 3 standard deviations more than
-    ``ell`` for ell >= 4.  When tau <= ``_SPARSE_TAU`` these candidates are
-    found in one flat scan, already in column order, and a partition of the
-    few per row gives each row's ``ell``-th smallest key; the keys at or
-    below it are the chosen columns.  A block with a key tied with a row's
-    ``ell``-th, or a row of fewer than ``ell`` candidates (about 1 block in
-    360 at 1,759 pairs and ell 40), takes the full-row ``argpartition`` and
-    ``sort``.  A denser block goes to ``_smallest_words``, with ``words``.
-    """
-    rows, n = keys.shape
-    tau = _threshold(n, ell)
-    if tau > _SPARSE_TAU:
-        return _smallest_words(keys, ell, words)
-    flat = np.flatnonzero(keys < tau)
-    starts = np.searchsorted(flat, np.arange(0, rows * n + 1, n))
-    counts = np.diff(starts)
-    if counts.min() >= ell:
-        width = counts.max()
-        row = np.repeat(np.arange(rows), counts)
-        values = keys.ravel().take(flat)
-        packed = np.full((rows, width), 2.0)  # padding above every key
-        shift = np.arange(0, rows * width, width) - starts[:-1]
-        packed.ravel()[np.arange(flat.size) + shift[row]] = values
-        kth = np.partition(packed, ell - 1, axis=1)[:, ell - 1]
-        flat = flat[values <= kth[row]]
-        if flat.size == rows * ell:  # else a tie at some row's ell-th key
-            chosen = flat.reshape(rows, ell)
-            chosen -= np.arange(0, rows * n, n)[:, None]
-            return chosen
-    return _sorted_argpartition(keys, ell)
-
-
-def _smallest_words(keys, ell, words=None):
-    """``_smallest_keys`` of a dense block, from one sort of uint32 words per row.
-
-    Each key becomes one word: its float32 bits, which for non-negative
-    keys order as unsigned integers, with the low ``(N - 1).bit_length()``
-    bits replaced by its column.  Rounding and truncation are monotone, so
-    the word order is the key order with ties in the truncated key broken
-    by column, and after a sort of each row its first ``ell`` words hold
+    included.  Each key becomes one uint32 word: its float32 bits, which
+    for non-negative keys (the sampler's are uniform on [0, 1)) order as
+    unsigned integers, with the low ``(N - 1).bit_length()`` bits replaced
+    by its column.  Rounding and truncation are monotone, so the word order
+    is the key order with ties in the truncated key broken by column, and
+    after a partition of each row at ``ell`` its first ``ell`` words hold
     the chosen columns.  They are exactly the ``ell`` smallest float64 keys
-    wherever the truncated key at position ``ell - 1`` is below the one at
-    ``ell``.  The other rows (about 1 in 18,000 at 104 pairs and ell 10,
-    and every row with a true tie there) take the full-row ``argpartition``
+    wherever every one of their truncated keys is below that of word
+    ``ell``.  The other rows (about 1 in 14,000 at 104 pairs and ell 10,
+    1 in 300 at 1,759 pairs and 1 in 33 at 9,889 pairs with ell 40, and
+    every row with a true tie there) take the full-row ``argpartition``
     and ``sort`` on those rows alone, which chooses as on the whole block.
     ``words``, if given, is a C-order (rows or more, N) uint32 buffer.
     """
@@ -180,16 +136,17 @@ def _smallest_words(keys, ell, words=None):
     if ell == n:
         return np.tile(np.arange(n), (rows, 1))
     words = np.empty(keys.shape, np.uint32) if words is None else words[:rows]
-    bits = (n - 1).bit_length()
-    low = np.uint32((1 << bits) - 1)
+    low = np.uint32((1 << (n - 1).bit_length()) - 1)
     words.view(np.float32)[...] = keys  # cast by value: no byte-order dependence
     words &= ~low
     words |= np.arange(n, dtype=np.uint32)
-    words.sort(axis=1)
-    chosen = words[:, :ell] & low
+    words.partition(ell, axis=1)
+    chosen = words[:, :ell].copy()
+    tie = chosen >= (words[:, ell] & ~low)[:, None]  # truncated key is word ell's
+    chosen &= low
     chosen.sort(axis=1)
-    tied = np.flatnonzero(words[:, ell - 1] >> bits == words[:, ell] >> bits)
-    if tied.size:
+    if tie.any():  # a row-wise max here would cost about a tenth of the block
+        tied = np.flatnonzero(tie.any(axis=1))
         chosen[tied] = _sorted_argpartition(keys[tied], ell)
     return chosen
 
@@ -264,15 +221,14 @@ class MixedMNLModel:
 
         Pair subsets are uniform without replacement over the graph's
         pairs: each row keeps the ``ell`` smallest of N uniform keys, found
-        among the few below a threshold where N is large next to ``ell``,
-        else by one sort of packed (key, column) uint32 words per row
+        by one partition of packed (key, column) uint32 words per row
         (``_smallest_keys``).  Consumption of ``rng`` is fixed (components,
         then per chunk the pair keys and the outcome uniforms), so a seeded
         generator reproduces the batch exactly.  The chunk size fixes that
         order; the keys and the outcome uniforms each go through one block
-        of about 1 MB (a dense selection's uint32 words through one of half
-        that), and the thresholds and int8 signs are taken per outcome
-        block, so scratch memory does not grow with the chunk.
+        of about 1 MB (the keys' uint32 words through one of half that), and
+        the thresholds and int8 signs are taken per outcome block, so
+        scratch memory does not grow with the chunk.
         ``count`` >= 0 and ``ell`` in [1, n_pairs] must be integers: a
         float such as 10.9 is refused, not truncated.
         """
@@ -287,8 +243,7 @@ class MixedMNLModel:
         step = max(1, _CHUNK_FLOATS // n_pairs)
         rows = max(1, _BLOCK_FLOATS // n_pairs)
         keys = np.empty((min(rows, step, count), n_pairs))
-        dense = _threshold(n_pairs, ell) > _SPARSE_TAU
-        words = np.empty(keys.shape, np.uint32) if dense else None
+        words = np.empty(keys.shape, np.uint32)
         outcome_rows = max(1, _BLOCK_FLOATS // ell)
         uniforms = np.empty((min(outcome_rows, step, count), ell))
         for lo in range(0, count, step):

@@ -212,6 +212,18 @@ class TestSampling:
         x = obs.dense(small_graph.n_pairs)
         assert np.abs(x).sum() == 5
 
+    def test_dense_refuses_a_length_at_or_below_the_largest_index(self):
+        model, graph = sampled_instance(30, 8.0)
+        assert graph.n_pairs == 104
+        obs = model.sample_batch(graph, 10, 1, np.random.default_rng(0))[0]
+        top = int(obs.pair_indices[-1])
+        for n_pairs in (5, top):
+            with pytest.raises(ValidationError, match=f"^n_pairs must be >= {top + 1}, got"):
+                obs.dense(n_pairs)
+        x = obs.dense(top + 1)
+        assert np.array_equal(np.flatnonzero(x), obs.pair_indices)
+        assert np.array_equal(x[obs.pair_indices], obs.signs)
+
     def test_batch_validation(self, small_graph):
         # The CLI prints these texts for a bad dataset file.
         unsorted = "^pair indices must be strictly increasing per row$"
@@ -326,40 +338,79 @@ def truncation_twins(key, same_float32, bits=7):
 
 
 def sparse_block(rows=6, n=400, ell=10, seed=0):
-    """Uniform keys whose threshold (sqrt(ell) + 2)**2 / n is below _SPARSE_TAU."""
+    """Uniform (rows, n) keys, and tau = (sqrt(ell) + 2)**2 / n.
+
+    A row holds on average (sqrt(ell) + 2)**2 keys below tau.
+    """
     tau = (ell**0.5 + 2) ** 2 / n
-    assert tau <= model_module._SPARSE_TAU
     return np.random.default_rng(seed).random((rows, n)), tau
+
+
+def tied_rows(keys, ell):
+    """How many rows' ell-th and (ell+1)-th smallest keys agree above the column bits.
+
+    The keys are compared as float32 words after a full sort of the float64
+    keys, so independently of the words ``_smallest_keys`` partitions: these
+    are the rows it must send to its exact fallback.
+    """
+    n = keys.shape[1]
+    low = np.uint32((1 << (n - 1).bit_length()) - 1)
+    kth = np.sort(keys, axis=1)[:, ell - 1 : ell + 1].astype(np.float32).view(np.uint32) & ~low
+    return int(np.count_nonzero(kth[:, 0] == kth[:, 1]))
+
+
+def assert_matches_argpartition(data, max_n, max_rows):
+    """``_smallest_keys`` of a drawn block, ell in [1, N], equals the reference."""
+    n = data.draw(st.integers(1, max_n))
+    ell = data.draw(st.integers(1, n))
+    rows = data.draw(st.integers(1, max_rows))
+    levels = data.draw(st.sampled_from([None, 2, 7, 1 << 12, 1 << 24]))
+    keys = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((rows, n))
+    if levels is not None:
+        keys = np.floor(keys * levels) / levels
+    chosen = model_module._smallest_keys(keys, ell)
+    assert np.array_equal(chosen, sorted_argpartition(keys, ell))
 
 
 class TestSmallestKeys:
     @pytest.mark.parametrize(
         "rows, n, ell, seed",
-        # (6, 400, 10, 0) is the block the fallback tests below alter
-        [(74, 1759, 40, 1), (13, 9889, 40, 2), (6, 400, 10, 0), (3, 400, 1, 4), (1, 50, 1, 5)],
+        # (6, 400, 10, 0) is the block the fallback tests below alter.  About
+        # 0.3% of rows tie at wide's 1,759 pairs and ell 40, and 3% at 9,889:
+        # the blocks there of 74 rows or more, and those at ell = N - 1, have
+        # 1 to 13 tied rows each; the others have none.
+        [
+            (74, 1759, 40, 1), (13, 9889, 40, 2), (6, 400, 10, 0), (3, 400, 1, 4), (1, 50, 1, 5),
+            (1000, 1759, 40, 10), (1000, 1759, 40, 11), (300, 9889, 40, 12), (300, 9889, 40, 13),
+            (5, 1759, 1758, 6), (5, 1759, 1, 7), (5, 9889, 9888, 8), (5, 9889, 1, 9),
+        ],
     )
-    def test_sparse_blocks_take_the_candidates(self, argpartition_calls, rows, n, ell, seed):
+    def test_random_blocks_fall_back_on_their_tied_rows(
+        self, argpartition_calls, rows, n, ell, seed
+    ):
+        # One fallback call, on exactly the rows tied_rows counts.
         keys, _ = sparse_block(rows, n, ell, seed)
-        assert_selects_like_argpartition(argpartition_calls, keys, ell, 0)
+        ties = tied_rows(keys, ell)
+        assert_selects_like_argpartition(argpartition_calls, keys, ell, min(ties, 1), (ties, n))
 
     @pytest.mark.parametrize("short", [3, 9])
     def test_short_row_falls_back(self, argpartition_calls, short):
+        # Row 2 has only `short` keys below tau, the rest above: its words
+        # choose exactly, and only row 4, tied at its 10th key, falls back.
         keys, tau = sparse_block()
-        keys[2] = tau + (1.0 - tau) * keys[2]  # no candidate in row 2 ...
-        keys[2, 7 : 7 + short] = np.linspace(0.1, 0.9, short) * tau  # ... but `short`
-        # A tie at row 4's 10th key keeps 11 there; with 9 in row 2 the
-        # total is still 6 * 10.
+        keys[2] = tau + (1.0 - tau) * keys[2]
+        keys[2, 7 : 7 + short] = np.linspace(0.1, 0.9, short) * tau
         order = np.argsort(keys[4])
         keys[4, order[10]] = keys[4, order[9]]
-        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1, shape=(1, 400))
 
     def test_tie_at_the_ell_th_key_falls_back(self, argpartition_calls):
         # Row 4's 10th and 11th smallest keys are equal: argpartition picks
-        # one of them, and the fallback keeps its choice.
+        # one of them, and the fallback on that row keeps its choice.
         keys, _ = sparse_block()
         order = np.argsort(keys[4])
         keys[4, order[10]] = keys[4, order[9]]
-        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1)
+        assert_selects_like_argpartition(argpartition_calls, keys, 10, 1, shape=(1, 400))
 
     def test_ties_below_the_ell_th_key_keep_the_candidates(self, argpartition_calls):
         keys, _ = sparse_block()
@@ -369,8 +420,8 @@ class TestSmallestKeys:
 
     @pytest.mark.parametrize("n, ell", [(104, 10), (60, 60), (1, 1), (300, 300), (2, 1), (2, 2)])
     def test_dense_blocks_take_argpartition(self, argpartition_calls, n, ell):
-        # tau = (sqrt(ell) + 2)**2 / n above _SPARSE_TAU, ell = N included:
-        # each full row's packed words are sorted, and no argpartition runs
+        # ell = N included: each row's packed words choose exactly, and no
+        # argpartition runs
         keys = np.random.default_rng(n).random((5, n))
         assert_selects_like_argpartition(argpartition_calls, keys, ell, 0)
 
@@ -405,6 +456,22 @@ class TestSmallestKeys:
         chosen = model_module._smallest_keys(keys, 10)[2]
         assert second in chosen and first not in chosen
 
+    @pytest.mark.parametrize("same_float32", [True, False])
+    def test_wide_truncation_tie_at_the_ell_th_key_falls_back(
+        self, argpartition_calls, same_float32
+    ):
+        # As above with wide's 1,759 pairs, whose column field is 11 bits.
+        keys = np.random.default_rng(1759).random((5, 1759))
+        assert tied_rows(keys, 40) == 0
+        order = np.argsort(keys[3])
+        small, large = truncation_twins(keys[3, order[39]], same_float32, bits=11)
+        assert keys[3, order[38]] < small < large < keys[3, order[41]]
+        first, second = sorted(order[39:41])
+        keys[3, first], keys[3, second] = large, small
+        assert_selects_like_argpartition(argpartition_calls, keys, 40, 1, shape=(1, 1759))
+        chosen = model_module._smallest_keys(keys, 40)[3]
+        assert second in chosen and first not in chosen
+
     @pytest.mark.parametrize("tie", ["equal run", "same float32", "same high bits"])
     def test_dense_ties_below_the_ell_th_key_keep_the_words(
         self, argpartition_calls, tie
@@ -429,16 +496,13 @@ class TestSmallestKeys:
     @given(st.data())
     def test_dense_blocks_match_argpartition(self, data):
         # Keys on a coarse grid tie often, exactly or in their words.
-        n = data.draw(st.integers(1, 300))
-        dense = model_module._threshold(n, np.arange(1, n + 1)) > model_module._SPARSE_TAU
-        ell = data.draw(st.integers(1 + int(np.argmax(dense)), n))
-        rows = data.draw(st.integers(1, 50))
-        levels = data.draw(st.sampled_from([None, 2, 7, 1 << 12, 1 << 24]))
-        keys = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((rows, n))
-        if levels is not None:
-            keys = np.floor(keys * levels) / levels
-        chosen = model_module._smallest_keys(keys, ell)
-        assert np.array_equal(chosen, sorted_argpartition(keys, ell))
+        assert_matches_argpartition(data, max_n=300, max_rows=50)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_wide_blocks_match_argpartition(self, data):
+        # N past 1,024 packs its columns into 11 bits of each word.
+        assert_matches_argpartition(data, max_n=2000, max_rows=5)
 
 
 def sampled_instance(n_items, mean_degree, seed=0):
