@@ -26,8 +26,9 @@ class ValidationError(MixMNLError):
 class NumericalError(MixMNLError):
     """A numerical stage failed on otherwise well-formed input.
 
-    ``stage`` names the fit stage that failed, once the moment phase has
-    attached it; it stays None for failures outside those stages.
+    ``stage`` names the fit stage that failed, once the moment phase or
+    Rank Centrality has attached it; it stays None for failures outside
+    those stages.
     """
 
     stage = None

@@ -114,7 +114,7 @@ class ObservationBatch:
             yield self[t]
 
 
-def _smallest_keys(keys, ell, words=None):
+def _smallest_keys(keys, ell, words=None, columns=None):
     """Columns of each row's ``ell`` smallest keys, ascending: (rows, ell) ints.
 
     Always equal to ``argpartition`` then ``sort`` along the rows, ties
@@ -130,16 +130,21 @@ def _smallest_keys(keys, ell, words=None):
     1 in 300 at 1,759 pairs and 1 in 33 at 9,889 pairs with ell 40, and
     every row with a true tie there) take the full-row ``argpartition``
     and ``sort`` on those rows alone, which chooses as on the whole block.
-    ``words``, if given, is a C-order (rows or more, N) uint32 buffer.
+    ``words`` and ``columns``, if given, are ``_word_buffers`` of rows or
+    more: a C-order uint32 buffer, and every row's column numbers, which
+    are ORed into the words as one flat operation.
     """
     rows, n = keys.shape
     if ell == n:
         return np.tile(np.arange(n), (rows, 1))
-    words = np.empty(keys.shape, np.uint32) if words is None else words[:rows]
+    if words is None:
+        words, columns = _word_buffers(keys.shape)
+    else:
+        words, columns = words[:rows], columns[:rows]
     low = np.uint32((1 << (n - 1).bit_length()) - 1)
     words.view(np.float32)[...] = keys  # cast by value: no byte-order dependence
     words &= ~low
-    words |= np.arange(n, dtype=np.uint32)
+    words |= columns
     words.partition(ell, axis=1)
     chosen = words[:, :ell].copy()
     tie = chosen >= (words[:, ell] & ~low)[:, None]  # truncated key is word ell's
@@ -149,6 +154,13 @@ def _smallest_keys(keys, ell, words=None):
         tied = np.flatnonzero(tie.any(axis=1))
         chosen[tied] = _sorted_argpartition(keys[tied], ell)
     return chosen
+
+
+def _word_buffers(shape):
+    """A (rows, N) uint32 buffer for ``_smallest_keys``' words, and a
+    (rows, N) uint32 array whose every row is 0, ..., N - 1."""
+    rows, n = shape
+    return np.empty(shape, np.uint32), np.tile(np.arange(n, dtype=np.uint32), (rows, 1))
 
 
 def _sorted_argpartition(keys, ell):
@@ -226,7 +238,8 @@ class MixedMNLModel:
         then per chunk the pair keys and the outcome uniforms), so a seeded
         generator reproduces the batch exactly.  The chunk size fixes that
         order; the keys and the outcome uniforms each go through one block
-        of about 1 MB (the keys' uint32 words through one of half that), and
+        of about 1 MB (the keys' uint32 words, and their column numbers,
+        through two of half that), and
         the thresholds and int8 signs are taken per outcome block, so
         scratch memory does not grow with the chunk.
         ``count`` >= 0 and ``ell`` in [1, n_pairs] must be integers: a
@@ -243,14 +256,15 @@ class MixedMNLModel:
         step = max(1, _CHUNK_FLOATS // n_pairs)
         rows = max(1, _BLOCK_FLOATS // n_pairs)
         keys = np.empty((min(rows, step, count), n_pairs))
-        words = np.empty(keys.shape, np.uint32)
+        words, columns = _word_buffers(keys.shape)
         outcome_rows = max(1, _BLOCK_FLOATS // ell)
         uniforms = np.empty((min(outcome_rows, step, count), ell))
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             for start in range(lo, hi, rows):
                 stop = min(start + rows, hi)
-                idx[start:stop] = _smallest_keys(rng.random(out=keys[: stop - start]), ell, words)
+                block = rng.random(out=keys[: stop - start])
+                idx[start:stop] = _smallest_keys(block, ell, words, columns)
             for start in range(lo, hi, outcome_rows):
                 stop = min(start + outcome_rows, hi)
                 u = rng.random(out=uniforms[: stop - start])

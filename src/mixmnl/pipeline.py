@@ -49,11 +49,11 @@ class LearnConfig:
     """Settings of the full learner.
 
     Every iteration count comes from the data: completion runs
-    ceil(log(n_pairs * count)) solves, the tensor power method
-    ``default_restarts(r)`` restarts per round, and each Rank Centrality
-    power iteration stops at convergence, capped by
-    ``rankcentrality.default_iteration_count``.  ``seed`` seeds only the
-    tensor power method's restarts; every other stage is deterministic.
+    ceil(log(n_pairs * count)) solves and the tensor power method
+    ``default_restarts(r)`` restarts per round, while Rank Centrality
+    solves each chain's stationary equations directly.  ``seed`` seeds
+    only the tensor power method's restarts; every other stage is
+    deterministic.
     ``exact_moments`` runs the moment phase on the generating model's
     population moments, from their factors, at any number of pairs.
     """

@@ -6,27 +6,29 @@ the Markov chain that moves along an edge with probability proportional to
 the win rate of the far endpoint, scaled by 1/(2 d_max), with the residual
 mass on the self-loop.  For exact inputs the chain is reversible with
 stationary distribution exactly equal to the item weights; for noisy
-inputs the stationary distribution is the weight estimate.  The power
-iteration starts from the uniform vector, so results are deterministic, and
-stops once successive iterates agree to roundoff; the worst-case spectral
-bound of ``default_iteration_count``, taken at the largest weight range the
-bound allows for, only caps the number of steps.  The cap depends on the
-graph alone, so every chain of a fit shares it.
+inputs the stationary distribution is the weight estimate.
 
-The r components of a mixture are ranked in one block iteration.  Their
-chains are built once, in one pass, as one block-diagonal sparse matrix
-(``build_transition`` is the one-chain case of the same builder); the block
-is transposed once and applied to an (r, n_items) iterate whose rows are
-the components' distributions.  The steps run in spans of up to 32, each
-written into one reused buffer by scipy's ``csr_matvec`` kernel and two
-in-place numpy calls, and the stop rule is applied once per span: the L1
-changes of all the span's steps are taken together, and each row stops at
-its first step whose change is at most 1e-15, or at the cap.  A stopped
-row keeps that step's iterate, and its chain is cut out of the transposed
-block by slicing the CSR arrays, since each chain's rows are one range of
-entries.  So every chain takes exactly the steps, and returns exactly the
-bits, it would on its own; a single chain is the one-row case of the same
-loop.
+``rank_centrality`` solves for that distribution directly.  The r chains of
+a mixture are built once, in one pass, as one block-diagonal sparse matrix
+(``build_transition`` is the one-chain case of the same builder), and one
+strong-components pass over the block finds the chains that are
+irreducible.  Each of those has a unique stationary distribution, the
+solution of (I - P^T) pi = 0 with the last equation replaced by
+sum(pi) = 1: the dense systems are scattered from the chains' CSR entries
+and solved by one batched LU solve per group of at most 2^20 floats.  The
+cost is fixed by n, however slowly a chain mixes; the comparison graph's
+own diagnostics already form a dense n x n matrix and its eigenvalues.
+
+An outcome clipped to +1 or -1 removes one direction of its edge, and a
+chain can then fall into several closed classes.  Such a chain gets the
+limit of the power iteration from the uniform start: each closed class's
+own stationary distribution, weighted by its share of the start plus the
+transient mass it absorbs, and zero on the transient items.
+
+``power_stationary`` is that power iteration, one chain at a time: it
+starts from the uniform vector and stops once successive iterates agree to
+roundoff, and the worst-case spectral bound of ``default_iteration_count``,
+taken at the largest weight range the bound allows for, caps its steps.
 """
 
 import math
@@ -35,27 +37,26 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
+from scipy.sparse.csgraph import connected_components
 
-from .errors import ValidationError, checked_array, checked_count
+from .errors import NumericalError, ValidationError, checked_array, checked_count
 
 _CONVERGENCE_EPS = 1e-8
-# Power iteration stops once the L1 change between iterates is at most this.
+# The power iteration stops once the L1 change between iterates is at most this.
 # The change settles at a roundoff floor of about 2e-16 or less on the chains
 # the pipeline builds, so the stop is reached once the iterate has converged;
 # a chain whose floor lies above it runs to its cap.
 _STOP_CHANGE = 1e-15
 # The iteration bound grows with the square of the weights' dynamic range
 # b = max w / min w.  Every chain is capped with b at this ceiling: the stop
-# rule ends the pipeline's chains long before that cap, while a b estimated
+# rule usually ends a chain long before that cap, while a b estimated
 # from noisy outcomes could put the cap below the steps a nearly flat chain
 # needs to reach the stop.
 _RANGE_CAP = 16.0
-# Steps per span of the block iteration, and the floats its buffer of
-# span + 1 iterates may hold (2 MB); a block larger than half of that takes
-# spans of one step.
-_SPAN = 32
-_SPAN_FLOATS = 1 << 18
+# The dense systems of the irreducible chains are built and solved in
+# groups of at most this many floats (8 MB), so a fit's peak memory grows
+# with one chain's n^2 floats rather than r of them.
+_GROUP_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,90 +124,112 @@ def power_stationary(transition, n_iterations):
     ``n_iterations`` steps, whichever comes first.  ``n_iterations`` must
     be an integer of at least 1; a float such as 10.5 is refused.
     """
-    return _block_power(transition.matrix, 1, n_iterations)[0]
+    cap = checked_count(n_iterations, "n_iterations", low=1)
+    n = transition.n_items
+    pi = np.full(n, 1.0 / n)
+    transposed = transition.matrix.T.tocsr()
+    for step in range(1, cap + 1):
+        nxt = transposed @ pi
+        nxt /= nxt.sum()
+        change = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if change <= _STOP_CHANGE:
+            break
+    return PowerIterationResult(distribution=pi, last_change=change, iterations=step)
 
 
-def _block_power(chains, r, cap):
-    """``power_stationary`` of the r chains of a ``_chains`` block at once.
+def _stationary(chains, r):
+    """Stationary distributions of the r chains of a ``_chains`` block: (r, n).
 
-    The block is transposed once.  Row a of the iterate belongs to block a;
-    every row is capped at ``cap`` steps.  The rows still running are
-    stepped together, in spans of up to ``_SPAN`` steps that write into one
-    (span + 1, rows, n) buffer, allocated once and reused: the span's rows
-    are zeroed, and each step adds the block times the previous row into
-    its row with scipy's ``csr_matvec`` (what ``block @ x`` runs into
-    zeros), then divides each chain by its sum in place.  After a span,
-    the L1 changes of all its steps are taken at once.  Each row stops at
-    its first step whose change is at most 1e-15, or at the cap, which a
-    span never passes: the step where a loop of single steps stops it,
-    with the same iterate and change.  A stopped row keeps that step's
-    iterate, and its chain's rows are cut from the transposed block's CSR
-    arrays by slices, since each chain's rows are one contiguous range of
-    entries.  Returns one ``PowerIterationResult`` per chain.
+    One strong-components pass over the block finds the irreducible chains.
+    They are solved by ``_solve_stationary`` in groups of at most
+    ``_GROUP_FLOATS`` floats of dense systems; every other chain gets its
+    ``_closed_class_limit``.  A ``LinAlgError`` of any solve is raised as
+    the ``NumericalError`` of stage "rank centrality".
     """
-    cap = checked_count(cap, "n_iterations", low=1)
     n = chains.shape[0] // r
-    block = chains.T.tocsr()
-    indptr, indices, data = block.indptr, block.indices, block.data
-    results = [None] * r
-    running = np.arange(r)
-    # Sized by the first span; fewer rows later fit more steps in it.
-    size = (max(1, min(_SPAN, _SPAN_FLOATS // (r * n) - 1, cap)) + 1) * r * n
-    buffer = np.empty(size)
-    buffer[: r * n] = 1.0 / n
-    step = 0
-    while running.size:
-        k = running.size
-        span = min(_SPAN, size // (k * n) - 1, cap - step)
-        buf = buffer[: (span + 1) * k * n].reshape(span + 1, k, n)
-        buf[1:] = 0.0
-        sums = np.empty((k, 1))
-        flat = list(buf.reshape(span + 1, k * n))
-        for s, nxt in enumerate(buf[1:]):
-            _sparsetools.csr_matvec(k * n, k * n, indptr, indices, data, flat[s], flat[s + 1])
-            np.add.reduce(nxt, axis=1, keepdims=True, out=sums)
-            np.divide(nxt, sums, out=nxt)
-        changes = np.diff(buf, axis=0)
-        np.abs(changes, out=changes)
-        changes = changes.sum(axis=2)  # (span, k): change of each step and row
-        hit = changes <= _STOP_CHANGE
-        converged = hit.any(axis=0)
-        stopped = converged | (step + span == cap)
-        last = np.where(converged, hit.argmax(axis=0), span - 1)
-        for row in np.flatnonzero(stopped):
-            i = int(last[row])
-            results[running[row]] = PowerIterationResult(
-                distribution=buf[i + 1, row].copy(),
-                last_change=float(changes[i, row]),
-                iterations=step + i + 1,
-            )
-        step += span
-        kept = np.flatnonzero(~stopped)
-        if 0 < kept.size < k:
-            indptr, indices, data = _kept_chains(indptr, indices, data, n, kept)
-        buffer[: kept.size * n] = buf[span, kept].ravel()
-        running = running[kept]
-    return results
+    labels = connected_components(chains, directed=True, connection="strong")[1].reshape(r, n)
+    irreducible = (labels == labels[:, :1]).all(axis=1)
+    solved = np.flatnonzero(irreducible)
+    per_group = max(1, _GROUP_FLOATS // (n * n))
+    diagonal = np.arange(n)
+    weights = np.empty((r, n))
+    try:
+        for lo in range(0, solved.size, per_group):
+            group = solved[lo : lo + per_group]
+            system = _transposed(chains, n, group)
+            np.negative(system, out=system)
+            system[:, diagonal, diagonal] += 1.0
+            weights[group] = _solve_stationary(system)
+        for a in np.flatnonzero(~irreducible):
+            weights[a] = _closed_class_limit(_transposed(chains, n, [a])[0], labels[a])
+    except np.linalg.LinAlgError as err:
+        failure = NumericalError(f"stationary solve failed: {err}")
+        failure.stage = "rank centrality"
+        raise failure from err
+    return weights
 
 
-def _kept_chains(indptr, indices, data, n, kept):
-    """CSR arrays of the chains at sorted positions ``kept`` of a block of chains.
+def _transposed(chains, n, which):
+    """Dense transposes of the chains at positions ``which`` of a ``_chains``
+    block: (len(which), n, n).
 
     Chain a's rows a n, ..., a n + n - 1 hold one contiguous range of
-    entries, whose columns lie in the same range; each kept chain's range
-    is copied in order and its rows and columns are shifted to its new
-    position.  The result equals scipy's ``block[rows][:, rows]`` for the
-    kept chains' rows, entry for entry, without its fancy indexing.
+    entries, whose columns lie in the same range; that range is scattered
+    into the chain's own slab, entry (i, j) of the chain to place (j, i).
     """
-    ptrs, cols, vals = [indptr[:1]], [], []
-    total = 0
-    for new, old in enumerate(kept.tolist()):
-        lo, hi = indptr[old * n], indptr[old * n + n]
-        ptrs.append(indptr[old * n + 1 : old * n + n + 1] - (lo - total))
-        cols.append(indices[lo:hi] - (old - new) * n)
-        vals.append(data[lo:hi])
-        total += hi - lo
-    return np.concatenate(ptrs), np.concatenate(cols), np.concatenate(vals)
+    dense = np.zeros((len(which), n, n))
+    indptr = chains.indptr
+    rows = np.arange(n)
+    for slab, a in zip(dense, which):
+        ptr = indptr[a * n : a * n + n + 1]
+        entries = slice(ptr[0], ptr[-1])
+        slab[chains.indices[entries] - a * n, np.repeat(rows, np.diff(ptr))] = chains.data[entries]
+    return dense
+
+
+def _solve_stationary(system):
+    """Stationary distributions, (g, m), of g irreducible chains from their
+    systems I - P^T, (g, m, m).
+
+    The last equation of each system is overwritten, in place, by
+    sum(pi) = 1, which makes it nonsingular; the stack is solved by one
+    batched LU solve with right-hand sides of shape (g, m, 1).
+    """
+    system[:, -1] = 1.0
+    rhs = np.zeros(system.shape[:2] + (1,))
+    rhs[:, -1] = 1.0
+    return np.linalg.solve(system, rhs)[..., 0]
+
+
+def _closed_class_limit(transposed, labels):
+    """The limit of ``power_stationary`` on a chain of several strong components.
+
+    ``transposed`` is the chain's dense P^T and ``labels`` its items' strong
+    components.  A component is a closed class when no move leaves it; the
+    rest are transient.  One solve of (I - Q) h = R, with Q the moves among
+    transient items and R their moves into each class, gives the mass h
+    each transient item sends into each class.  Class C keeps (|C| + the
+    sum of its h) / n of the uniform start, spread as its own stationary
+    distribution, and transient items keep none.  A periodic class has no
+    such limit, as the power iteration runs to its cap there; it gets its
+    stationary distribution all the same.
+    """
+    n = labels.size
+    chain = transposed.T
+    to, frm = np.nonzero(transposed)
+    leaving = labels[frm][labels[frm] != labels[to]]
+    member = labels[:, np.newaxis] == np.setdiff1d(labels, leaving)  # (n, classes)
+    transient = ~member.any(axis=1)
+    mass = member.sum(axis=0, dtype=np.float64)
+    if transient.any():
+        escape = np.eye(transient.sum()) - chain[np.ix_(transient, transient)]
+        mass += np.linalg.solve(escape, chain[transient] @ member).sum(axis=0)
+    weights = np.zeros(n)
+    for share, items in zip(mass / n, member.T):
+        system = np.eye(items.sum()) - transposed[np.ix_(items, items)]
+        weights[items] = share * _solve_stationary(system[np.newaxis])[0]
+    return weights
 
 
 def ergodic_diagnostics(graph):
@@ -223,15 +246,20 @@ def default_iteration_count(graph, outcomes):
 
     The Rank Centrality worst-case bound, with unit constant, eps = 1e-8
     and the weight range b at its ceiling of 16, so the cap depends on the
-    graph alone.  ``rank_centrality`` uses it as the cap on
-    ``power_stationary``, which usually stops far earlier.  ``outcomes``,
-    one mean per graph pair, is checked as ``build_transition`` checks it
-    but does not move the cap.  Needs a connected non-bipartite graph
-    (``ergodic_diagnostics``).
+    graph alone.  It is the cap to give ``power_stationary``, which usually
+    stops far earlier.  ``outcomes``, one mean per graph pair, is checked
+    as ``build_transition`` checks it but does not move the cap.  Needs a
+    connected non-bipartite graph (``ergodic_diagnostics``).
     """
-    cap = _iteration_cap(graph)
+    diag = ergodic_diagnostics(graph)
     _checked_outcomes(graph, outcomes)
-    return cap
+    count = (
+        _RANGE_CAP**2
+        * diag.d_max
+        * (math.log(graph.n_items) + math.log(1.0 / _CONVERGENCE_EPS))
+        / (diag.spectral_gap * diag.d_min)
+    )
+    return max(1, math.ceil(count))
 
 
 def _checked_outcomes(graph, outcomes):
@@ -244,17 +272,6 @@ def _checked_outcomes(graph, outcomes):
     return v
 
 
-def _iteration_cap(graph):
-    diag = ergodic_diagnostics(graph)
-    count = (
-        _RANGE_CAP**2
-        * diag.d_max
-        * (math.log(graph.n_items) + math.log(1.0 / _CONVERGENCE_EPS))
-        / (diag.spectral_gap * diag.d_min)
-    )
-    return max(1, math.ceil(count))
-
-
 def rank_centrality(graph, outcomes):
     """Item weights from per-pair outcome means.
 
@@ -262,16 +279,14 @@ def rank_centrality(graph, outcomes):
     column of means per component, shape (n_pairs, r); the weights come
     back as (n_items,) or (r, n_items) to match.  The columns are clipped
     into [-1, 1], their comparison chains are built once as one
-    block-diagonal matrix, and the chains are power-iterated together from
-    uniform until each one's iterates stop changing, or for at most
-    ``default_iteration_count`` steps; a chain that stops is sliced out of
-    the block.
+    block-diagonal matrix, and each chain's stationary distribution is
+    solved for directly (``_stationary``).  The graph must be connected
+    and non-bipartite (``ergodic_diagnostics``).
     """
     projected = project_outcomes(outcomes)
     columns = np.atleast_2d(projected.T)
     if projected.ndim not in (1, 2) or columns.shape[0] == 0 or columns.shape[1] != graph.n_pairs:
         raise ValidationError("need outcomes of shape (n_pairs,) or (n_pairs, r), r >= 1")
-    cap = _iteration_cap(graph)
-    results = _block_power(_chains(graph, columns), columns.shape[0], cap)
-    weights = np.stack([res.distribution for res in results])
+    ergodic_diagnostics(graph)
+    weights = _stationary(_chains(graph, columns), columns.shape[0])
     return weights[0] if projected.ndim == 1 else weights

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import mixmnl
 from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline, serialize
+from mixmnl import rankcentrality
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
 
@@ -217,6 +218,23 @@ class TestLearn:
         )
         assert result.exit_code == 3
         assert "numerical failure" in result.output
+
+    def test_rank_centrality_failure_exits_3(self, runner, tmp_path, monkeypatch):
+        # A failed stationary solve names its stage, as the moment phase's do.
+        data = generate_dataset(runner, tmp_path / "d.json", samples=2000)
+
+        def singular(system):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(rankcentrality, "_solve_stationary", singular)
+        result = runner.invoke(
+            main, ["learn", "--dataset", str(data), "--out", str(tmp_path / "r.json"), "--r", "2"]
+        )
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "numerical failure in rank centrality: stationary solve failed: Singular matrix\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "n_items, edges, ell",

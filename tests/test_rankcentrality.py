@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -316,8 +315,8 @@ class TestBlockIteration:
         ]
 
     def test_matches_per_column_calls(self):
-        # The components stop at different steps, so rows leave the block
-        # one by one; each must still end on its own chain's bits.
+        # The components' loops stop at different steps; the solve must land
+        # on each loop's limit, and the block on each column's own bits.
         caps = [default_iteration_count(self.GRAPH, column) for column in self.OUTCOMES.T]
         steps = self.stop_steps(max(caps))
         assert len(set(steps)) == len(steps)
@@ -326,25 +325,8 @@ class TestBlockIteration:
         columns = [rank_centrality(self.GRAPH, column) for column in self.OUTCOMES.T]
         assert block.shape == (4, self.GRAPH.n_items)
         assert np.array_equal(block, np.stack(columns))
-        assert np.array_equal(block, self.loop_reference(caps))
-
-    def test_explicit_cap_hit_by_some_components(self):
-        steps = sorted(self.stop_steps(10**6))
-        cap = (steps[1] + steps[2]) // 2
-        assert steps[1] < cap < steps[2]  # two components stop, two hit the cap
-        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
-        results = rankcentrality._block_power(chains, 4, cap)
-        assert sorted(res.iterations for res in results) == steps[:2] + [cap, cap]
-        alone = [
-            power_stationary(build_transition(self.GRAPH, column), cap)
-            for column in self.OUTCOMES.T
-        ]
-        for res, single in zip(results, alone):
-            assert res.iterations == single.iterations
-            assert res.last_change == single.last_change
-        block = np.stack([res.distribution for res in results])
-        assert np.array_equal(block, np.stack([single.distribution for single in alone]))
-        assert np.array_equal(block, self.loop_reference([cap] * 4))
+        reference = self.loop_reference(caps)
+        assert np.abs(block - reference).max() <= 1e-12 * reference.max()
 
     def test_chain_blocks_match_build_transition(self):
         # Block a of the one-pass build holds exactly the entries, in the
@@ -373,7 +355,8 @@ class TestBlockIteration:
         )
         weights = rank_centrality(self.GRAPH, self.OUTCOMES)
         assert calls == ["_chains"]
-        assert np.array_equal(weights, self.loop_reference([10**6] * 4))
+        reference = self.loop_reference([10**6] * 4)
+        assert np.abs(weights - reference).max() <= 1e-12 * reference.max()
 
     def test_one_dimensional_input_keeps_its_shape(self):
         pi = rank_centrality(self.GRAPH, self.OUTCOMES[:, 0])
@@ -440,7 +423,7 @@ def scalar_cap(graph, outcomes):
     return max(1, math.ceil(count))
 
 
-def test_cap_never_below_an_estimated_range_cap(monkeypatch):
+def test_cap_never_below_an_estimated_range_cap():
     # A cap taken at each column's estimated weight range is never above
     # the shared cap, and equals it once the estimate reaches the ceiling.
     graph = erdos_renyi(70, 8.0, np.random.default_rng(50))
@@ -453,141 +436,178 @@ def test_cap_never_below_an_estimated_range_cap(monkeypatch):
         assert scalar_cap(graph, column) <= cap
     assert scalar_dynamic_range(graph, outcomes[:, 7]) == 16.0
     assert scalar_cap(graph, outcomes[:, 7]) == cap
-    seen = []
-    block_power = rankcentrality._block_power
-    monkeypatch.setattr(
-        rankcentrality,
-        "_block_power",
-        lambda chains, r, cap: seen.append(cap) or block_power(chains, r, cap),
-    )
-    rank_centrality(graph, outcomes)
-    assert seen == [cap]
 
 
 class TestSpans:
-    # The block runs in spans of up to _SPAN steps; each chain must still
-    # stop at the step, and on the bits, of a loop of single steps.  The
-    # four chains stop at steps 580, 584, 551 and 590: out of index order.
+    # Two ways the work is cut up: the plain loop's steps up to its cap, and
+    # the solve's groups of chains.  The four loops stop at steps 580, 584,
+    # 551 and 590: out of index order.
     GRAPH = TestBlockIteration.GRAPH
     OUTCOMES = TestBlockIteration.OUTCOMES
     STOPS = [580, 584, 551, 590]
 
     def assert_matches_loops(self, cap):
-        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
-        results = rankcentrality._block_power(chains, 4, cap)
-        for res, column in zip(results, self.OUTCOMES.T):
+        steps = []
+        for column in self.OUTCOMES.T:
             transition = build_transition(self.GRAPH, column)
-            pi, change, steps = loop_steps(transition, cap)
+            pi, change, loop = loop_steps(transition, cap)
             single = power_stationary(transition, cap)
-            assert np.array_equal(res.distribution, pi)
-            assert np.array_equal(res.distribution, single.distribution)
-            assert res.iterations == single.iterations == steps
-            assert res.last_change == single.last_change == change
-        return [res.iterations for res in results]
+            assert np.array_equal(single.distribution, pi)
+            assert single.iterations == loop
+            assert single.last_change == change
+            steps.append(single.iterations)
+        return steps
 
     def test_stop_steps(self):
         assert self.assert_matches_loops(10**6) == self.STOPS
 
     @pytest.mark.parametrize("chain", range(4))
     @pytest.mark.parametrize("where", ["first", "last"])
-    def test_stop_on_a_span_edge(self, monkeypatch, chain, where):
-        # A span of s steps ends at step s, so the chain stops on the last
-        # step of the first span, or on the first step of the second.
+    def test_stop_on_a_span_edge(self, chain, where):
+        # The cap is the chain's stop step, the last one the loop may take,
+        # or one less, which leaves the stop the first step past it.
         stop = self.STOPS[chain]
-        monkeypatch.setattr(rankcentrality, "_SPAN", stop if where == "last" else stop - 1)
-        assert self.assert_matches_loops(10**6) == self.STOPS
+        cap = stop if where == "last" else stop - 1
+        assert self.assert_matches_loops(cap) == [min(s, cap) for s in self.STOPS]
 
     @pytest.mark.parametrize(
         "cap, steps",
         [
-            (582, [580, 582, 551, 582]),  # inside the 19th span of 32
-            (576, [576, 576, 551, 576]),  # the end of the 18th span
-            (20, [20] * 4),  # below _SPAN: one short span
+            (582, [580, 582, 551, 582]),  # between two chains' stops
+            (576, [576, 576, 551, 576]),  # past one stop only
+            (20, [20] * 4),  # far below every stop
             (1, [1] * 4),
         ],
     )
     def test_cap(self, cap, steps):
-        assert rankcentrality._SPAN == 32
         assert self.assert_matches_loops(cap) == steps
 
     def test_spans_of_one_step(self, monkeypatch):
-        # A buffer of two iterates, the fallback for blocks of more than
-        # half the float budget; fewer chains fit more steps in it.
-        monkeypatch.setattr(rankcentrality, "_SPAN_FLOATS", 1)
-        assert self.assert_matches_loops(10**6) == self.STOPS
-        buffers = []
-        real = rankcentrality._sparsetools.csr_matvec
+        # Groups of one chain, as for chains of more than the float budget,
+        # give the bits of one group of four.
+        n = self.GRAPH.n_items
+        whole = rank_centrality(self.GRAPH, self.OUTCOMES)
+        groups = []
+        real = rankcentrality._solve_stationary
         monkeypatch.setattr(
-            rankcentrality._sparsetools,
-            "csr_matvec",
-            lambda *args: buffers.append(args[-1].base.size) or real(*args),
+            rankcentrality,
+            "_solve_stationary",
+            lambda system: groups.append(system.shape) or real(system),
         )
-        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
-        rankcentrality._block_power(chains, 4, 10**6)
-        # One buffer of 2 iterates of 4 chains.  Spans of one step run to
-        # step 580; then 2 chains fit 3 steps (581-586, chain 1 stopped at
-        # 584), and the last chain 7 (587-593, stopped at 590).
-        assert buffers == [2 * 4 * self.GRAPH.n_items] * 593
+        monkeypatch.setattr(rankcentrality, "_GROUP_FLOATS", 1)
+        assert np.array_equal(rank_centrality(self.GRAPH, self.OUTCOMES), whole)
+        assert groups == [(1, n, n)] * 4
 
     @pytest.mark.parametrize("kept", [[0], [3], [0, 2], [1, 3], [0, 1, 3], [0, 1, 2, 3]])
     def test_kept_chains_match_fancy_indexing(self, kept):
+        # The dense slabs of the chains at any positions: each is the
+        # transpose of scipy's slice of its chain out of the block.
         n = self.GRAPH.n_items
-        block = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T).T.tocsr()
-        rows = (n * np.array(kept)[:, np.newaxis] + np.arange(n)).ravel()
-        want = block[rows][:, rows]
-        got = rankcentrality._kept_chains(
-            block.indptr, block.indices, block.data, n, np.array(kept)
-        )
-        for mine, theirs in zip(got, (want.indptr, want.indices, want.data)):
-            assert mine.dtype == theirs.dtype
-            assert np.array_equal(mine, theirs)
+        chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
+        got = rankcentrality._transposed(chains, n, kept)
+        assert got.shape == (len(kept), n, n)
+        for slab, a in zip(got, kept):
+            rows = np.arange(a * n, a * n + n)
+            assert np.array_equal(slab, chains[rows][:, rows].toarray().T)
 
     def test_chains_cut_out_of_order(self, monkeypatch):
-        # Chain 2 stops first, then 0, then 1: every cut the iteration makes
-        # equals scipy's fancy indexing of the block it cut.
+        # Chain 2 is made reducible, so it is taken out after the groups of
+        # the others, which hold two chains each; every slab equals the
+        # transpose of scipy's slice of its chain.
         n = self.GRAPH.n_items
+        outcomes = self.OUTCOMES.copy()
+        outcomes[:, 2] = np.sign(outcomes[:, 2])
         cuts = []
-        real = rankcentrality._kept_chains
+        real = rankcentrality._transposed
 
-        def spy(indptr, indices, data, n_items, kept):
-            block = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
-            rows = (n * kept[:, np.newaxis] + np.arange(n)).ravel()
-            want = block[rows][:, rows]
-            got = real(indptr, indices, data, n_items, kept)
-            for mine, theirs in zip(got, (want.indptr, want.indices, want.data)):
-                assert np.array_equal(mine, theirs)
-            cuts.append(kept.tolist())
+        def spy(chains, n_items, which):
+            got = real(chains, n_items, which)
+            for slab, a in zip(got, which):
+                rows = np.arange(a * n, a * n + n)
+                assert np.array_equal(slab, chains[rows][:, rows].toarray().T)
+            cuts.append([int(a) for a in which])
             return got
 
-        monkeypatch.setattr(rankcentrality, "_kept_chains", spy)
-        monkeypatch.setattr(rankcentrality, "_SPAN", 1)  # one stop per cut
-        assert self.assert_matches_loops(10**6) == self.STOPS
-        assert cuts == [[0, 1, 3], [1, 2], [1]]
+        monkeypatch.setattr(rankcentrality, "_transposed", spy)
+        monkeypatch.setattr(rankcentrality, "_GROUP_FLOATS", 2 * n * n)
+        weights = rank_centrality(self.GRAPH, outcomes)
+        assert cuts == [[0, 1], [3], [2]]
+        for row, column in zip(weights, outcomes.T):
+            pi, change, steps = loop_steps(build_transition(self.GRAPH, column), 10**6)
+            assert change <= 1e-15
+            assert np.abs(row - pi).max() <= steps * 1e-15
 
-    @pytest.mark.parametrize("n_items, cap", [(6_250, 9), (20_000, 3)])
-    def test_buffer_within_float_budget(self, n_items, cap):
-        # At r = 8 the buffer of span + 1 iterates holds at most
-        # max(2^18, 2 r n) floats: 5 iterates of 50,000 floats, then 2 of
-        # 160,000.
-        # Each item i compared with i + 1 and i + 2: a connected graph of
-        # 2n - 3 pairs, built without erdos_renyi's n^2 / 2 candidate pairs.
-        r = 8
-        items = np.arange(n_items)
-        graph = ComparisonGraph(
-            n_items, np.concatenate([np.c_[items[:-1], items[1:]], np.c_[items[:-2], items[2:]]])
-        )
-        outcomes = np.random.default_rng(1).uniform(-0.5, 0.5, (r, graph.n_pairs))
-        chains = rankcentrality._chains(graph, outcomes)
-        tracemalloc.start()
-        try:
-            results = rankcentrality._block_power(chains, r, cap)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [res.iterations for res in results] == [cap] * r
-        block = chains.indptr.nbytes + chains.indices.nbytes + chains.data.nbytes
-        rows = r * n_items
-        buffer = max(1 << 18, 2 * rows) * 8
-        # Beside the block and the buffer: the changes of a span's steps,
-        # one iterate fewer than the buffer, and the results.
-        assert peak < block + 2 * buffer + rows * 8 + (1 << 16)
+
+class TestClosedClasses:
+    # A chain of several strong components gets the limit of the loop from
+    # uniform: each closed class's own distribution, weighted by its share
+    # of the start plus the transient mass it absorbs.
+    def test_path_splits_between_its_ends(self):
+        # Item 1 moves to 0 or 2 with probability 1/2 each and neither
+        # moves back, so each end keeps its third and half of item 1's.
+        transition = build_transition(ComparisonGraph(3, [[0, 1], [1, 2]]), np.array([-1.0, 1.0]))
+        weights = rankcentrality._stationary(transition.matrix, 1)
+        assert weights.tolist() == [[0.5, 0.0, 0.5]]
+        assert loop_power(transition, 10).tolist() == [0.5, 0.0, 0.5]
+
+    @staticmethod
+    def saturated(seed):
+        """A small graph and outcomes with about 60% of them at +-1."""
+        rng = np.random.default_rng([seed])
+        n = int(rng.integers(8, 25))
+        graph = erdos_renyi(n, 4.0, rng)
+        outcomes = rng.uniform(-1.0, 1.0, graph.n_pairs)
+        saturated = rng.random(graph.n_pairs) < 0.6
+        outcomes[saturated] = np.sign(outcomes[saturated])
+        return graph, outcomes
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_saturated_chains_match_the_loop(self, seed):
+        # After its stop, the loop's remaining changes sum to about its last
+        # change over the gap, and the steps it took bound the inverse gap.
+        graph, outcomes = self.saturated(seed)
+        transition = build_transition(graph, outcomes)
+        pi, change, steps = loop_steps(transition, default_iteration_count(graph, outcomes))
+        assert change <= 1e-15
+        assert np.abs(rank_centrality(graph, outcomes) - pi).max() <= steps * 1e-15
+
+    def test_most_saturated_chains_are_reducible(self):
+        chains = [build_transition(*self.saturated(seed)).matrix for seed in range(20)]
+        counts = [connected_components(c, directed=True, connection="strong")[0] for c in chains]
+        assert sum(count > 1 for count in counts) >= 10
+
+
+class TestSolveFailure:
+    def test_linalg_error_is_a_numerical_error_of_its_stage(self, monkeypatch):
+        def singular(system):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(rankcentrality, "_solve_stationary", singular)
+        graph = TestBlockIteration.GRAPH
+        with pytest.raises(NumericalError, match="Singular matrix") as info:
+            rank_centrality(graph, TestBlockIteration.OUTCOMES)
+        assert info.value.stage == "rank centrality"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_dense_systems_built_in_groups_within_the_float_budget():
+    # At n = 1,000 one chain's system is 10^6 floats, so each group holds
+    # one chain: the traced peak, one system and the solver's copy of it,
+    # stays below 2.5 chains' systems, where one group of three takes six.
+    n_items, r = 1000, 3
+    items = np.arange(n_items)
+    graph = ComparisonGraph(
+        n_items, np.concatenate([np.c_[items[:-1], items[1:]], np.c_[items[:-2], items[2:]]])
+    )
+    outcomes = np.random.default_rng(1).uniform(-0.5, 0.5, (r, graph.n_pairs))
+    chains = rankcentrality._chains(graph, outcomes)
+    tracemalloc.start()
+    try:
+        weights = rankcentrality._stationary(chains, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (r, n_items)
+    assert (weights > 0.0).all()
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
+    assert peak < 2.5 * n_items**2 * 8
