@@ -20,6 +20,10 @@
 # OpenBLAS threads, and both runs must write the same bytes: its 104 x 104
 # second moment is past the size where OpenBLAS splits a dot product
 # across threads, which the completion's sums must not follow.
+# That fit is garbage (its mixture proportions sum to about 5.4), and the
+# one-thread run must say so on stderr with a "warning: mixture_sum_suspect"
+# line while it still exits 0: this checks the warning through the
+# installed entry point.
 # The n = 300 and the cli datasets must also match the sha256 digests
 # written below, which the sampler wrote before its selection became one
 # partition.  Two draws from one install cannot show a change across
@@ -33,8 +37,8 @@
 # m = 20 distinct entries, whose orbits take all three sizes (1, 3 and 6).
 # A rank-8 dataset (n = 60, 178 pairs) is learned twice from its exact
 # moments, and both runs must write the same bytes: its eight Rank
-# Centrality chains are solved as one batch of eight dense systems, and its
-# power method steps 352 restarts a round.
+# Centrality chains are solved one after another, each as one dense
+# system, and its power method steps 352 restarts a round.
 # Last, acceptance criterion 9's dataset (n = 10, 14 pairs, 500 samples)
 # is learned twice, and both runs must write the same bytes: both of that
 # fit's Rank Centrality chains fall into several closed classes, so their
@@ -58,7 +62,8 @@ sha256sum -c - <<'DIGESTS'
 41b18865e86b788de0f50dc801269835040b26dd531556e10029037b154f0a34  s1.json
 be0fcc71c0e201d7cea6c4181c51cc3777b4059c2025c90cb1c866c0f7534b8b  c.json
 DIGESTS
-OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3
+OPENBLAS_NUM_THREADS=1 mixmnl learn --dataset c.json --out c1.json --r 2 --seed 3 2> c1.err
+grep -q "warning: mixture_sum_suspect" c1.err
 OPENBLAS_NUM_THREADS=2 mixmnl learn --dataset c.json --out c2.json --r 2 --seed 3
 cmp c1.json c2.json
 python -m json.tool c.json > c-pretty.json

@@ -43,10 +43,8 @@ from .pipeline import (
     run_sweep,
 )
 from .rankcentrality import (
-    PowerIterationResult,
     TransitionMatrix,
     build_transition,
-    power_stationary,
     project_outcomes,
     rank_centrality,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "NumericalError",
     "Observation",
     "ObservationBatch",
-    "PowerIterationResult",
     "RankDeficiencyError",
     "SecondMomentEstimate",
     "TensorEigenpairs",
@@ -112,7 +109,6 @@ __all__ = [
     "load_results",
     "marginally_identical_mixtures",
     "match_components",
-    "power_stationary",
     "project_outcomes",
     "projected_third_moment",
     "random_uniform_model",

@@ -5,7 +5,8 @@ dataset, ``evaluate`` results against ground truth, ``sweep`` error decay
 over sample sizes, ``check`` model/graph conditioning, and ``ambiguity``
 for the worked example of two mixtures that pairwise data cannot tell
 apart.  Exit codes: 0 on success, 2 on validation problems and
-filesystem errors, 3 when a numerical stage fails.
+filesystem errors, 3 when a numerical stage fails.  ``learn`` also writes
+one ``warning:`` line to stderr for each suspect diagnostic of its fit.
 """
 
 import functools
@@ -126,6 +127,12 @@ def learn(dataset_path, out_path, n_components, seed, exact_moments):
     estimates = learn_mixed_mnl(batch, config, model=model)
     serialize.save_results(out_path, estimates)
     click.echo(f"wrote {out_path}")
+    for key, text in (
+        ("mixture_sum_suspect", "the mixture proportions sum to {mixture_sum:.3g}, far from 1"),
+        ("tensor_used_pinv", "the whitened tensor solve fell back to a pseudo-inverse"),
+    ):
+        if estimates.diagnostics[key]:
+            click.echo(f"warning: {key}: {text.format(**estimates.diagnostics)}", err=True)
 
 
 @main.command(name="evaluate")

@@ -10,53 +10,29 @@ inputs the stationary distribution is the weight estimate.
 
 ``rank_centrality`` solves for that distribution directly.  The r chains of
 a mixture are built once, in one pass, as one block-diagonal sparse matrix
-(``build_transition`` is the one-chain case of the same builder), and one
-strong-components pass over the block finds the chains that are
-irreducible.  Each of those has a unique stationary distribution, the
-solution of (I - P^T) pi = 0 with the last equation replaced by
-sum(pi) = 1: the dense systems are scattered from the chains' CSR entries
-and solved by one batched LU solve per group of at most 2^20 floats.  The
-cost is fixed by n, however slowly a chain mixes; the comparison graph's
-own diagnostics already form a dense n x n matrix and its eigenvalues.
-
-An outcome clipped to +1 or -1 removes one direction of its edge, and a
-chain can then fall into several closed classes.  Such a chain gets the
-limit of the power iteration from the uniform start: each closed class's
-own stationary distribution, weighted by its share of the start plus the
-transient mass it absorbs, and zero on the transient items.
-
-``power_stationary`` is that power iteration, one chain at a time: it
-starts from the uniform vector and stops once successive iterates agree to
-roundoff, and the worst-case spectral bound of ``default_iteration_count``,
-taken at the largest weight range the bound allows for, caps its steps.
+(``build_transition`` is the one-chain case), and one strong-components
+pass over it labels each chain's items.  The chains are then solved one at
+a time, from their dense P^T: an irreducible chain by one LU solve of
+(I - P^T) pi = 0 with the last equation replaced by sum(pi) = 1, and a
+chain that outcomes clipped to +1 or -1 split into several closed classes
+by the limit of the power iteration from the uniform start.  The cost is
+fixed by n, however slowly a chain mixes.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NumericalError, ValidationError, checked_array, checked_count
+from .errors import NumericalError, ValidationError, checked_array
 
 _CONVERGENCE_EPS = 1e-8
-# The power iteration stops once the L1 change between iterates is at most this.
-# The change settles at a roundoff floor of about 2e-16 or less on the chains
-# the pipeline builds, so the stop is reached once the iterate has converged;
-# a chain whose floor lies above it runs to its cap.
-_STOP_CHANGE = 1e-15
-# The iteration bound grows with the square of the weights' dynamic range
-# b = max w / min w.  Every chain is capped with b at this ceiling: the stop
-# rule usually ends a chain long before that cap, while a b estimated
-# from noisy outcomes could put the cap below the steps a nearly flat chain
-# needs to reach the stop.
+# The iteration bound grows with the square of the weight range b = max w /
+# min w.  b is taken at this ceiling: one estimated from noisy outcomes could
+# put the bound below the steps a nearly flat chain needs.
 _RANGE_CAP = 16.0
-# The dense systems of the irreducible chains are built and solved in
-# groups of at most this many floats (8 MB), so a fit's peak memory grows
-# with one chain's n^2 floats rather than r of them.
-_GROUP_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,12 +44,6 @@ class TransitionMatrix:
     @property
     def n_items(self):
         return self.matrix.shape[0]
-
-
-class PowerIterationResult(NamedTuple):
-    distribution: np.ndarray
-    last_change: float  # L1 distance between the final two iterates
-    iterations: int  # steps actually run, at most the cap
 
 
 def project_outcomes(values):
@@ -117,52 +87,25 @@ def _chains(graph, columns):
     return matrix
 
 
-def power_stationary(transition, n_iterations):
-    """Left power iteration from uniform, renormalized, stopped at convergence.
-
-    Stops after the first step whose L1 change is at most 1e-15, or after
-    ``n_iterations`` steps, whichever comes first.  ``n_iterations`` must
-    be an integer of at least 1; a float such as 10.5 is refused.
-    """
-    cap = checked_count(n_iterations, "n_iterations", low=1)
-    n = transition.n_items
-    pi = np.full(n, 1.0 / n)
-    transposed = transition.matrix.T.tocsr()
-    for step in range(1, cap + 1):
-        nxt = transposed @ pi
-        nxt /= nxt.sum()
-        change = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if change <= _STOP_CHANGE:
-            break
-    return PowerIterationResult(distribution=pi, last_change=change, iterations=step)
-
-
 def _stationary(chains, r):
     """Stationary distributions of the r chains of a ``_chains`` block: (r, n).
 
     One strong-components pass over the block finds the irreducible chains.
-    They are solved by ``_solve_stationary`` in groups of at most
-    ``_GROUP_FLOATS`` floats of dense systems; every other chain gets its
-    ``_closed_class_limit``.  A ``LinAlgError`` of any solve is raised as
-    the ``NumericalError`` of stage "rank centrality".
+    The chains are then taken one at a time: an irreducible one is solved by
+    ``_solve_stationary``, any other gets its ``_closed_class_limit``.  A
+    ``LinAlgError`` of any solve is raised as the ``NumericalError`` of
+    stage "rank centrality".
     """
     n = chains.shape[0] // r
     labels = connected_components(chains, directed=True, connection="strong")[1].reshape(r, n)
-    irreducible = (labels == labels[:, :1]).all(axis=1)
-    solved = np.flatnonzero(irreducible)
-    per_group = max(1, _GROUP_FLOATS // (n * n))
-    diagonal = np.arange(n)
     weights = np.empty((r, n))
     try:
-        for lo in range(0, solved.size, per_group):
-            group = solved[lo : lo + per_group]
-            system = _transposed(chains, n, group)
-            np.negative(system, out=system)
-            system[:, diagonal, diagonal] += 1.0
-            weights[group] = _solve_stationary(system)
-        for a in np.flatnonzero(~irreducible):
-            weights[a] = _closed_class_limit(_transposed(chains, n, [a])[0], labels[a])
+        for a, chain_labels in enumerate(labels):
+            transposed = _transposed(chains, n, a)
+            if (chain_labels == chain_labels[0]).all():
+                weights[a] = _solve_stationary(transposed)
+            else:
+                weights[a] = _closed_class_limit(transposed, chain_labels)
     except np.linalg.LinAlgError as err:
         failure = NumericalError(f"stationary solve failed: {err}")
         failure.stage = "rank centrality"
@@ -170,40 +113,40 @@ def _stationary(chains, r):
     return weights
 
 
-def _transposed(chains, n, which):
-    """Dense transposes of the chains at positions ``which`` of a ``_chains``
-    block: (len(which), n, n).
+def _transposed(chains, n, a):
+    """Dense transpose, (n, n), of chain a of a ``_chains`` block.
 
-    Chain a's rows a n, ..., a n + n - 1 hold one contiguous range of
+    The chain's rows a n, ..., a n + n - 1 hold one contiguous range of
     entries, whose columns lie in the same range; that range is scattered
-    into the chain's own slab, entry (i, j) of the chain to place (j, i).
+    into the result, entry (i, j) of the chain to place (j, i).
     """
-    dense = np.zeros((len(which), n, n))
-    indptr = chains.indptr
-    rows = np.arange(n)
-    for slab, a in zip(dense, which):
-        ptr = indptr[a * n : a * n + n + 1]
-        entries = slice(ptr[0], ptr[-1])
-        slab[chains.indices[entries] - a * n, np.repeat(rows, np.diff(ptr))] = chains.data[entries]
+    dense = np.zeros((n, n))
+    ptr = chains.indptr[a * n : a * n + n + 1]
+    entries = slice(ptr[0], ptr[-1])
+    rows = np.repeat(np.arange(n), np.diff(ptr))
+    dense[chains.indices[entries] - a * n, rows] = chains.data[entries]
     return dense
 
 
-def _solve_stationary(system):
-    """Stationary distributions, (g, m), of g irreducible chains from their
-    systems I - P^T, (g, m, m).
+def _solve_stationary(transposed):
+    """Stationary distribution, (m,), of an irreducible chain from its dense
+    P^T, (m, m).
 
-    The last equation of each system is overwritten, in place, by
-    sum(pi) = 1, which makes it nonsingular; the stack is solved by one
-    batched LU solve with right-hand sides of shape (g, m, 1).
+    P^T is overwritten, in place, by the system I - P^T with its last
+    equation replaced by sum(pi) = 1, which makes it nonsingular; that is
+    solved by one LU solve with a 1-D right-hand side.
     """
-    system[:, -1] = 1.0
-    rhs = np.zeros(system.shape[:2] + (1,))
-    rhs[:, -1] = 1.0
-    return np.linalg.solve(system, rhs)[..., 0]
+    system = np.negative(transposed, out=transposed)
+    system[np.diag_indices_from(system)] += 1.0
+    system[-1] = 1.0
+    rhs = np.zeros(len(system))
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def _closed_class_limit(transposed, labels):
-    """The limit of ``power_stationary`` on a chain of several strong components.
+    """The limit of the power iteration from the uniform start on a chain of
+    several strong components.
 
     ``transposed`` is the chain's dense P^T and ``labels`` its items' strong
     components.  A component is a closed class when no move leaves it; the
@@ -227,28 +170,29 @@ def _closed_class_limit(transposed, labels):
         mass += np.linalg.solve(escape, chain[transient] @ member).sum(axis=0)
     weights = np.zeros(n)
     for share, items in zip(mass / n, member.T):
-        system = np.eye(items.sum()) - transposed[np.ix_(items, items)]
-        weights[items] = share * _solve_stationary(system[np.newaxis])[0]
+        weights[items] = share * _solve_stationary(transposed[np.ix_(items, items)])
     return weights
 
 
 def ergodic_diagnostics(graph):
     """The graph's cached diagnostics; ``ValidationError`` unless it is
-    connected and non-bipartite (positive spectral gap)."""
+    connected and non-bipartite, the rule ``erdos_renyi`` draws by.  The
+    spectral gap is not read: its roundoff does not decide the check."""
     diag = graph.diagnostics()
-    if not diag.connected or diag.spectral_gap <= 0.0:
+    if not diag.connected or diag.bipartite:
         raise ValidationError("Rank Centrality needs a connected non-bipartite comparison graph")
     return diag
 
 
 def default_iteration_count(graph, outcomes):
-    """Iteration cap b^2 d_max (log n + log 1/eps) / (xi d_min).
+    """Iteration bound b^2 d_max (log n + log 1/eps) / (xi d_min).
 
-    The Rank Centrality worst-case bound, with unit constant, eps = 1e-8
-    and the weight range b at its ceiling of 16, so the cap depends on the
-    graph alone.  It is the cap to give ``power_stationary``, which usually
-    stops far earlier.  ``outcomes``, one mean per graph pair, is checked
-    as ``build_transition`` checks it but does not move the cap.  Needs a
+    The Rank Centrality worst-case bound on the power-iteration steps to
+    eps = 1e-8, with unit constant and the weight range b at its ceiling of
+    16, so it depends on the graph alone.  The library runs no iteration
+    (``rank_centrality`` solves each chain directly); the bound is what a
+    traced benchmark run reports.  ``outcomes`` is checked as
+    ``build_transition`` checks it but does not move the bound.  Needs a
     connected non-bipartite graph (``ergodic_diagnostics``).
     """
     diag = ergodic_diagnostics(graph)

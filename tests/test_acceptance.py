@@ -30,15 +30,12 @@ from mixmnl import (
     marginally_identical_mixtures,
     match_components,
     random_uniform_model,
+    rank_centrality,
     tensor_power_decomposition,
 )
 from mixmnl.cli import main as cli_main
 from mixmnl.moments import incoherence_from_basis, projected_third_moment
-from mixmnl.rankcentrality import (
-    build_transition,
-    default_iteration_count,
-    power_stationary,
-)
+from mixmnl.rankcentrality import build_transition
 
 from conftest import brute_force_projected_third, complete_graph
 
@@ -187,16 +184,15 @@ def test_criterion_4_stationary_distribution_exactness():
         w = rng.uniform(1.0, 2.0, n)
         i, j = graph.edges[:, 0], graph.edges[:, 1]
         outcomes = (w[j] - w[i]) / (w[i] + w[j])
-        transition = build_transition(graph, outcomes)
-        budget = default_iteration_count(graph, outcomes)
-        pi = power_stationary(transition, budget).distribution
+        pi = rank_centrality(graph, outcomes)
         truth = w / w.sum()
         rel = np.linalg.norm(pi - truth) / np.linalg.norm(truth)
         worst_rel = max(worst_rel, rel)
         if rel > 1e-8:
             failures.append(f"seed {seed} (n={n}): relative error {rel:.2e} > 1e-8")
         # independent oracle: dense eigensolve of the transposed chain
-        values, vectors = scipy.linalg.eig(transition.matrix.toarray().T)
+        chain = build_transition(graph, outcomes).matrix.toarray()
+        values, vectors = scipy.linalg.eig(chain.T)
         k = int(np.argmin(np.abs(values - 1.0)))
         oracle = np.real(vectors[:, k])
         oracle = oracle / oracle.sum()

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 import mixmnl
-from mixmnl import ComparisonGraph, MixedMNLModel, erdos_renyi, pipeline, serialize
-from mixmnl import rankcentrality
+from mixmnl import (
+    ComparisonGraph,
+    MixedMNLModel,
+    erdos_renyi,
+    pipeline,
+    random_uniform_model,
+    serialize,
+)
+from mixmnl import cli, rankcentrality
 from mixmnl.cli import main
 from mixmnl.serialize import save_dataset
 
@@ -279,6 +288,93 @@ class TestLearn:
         )
         assert result.exit_code == 0, result.output
         assert "split" in json.loads(out.read_text())["diagnostics"]
+
+
+def learn_streams(args):
+    """``mixmnl learn args`` in process: its stdout and its stderr, read apart
+    on every click version; a non-zero exit raises ``SystemExit``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            main.main(args=["learn", *map(str, args)], standalone_mode=False)
+    return out.getvalue(), err.getvalue()
+
+
+class TestFitWarnings:
+    # learn writes one "warning:" line to stderr for each suspect diagnostic
+    # of its fit; stdout, the results and exit code 0 stay as they are.
+    RECOVERY = json.loads((Path(__file__).parent / "fixtures" / "recovery.json").read_text())
+
+    @pytest.mark.parametrize(
+        "generate, learn",
+        [
+            # README "Command line": the mixture proportions sum to 4.12.
+            (["--n", 50, "--ell", 10, "--samples", 100000, "--seed", 3], ["--seed", 7]),
+            # The benchmark's cli workload: they sum to 5.36.
+            (
+                ["--n", 30, "--dbar", 8, "--ell", 10, "--samples", 50000, "--seed", 0],
+                ["--seed", 3],
+            ),
+        ],
+        ids=["readme", "benchmark-cli"],
+    )
+    def test_garbage_fit_warns_mixture_sum_suspect(self, runner, tmp_path, generate, learn):
+        data, out = tmp_path / "d.json", tmp_path / "r.json"
+        made = runner.invoke(main, ["generate", "--r", "2", *map(str, generate), "--out", str(data)])
+        assert made.exit_code == 0, made.output
+        stdout, stderr = learn_streams(["--dataset", data, "--out", out, "--r", 2, *learn])
+        assert stdout == f"wrote {out}\n"
+        assert stderr.startswith("warning: mixture_sum_suspect: the mixture proportions sum to ")
+        assert stderr.count("\n") == 1
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics["mixture_sum_suspect"] and not diagnostics["tensor_used_pinv"]
+
+    @pytest.mark.parametrize("name", sorted(RECOVERY["instances"]))
+    def test_recovering_fit_warns_nothing(self, tmp_path, name):
+        # tests/test_recovery.py's instances at 200k samples, its first seed.
+        fixture = self.RECOVERY
+        spec = fixture["instances"][name]
+        setup = np.random.default_rng(fixture["setup_seed"])
+        graph = erdos_renyi(spec["n_items"], fixture["mean_degree"], setup)
+        model = random_uniform_model(
+            spec["n_items"], spec["n_components"], setup, *fixture["weight_range"]
+        )
+        seed, samples = fixture["sampling_seeds"][0], max(fixture["sample_sizes"])
+        batch = model.sample_batch(
+            graph, fixture["ell"], samples, np.random.default_rng([seed, samples])
+        )
+        data, out = tmp_path / "d.json", tmp_path / "r.json"
+        save_dataset(data, batch, model)
+        stdout, stderr = learn_streams(
+            ["--dataset", data, "--out", out, "--r", spec["n_components"], "--seed", seed]
+        )
+        assert stdout == f"wrote {out}\n"
+        assert stderr == ""
+
+    @pytest.mark.parametrize(
+        "suspect, pinv", [(False, True), (True, True)], ids=["pinv", "both"]
+    )
+    def test_each_suspect_diagnostic_warns_once(self, runner, tmp_path, monkeypatch, suspect, pinv):
+        real = cli.learn_mixed_mnl
+
+        def flagged(*args, **kwargs):
+            estimates = real(*args, **kwargs)
+            estimates.diagnostics.update(
+                mixture_sum=3.0,
+                mixture_sum_suspect=suspect,
+                tensor_used_pinv=pinv,
+            )
+            return estimates
+
+        monkeypatch.setattr(cli, "learn_mixed_mnl", flagged)
+        data = generate_dataset(runner, tmp_path / "d.json")
+        out = tmp_path / "r.json"
+        stdout, stderr = learn_streams(["--dataset", data, "--out", out, "--r", 2])
+        assert stdout == f"wrote {out}\n"
+        lines = [
+            "warning: mixture_sum_suspect: the mixture proportions sum to 3, far from 1\n",
+            "warning: tensor_used_pinv: the whitened tensor solve fell back to a pseudo-inverse\n",
+        ]
+        assert stderr == "".join(line for line, on in zip(lines, (suspect, pinv)) if on)
 
 
 class TestEvaluate:

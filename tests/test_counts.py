@@ -27,7 +27,6 @@ from mixmnl.moments import (
     exact_third_moment,
     split_ranges,
 )
-from mixmnl.rankcentrality import build_transition, power_stationary
 from mixmnl.serialize import dataset_from_dict, dataset_to_dict
 from mixmnl.spectral import components_from_factors
 from mixmnl.tensors import tensor_power_decomposition
@@ -106,9 +105,6 @@ _COUNTS = {
         lambda x: exact_third_moment(_MODEL, _GRAPH, max_pairs=x), -1, "max_pairs"
     ),
     "check_conditions-ell": (lambda x: check_conditions(_MODEL, _GRAPH, ell=x), 7, "ell"),
-    "power_stationary-n_iterations": (
-        lambda x: power_stationary(build_transition(_GRAPH, np.zeros(6)), x), 0, "n_iterations"
-    ),
     "run_sweep-n_items": (lambda x: _sweep(n_items=x, mean_degree=1.0), 1, "n_items"),
     "run_sweep-n_components": (lambda x: _sweep(n_components=x), 0, "n_components"),
     "run_sweep-ell": (lambda x: _sweep(ell=x), -1, "ell"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,12 +18,7 @@ from mixmnl import (
     rank_centrality,
 )
 from mixmnl import rankcentrality
-from mixmnl.rankcentrality import (
-    build_transition,
-    default_iteration_count,
-    power_stationary,
-    project_outcomes,
-)
+from mixmnl.rankcentrality import build_transition, default_iteration_count, project_outcomes
 
 from conftest import complete_graph
 
@@ -104,61 +100,30 @@ class TestStationary:
         pi = exact_stationary(build_transition(g, ideal_outcomes(g, w)))
         np.testing.assert_allclose(pi, w / w.sum(), atol=1e-12)
 
-    def test_power_matches_dense_solve(self):
-        rng = np.random.default_rng(0)
-        g = erdos_renyi(40, 6.0, rng)
-        w = rng.uniform(1.0, 2.0, 40)
-        t = build_transition(g, ideal_outcomes(g, w))
-        exact = exact_stationary(t)
-        power = power_stationary(t, 4000).distribution
-        assert np.abs(power - exact).max() <= 1e-12
-
-    def test_power_error_decays_with_iterations(self):
-        rng = np.random.default_rng(1)
-        g = erdos_renyi(30, 5.0, rng)
-        w = rng.uniform(1.0, 2.0, 30)
-        t = build_transition(g, ideal_outcomes(g, w))
-        exact = exact_stationary(t)
-        err = lambda k: np.abs(power_stationary(t, k).distribution - exact).max()
-        e1, e2 = err(25), err(50)
-        assert e2 < e1 / 2
-
-    def test_last_change_reported(self):
-        g = complete_graph(5)
-        w = np.linspace(1.0, 2.0, 5)
-        t = build_transition(g, ideal_outcomes(g, w))
-        result = power_stationary(t, 500)
-        assert result.last_change <= 1e-12
-
     def test_stops_at_convergence_below_cap(self):
+        # The iteration bound lies above the steps the reference loop takes.
         rng = np.random.default_rng(5)
         g = erdos_renyi(40, 6.0, rng)
         w = rng.uniform(1.0, 2.0, 40)
         outcomes = ideal_outcomes(g, w)
         cap = default_iteration_count(g, outcomes)
-        result = power_stationary(build_transition(g, outcomes), cap)
-        assert result.iterations < cap
-        assert result.last_change <= 1e-15
+        _, change, steps = loop_steps(build_transition(g, outcomes), cap)
+        assert steps < cap
+        assert change <= 1e-15
 
     def test_early_stop_matches_dense_solve_on_noisy_chain(self):
         # Noisy outcomes break reversibility, so the stationary distribution
-        # is no longer the weights; the stop must still land on it.
+        # is no longer the weights; the loop's stop and the direct solve
+        # must still both land on it.
         rng = np.random.default_rng(6)
         g = erdos_renyi(60, 7.0, rng)
         w = rng.uniform(1.0, 2.0, 60)
         noisy = np.clip(ideal_outcomes(g, w) + rng.uniform(-0.3, 0.3, g.n_pairs), -1, 1)
         t = build_transition(g, noisy)
-        result = power_stationary(t, default_iteration_count(g, noisy))
+        pi = loop_power(t, default_iteration_count(g, noisy))
         exact = exact_stationary(t)
-        assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
-
-    def test_explicit_cap_runs_exactly(self):
-        rng = np.random.default_rng(1)
-        g = erdos_renyi(30, 5.0, rng)
-        w = rng.uniform(1.0, 2.0, 30)
-        result = power_stationary(build_transition(g, ideal_outcomes(g, w)), 25)
-        assert result.iterations == 25
-        assert result.last_change > 1e-15
+        assert np.abs(pi - exact).max() <= 1e-11 * exact.min()
+        assert np.abs(rank_centrality(g, noisy) - exact).max() <= 1e-11 * exact.min()
 
     def test_reducible_chain_rejected(self):
         # Two cliques joined by nothing: the dense solve must refuse.
@@ -200,7 +165,7 @@ class TestDynamicRange:
 
 class TestDefaults:
     def test_iteration_budget_converges(self):
-        # The default budget must push the power iteration to within
+        # The default budget must push the reference loop to within
         # 1e-8 of the true stationary distribution on ideal inputs.
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -209,7 +174,7 @@ class TestDefaults:
             w = rng.uniform(1.0, 2.0, n)
             outcomes = ideal_outcomes(g, w)
             budget = default_iteration_count(g, outcomes)
-            pi = power_stationary(build_transition(g, outcomes), budget).distribution
+            pi = loop_power(build_transition(g, outcomes), budget)
             truth = w / w.sum()
             rel = np.abs(pi - truth).max() / truth.min()
             assert rel <= 1e-8, (seed, n, budget, rel)
@@ -219,10 +184,33 @@ class TestDefaults:
         with pytest.raises(ValidationError):
             default_iteration_count(g, np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "connected, bipartite, accepted",
+        [(True, False, True), (True, True, False), (False, False, False)],
+        ids=["ergodic", "bipartite", "disconnected"],
+    )
+    @pytest.mark.parametrize("gap", [0.0, 0.5])
+    def test_ergodic_rule_does_not_read_the_gap(
+        self, monkeypatch, connected, bipartite, accepted, gap
+    ):
+        # A connected non-bipartite graph is accepted even where roundoff
+        # took its gap to 0, and any other graph is refused whatever its gap.
+        g = complete_graph(4)
+        diag = dataclasses.replace(
+            g.diagnostics(), connected=connected, bipartite=bipartite, spectral_gap=gap
+        )
+        monkeypatch.setattr(g, "diagnostics", lambda: diag)
+        if accepted:
+            assert rankcentrality.ergodic_diagnostics(g) is diag
+        else:
+            with pytest.raises(ValidationError, match="connected non-bipartite"):
+                rankcentrality.ergodic_diagnostics(g)
+
     def test_cap_reaches_the_stop_on_a_flat_noisy_fit(self):
         # U[1, 2] weights and 2,000 samples give a nearly flat, noisy fit.
         # A cap from the fitted columns' own dynamic range stopped one of
-        # these chains at 218 steps with an L1 change of 8.8e-15.
+        # these chains at 218 steps with an L1 change of 8.8e-15; the
+        # reference loop must reach its stop within the bound.
         rng = np.random.default_rng([8])
         g = erdos_renyi(30, 8.0, rng)
         model = random_uniform_model(30, 2, rng)
@@ -230,9 +218,9 @@ class TestDefaults:
         fit = learn_mixed_mnl(batch, LearnConfig(n_components=2, seed=8))
         for column in project_outcomes(fit.outcome_matrix).T:
             cap = default_iteration_count(g, column)
-            result = power_stationary(build_transition(g, column), cap)
-            assert result.iterations < cap
-            assert result.last_change <= 1e-15
+            _, change, steps = loop_steps(build_transition(g, column), cap)
+            assert steps < cap
+            assert change <= 1e-15
 
 
 class TestRankCentrality:
@@ -310,7 +298,7 @@ class TestBlockIteration:
 
     def stop_steps(self, cap):
         return [
-            power_stationary(build_transition(self.GRAPH, column), cap).iterations
+            loop_steps(build_transition(self.GRAPH, column), cap)[2]
             for column in self.OUTCOMES.T
         ]
 
@@ -348,8 +336,9 @@ class TestBlockIteration:
         monkeypatch.setattr(
             rankcentrality, "_chains", lambda *args: calls.append("_chains") or chains(*args)
         )
-        for name in ("build_transition", "power_stationary"):
-            monkeypatch.setattr(rankcentrality, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(
+            rankcentrality, "build_transition", lambda *args: calls.append("build_transition")
+        )
         monkeypatch.setattr(
             rankcentrality.sp, "block_diag", lambda *args, **kw: calls.append("block_diag")
         )
@@ -378,14 +367,6 @@ class TestBlockIteration:
     def test_scalar_rejected_on_one_pair_graph(self):
         with pytest.raises(ValidationError):
             rank_centrality(ComparisonGraph(2, [[0, 1]]), np.float64(0.5))
-
-    def test_power_stationary_is_the_one_row_case(self):
-        t = build_transition(self.GRAPH, self.OUTCOMES[:, 1])
-        result = power_stationary(t, 10**6)
-        assert result.distribution.shape == (self.GRAPH.n_items,)
-        assert result.last_change <= 1e-15
-        exact = exact_stationary(t)
-        assert np.abs(result.distribution - exact).max() <= 1e-11 * exact.min()
 
 
 def scalar_dynamic_range(graph, outcomes):
@@ -439,99 +420,56 @@ def test_cap_never_below_an_estimated_range_cap():
 
 
 class TestSpans:
-    # Two ways the work is cut up: the plain loop's steps up to its cap, and
-    # the solve's groups of chains.  The four loops stop at steps 580, 584,
-    # 551 and 590: out of index order.
+    # How the work is cut up: the chains are taken one at a time, each
+    # scattered to its own dense slab and solved as one system.
     GRAPH = TestBlockIteration.GRAPH
     OUTCOMES = TestBlockIteration.OUTCOMES
-    STOPS = [580, 584, 551, 590]
-
-    def assert_matches_loops(self, cap):
-        steps = []
-        for column in self.OUTCOMES.T:
-            transition = build_transition(self.GRAPH, column)
-            pi, change, loop = loop_steps(transition, cap)
-            single = power_stationary(transition, cap)
-            assert np.array_equal(single.distribution, pi)
-            assert single.iterations == loop
-            assert single.last_change == change
-            steps.append(single.iterations)
-        return steps
-
-    def test_stop_steps(self):
-        assert self.assert_matches_loops(10**6) == self.STOPS
-
-    @pytest.mark.parametrize("chain", range(4))
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_stop_on_a_span_edge(self, chain, where):
-        # The cap is the chain's stop step, the last one the loop may take,
-        # or one less, which leaves the stop the first step past it.
-        stop = self.STOPS[chain]
-        cap = stop if where == "last" else stop - 1
-        assert self.assert_matches_loops(cap) == [min(s, cap) for s in self.STOPS]
-
-    @pytest.mark.parametrize(
-        "cap, steps",
-        [
-            (582, [580, 582, 551, 582]),  # between two chains' stops
-            (576, [576, 576, 551, 576]),  # past one stop only
-            (20, [20] * 4),  # far below every stop
-            (1, [1] * 4),
-        ],
-    )
-    def test_cap(self, cap, steps):
-        assert self.assert_matches_loops(cap) == steps
 
     def test_spans_of_one_step(self, monkeypatch):
-        # Groups of one chain, as for chains of more than the float budget,
-        # give the bits of one group of four.
+        # Each of the four chains is solved alone: one (n, n) system each.
         n = self.GRAPH.n_items
-        whole = rank_centrality(self.GRAPH, self.OUTCOMES)
-        groups = []
+        systems = []
         real = rankcentrality._solve_stationary
         monkeypatch.setattr(
             rankcentrality,
             "_solve_stationary",
-            lambda system: groups.append(system.shape) or real(system),
+            lambda system: systems.append(system.shape) or real(system),
         )
-        monkeypatch.setattr(rankcentrality, "_GROUP_FLOATS", 1)
-        assert np.array_equal(rank_centrality(self.GRAPH, self.OUTCOMES), whole)
-        assert groups == [(1, n, n)] * 4
+        weights = rank_centrality(self.GRAPH, self.OUTCOMES)
+        assert systems == [(n, n)] * 4
+        assert weights.shape == (4, n)
 
     @pytest.mark.parametrize("kept", [[0], [3], [0, 2], [1, 3], [0, 1, 3], [0, 1, 2, 3]])
     def test_kept_chains_match_fancy_indexing(self, kept):
-        # The dense slabs of the chains at any positions: each is the
-        # transpose of scipy's slice of its chain out of the block.
+        # The dense slab of the chain at any position is the transpose of
+        # scipy's slice of that chain out of the block.
         n = self.GRAPH.n_items
         chains = rankcentrality._chains(self.GRAPH, self.OUTCOMES.T)
-        got = rankcentrality._transposed(chains, n, kept)
-        assert got.shape == (len(kept), n, n)
-        for slab, a in zip(got, kept):
+        for a in kept:
+            slab = rankcentrality._transposed(chains, n, a)
             rows = np.arange(a * n, a * n + n)
             assert np.array_equal(slab, chains[rows][:, rows].toarray().T)
 
-    def test_chains_cut_out_of_order(self, monkeypatch):
-        # Chain 2 is made reducible, so it is taken out after the groups of
-        # the others, which hold two chains each; every slab equals the
-        # transpose of scipy's slice of its chain.
+    def test_reducible_chain_among_irreducible_ones(self, monkeypatch):
+        # Chain 2 is made reducible, so it takes the closed-class route while
+        # the others are solved directly; the chains are still cut in order,
+        # and every slab equals the transpose of scipy's slice of its chain.
         n = self.GRAPH.n_items
         outcomes = self.OUTCOMES.copy()
         outcomes[:, 2] = np.sign(outcomes[:, 2])
         cuts = []
         real = rankcentrality._transposed
 
-        def spy(chains, n_items, which):
-            got = real(chains, n_items, which)
-            for slab, a in zip(got, which):
-                rows = np.arange(a * n, a * n + n)
-                assert np.array_equal(slab, chains[rows][:, rows].toarray().T)
-            cuts.append([int(a) for a in which])
-            return got
+        def spy(chains, n_items, a):
+            slab = real(chains, n_items, a)
+            rows = np.arange(a * n, a * n + n)
+            assert np.array_equal(slab, chains[rows][:, rows].toarray().T)
+            cuts.append(a)
+            return slab
 
         monkeypatch.setattr(rankcentrality, "_transposed", spy)
-        monkeypatch.setattr(rankcentrality, "_GROUP_FLOATS", 2 * n * n)
         weights = rank_centrality(self.GRAPH, outcomes)
-        assert cuts == [[0, 1], [3], [2]]
+        assert cuts == [0, 1, 2, 3]
         for row, column in zip(weights, outcomes.T):
             pi, change, steps = loop_steps(build_transition(self.GRAPH, column), 10**6)
             assert change <= 1e-15
@@ -590,10 +528,11 @@ class TestSolveFailure:
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_dense_systems_built_in_groups_within_the_float_budget():
-    # At n = 1,000 one chain's system is 10^6 floats, so each group holds
-    # one chain: the traced peak, one system and the solver's copy of it,
-    # stays below 2.5 chains' systems, where one group of three takes six.
+def test_dense_systems_built_one_chain_at_a_time():
+    # At n = 1,000 one chain's system is 10^6 floats.  The chains are
+    # solved one at a time, so the traced peak, one system and the solver's
+    # copy of it, stays below 2.5 chains' systems, where all three at once
+    # would take six.
     n_items, r = 1000, 3
     items = np.arange(n_items)
     graph = ComparisonGraph(
